@@ -55,6 +55,7 @@ from .inference import (
     AccuracySummary,
     BootstrapSpec,
     bootstrap_compare,
+    bootstrap_estimate,
     bootstrap_summary,
     bootstrap_values,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "auc_difference",
     "average_precision",
     "bootstrap_compare",
+    "bootstrap_estimate",
     "bootstrap_summary",
     "bootstrap_values",
     "compare_horizon",

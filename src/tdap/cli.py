@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -24,7 +23,13 @@ from .censoring import fit_censoring_km, ipcw_weights
 from .cohort import ColumnMap, read_cohort_csv, validate_horizon
 from .errors import TdapError
 from .estimators import event_rate, pr_curve, roc_curve
-from .inference import DEFAULT_SEED, BootstrapSpec, bootstrap_compare, bootstrap_summary
+from .inference import (  # bench/spans.py wraps bootstrap_summary here too
+    DEFAULT_SEED,
+    BootstrapSpec,
+    bootstrap_compare,
+    bootstrap_estimate,
+    bootstrap_summary,
+)
 from .simulation import DEFAULT_STUDY_SEED, SimulationConfig, run_study
 
 __all__ = ["main", "canonical_json"]
@@ -56,8 +61,8 @@ def _add_boot_flags(
     p.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads (results do not depend on this)",
+        default=1,
+        help="accepted for compatibility; runs are single-threaded",
     )
 
 
@@ -156,12 +161,13 @@ def _cmd_estimate(args) -> int:
     spec = BootstrapSpec(replicates=args.boot, level=args.level, seed=args.seed)
     results = []
     print(f"cohort: n={cohort.n} ({'paired' if cohort.paired else 'single score'})")
+    censor_survival = fit_censoring_km(cohort)
     for t0 in horizons:
         validate_horizon(cohort, t0)
-        weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
+        weights = ipcw_weights(cohort, censor_survival, t0)
         rate = event_rate(cohort, weights, t0)
-        ap_s = bootstrap_summary(cohort, t0, spec, "ap", threads=args.threads)
-        auc_s = bootstrap_summary(cohort, t0, spec, "auc", threads=args.threads)
+        both = bootstrap_estimate(cohort, t0, spec, weights=weights)
+        ap_s, auc_s = both["ap"], both["auc"]
         print(f"t0={t0:.6g}  event_rate={rate:.6g}")
         print(_summary_block("AP", ap_s, spec.level))
         print(_summary_block("AUC", auc_s, spec.level))
@@ -206,11 +212,12 @@ def _cmd_compare(args) -> int:
     spec = BootstrapSpec(replicates=args.boot, level=args.level, seed=args.seed)
     results = []
     print(f"cohort: n={cohort.n} ({'paired' if cohort.paired else 'single score'})")
+    censor_survival = fit_censoring_km(cohort)
     for t0 in horizons:
         validate_horizon(cohort, t0)
-        weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
+        weights = ipcw_weights(cohort, censor_survival, t0)
         rate = event_rate(cohort, weights, t0)
-        summaries = bootstrap_compare(cohort, t0, spec, threads=args.threads)
+        summaries = bootstrap_compare(cohort, t0, spec, weights=weights)
         print(f"t0={t0:.6g}  event_rate={rate:.6g}")
         for key, label in _COMPARE_LABELS:
             print(_summary_block(label, summaries[key], spec.level))
@@ -268,7 +275,7 @@ def _cmd_simulate(args) -> int:
         oracle_size=args.oracle,
         seed=args.seed,
     )
-    report = run_study(config, threads=args.threads)
+    report = run_study(config)
     print(report.format_table(), end="")
     if args.csv:
         report.to_csv(args.csv)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -341,13 +342,24 @@ def write_cohort_csv(cohort: CohortSample, destination) -> None:
             stream.close()
 
 
+def _is_real(value) -> bool:
+    """True for real numbers, numpy scalars included; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """True for integers, numpy integer scalars included; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def validate_horizon(cohort: CohortSample, t0: float) -> None:
     """Check that accuracy at horizon ``t0`` is estimable from this cohort.
 
-    Requires at least one observed event strictly before ``t0`` and that
-    ``t0`` does not exceed the largest observed follow-up time.
+    ``t0`` may be any real number type, numpy scalars included, but not a
+    bool.  Requires at least one observed event strictly before ``t0``
+    and that ``t0`` does not exceed the largest observed follow-up time.
     """
-    if not (isinstance(t0, (int, float)) and math.isfinite(t0) and t0 > 0):
+    if not (_is_real(t0) and math.isfinite(t0) and t0 > 0):
         raise ValueError(f"t0 must be a positive finite number, got {t0!r}")
     max_time = float(cohort.times.max())
     if t0 > max_time:

@@ -170,17 +170,50 @@ def ppv_tie_corrected(
     return float(num / den)
 
 
-def _ap_from_arrays(scores, case_w) -> float:
-    total_case = case_w.sum()
-    if total_case <= 0.0:
-        return np.nan
-    _, counts, (case_mass,) = _grouped_desc(scores, case_w)
-    cum_case = np.cumsum(case_mass)
-    cum_count = np.cumsum(counts)
-    # tie-corrected precision at each distinct score: half of the tied
-    # group's own mass counts as "above"
-    ppv = (cum_case - 0.5 * case_mass) / (cum_count - 0.5 * counts)
-    return float(np.dot(case_mass, ppv) / total_case)
+def _clip01(value: float) -> float:
+    return min(1.0, max(0.0, float(value)))
+
+
+def _accuracy(counts, case_mass, ctrl_mass) -> tuple[float, float]:
+    """AP and AUC from per-group masses, groups ordered by descending score.
+
+    This is the one place the two formulas live: the point estimators and
+    every bootstrap replicate read from it.  Groups may be empty (count
+    and masses 0).  AP is NaN without case mass; AUC is NaN without case
+    or control mass.  Both are clipped into [0, 1]; the clip can bind
+    only in heavily censored corners where single weights exceed 1.
+
+    Only groups holding case mass enter either sum, so both are taken
+    over those groups alone; empty groups change no bit of AP.
+    Reductions use ``einsum`` rather than ``np.dot``: BLAS worker threads
+    spin on these short vectors and burn CPU without saving wall time.
+    """
+    hit = np.flatnonzero(case_mass > 0.0)
+    case = case_mass[hit]
+    total_case = case.sum()
+    if not total_case > 0.0:
+        return np.nan, np.nan
+    # tie-corrected precision at each case group's score: half of the
+    # tied group's own mass counts as "above"
+    ppv = (np.cumsum(case) - 0.5 * case) / (np.cumsum(counts)[hit] - 0.5 * counts[hit])
+    ap = _clip01(np.einsum("i,i->", case, ppv) / total_case)
+    total_ctrl = ctrl_mass.sum()
+    if not total_ctrl > 0.0:
+        return ap, np.nan
+    ctrl_below = total_ctrl - np.cumsum(ctrl_mass)[hit]
+    conc = np.einsum("i,i->", case, ctrl_below + 0.5 * ctrl_mass[hit])
+    return ap, _clip01(conc / (total_case * total_ctrl))
+
+
+def _point_accuracy(
+    cohort: CohortSample, weights: WeightVector, t0: float, score: int
+) -> tuple[float, float]:
+    _, counts, (case_mass, ctrl_mass) = _grouped_desc(
+        cohort.scores(score),
+        _case_mass(cohort, weights, t0),
+        _control_mass(cohort, weights, t0),
+    )
+    return _accuracy(counts, case_mass, ctrl_mass)
 
 
 def average_precision(
@@ -193,22 +226,10 @@ def average_precision(
     score.  The result is clipped into [0, 1]; the clip can bind only in
     heavily censored corners where single weights exceed 1.
     """
-    case_w = _case_mass(cohort, weights, t0)
-    value = _ap_from_arrays(cohort.scores(score), case_w)
+    value, _ = _point_accuracy(cohort, weights, t0, score)
     if np.isnan(value):
         raise NoEventsBeforeT0Error(t0)
-    return float(min(1.0, max(0.0, value)))
-
-
-def _auc_from_arrays(scores, case_w, ctrl_w) -> float:
-    total_case = case_w.sum()
-    total_ctrl = ctrl_w.sum()
-    if total_case <= 0.0 or total_ctrl <= 0.0:
-        return np.nan
-    _, _, (case_mass, ctrl_mass) = _grouped_desc(scores, case_w, ctrl_w)
-    ctrl_below = total_ctrl - np.cumsum(ctrl_mass)
-    conc = np.dot(case_mass, ctrl_below + 0.5 * ctrl_mass)
-    return float(conc / (total_case * total_ctrl))
+    return value
 
 
 def auc(
@@ -219,14 +240,12 @@ def auc(
     Weighted concordance over case/control pairs with half credit for
     tied scores; clipped into [0, 1].
     """
-    case_w = _case_mass(cohort, weights, t0)
-    ctrl_w = _control_mass(cohort, weights, t0)
-    if case_w.sum() <= 0.0:
+    ap, value = _point_accuracy(cohort, weights, t0, score)
+    if np.isnan(ap):
         raise NoEventsBeforeT0Error(t0)
-    if ctrl_w.sum() <= 0.0:
+    if np.isnan(value):
         raise NoControlsAtT0Error(t0)
-    value = _auc_from_arrays(cohort.scores(score), case_w, ctrl_w)
-    return float(min(1.0, max(0.0, value)))
+    return value
 
 
 def event_rate(cohort: CohortSample, weights: WeightVector, t0: float) -> float:

@@ -7,20 +7,28 @@ no longer estimable (for example, a resample with no case before t0) are
 dropped and counted; more than 10% failures aborts the run.
 
 Replicate streams are derived from a single seed, one child stream per
-replicate index, so results are identical for any thread count.
+replicate index.  Runs are single-threaded; the ``threads`` arguments
+are accepted for compatibility and never change a result.
+
+The engine never materialises a resample.  The cohort is ranked once
+per bootstrap (time order, each score's descending group index) and a
+replicate is its multiplicity vector: how often each subject was drawn.
+Resample validity, the reverse Kaplan-Meier curve, the weights and the
+grouped case, control and count masses are then ``bincount``/``cumsum``
+passes over those fixed ranks, and the grouped masses go through the
+same AP/AUC kernel as the point estimators.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import fit_censoring_km, ipcw_weights
-from .cohort import CohortSample, validate_horizon
-from .errors import TdapError, TooManyFailedReplicatesError
-from .estimators import auc, average_precision
+from .censoring import WeightVector, fit_censoring_km, ipcw_weights
+from .cohort import CohortSample, _is_integer, _is_real, validate_horizon
+from .errors import TooManyFailedReplicatesError
+from .estimators import _accuracy, auc, average_precision, compare_horizon
 
 __all__ = [
     "DEFAULT_SEED",
@@ -28,6 +36,7 @@ __all__ = [
     "AccuracySummary",
     "bootstrap_values",
     "bootstrap_summary",
+    "bootstrap_estimate",
     "bootstrap_compare",
 ]
 
@@ -36,22 +45,41 @@ DEFAULT_SEED = 1729
 _SINGLE_ESTIMANDS = ("ap", "auc")
 _PAIRED_ESTIMANDS = ("ap", "ap2", "rap", "auc", "auc2", "dauc")
 
+# estimand -> its value on one resample, given acc[s] = (AP, AUC) of
+# score s + 1; a NaN marks the replicate as failed
+_ESTIMANDS = {
+    "ap": lambda acc: acc[0][0],
+    "auc": lambda acc: acc[0][1],
+    "ap2": lambda acc: acc[1][0],
+    "auc2": lambda acc: acc[1][1],
+    "rap": lambda acc: acc[0][0] / acc[1][0] if acc[1][0] > 0.0 else np.nan,
+    "dauc": lambda acc: acc[0][1] - acc[1][1],
+}
+_NEEDS_SCORE2 = {"ap2", "auc2", "rap", "dauc"}
+
 
 @dataclass(frozen=True)
 class BootstrapSpec:
-    """Bootstrap configuration: replicate count, CI level, seed."""
+    """Bootstrap configuration: replicate count, CI level, seed.
+
+    Integer fields accept any integer type (numpy scalars included) and
+    are stored as ``int``; bools are rejected.
+    """
 
     replicates: int = 1000
     level: float = 0.95
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if not (isinstance(self.replicates, int) and self.replicates >= 2):
+        if not (_is_integer(self.replicates) and self.replicates >= 2):
             raise ValueError(f"replicates must be an int >= 2, got {self.replicates!r}")
-        if not (0.0 < self.level < 1.0):
+        if not (_is_real(self.level) and 0.0 < self.level < 1.0):
             raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
+        object.__setattr__(self, "replicates", int(self.replicates))
+        object.__setattr__(self, "level", float(self.level))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -84,60 +112,134 @@ class AccuracySummary:
         }
 
 
-def _paired_stats(cohort: CohortSample, weights, t0: float) -> tuple:
-    ap1 = average_precision(cohort, weights, t0, score=1)
-    ap2 = average_precision(cohort, weights, t0, score=2)
-    auc1 = auc(cohort, weights, t0, score=1)
-    auc2 = auc(cohort, weights, t0, score=2)
-    rap = np.nan if ap2 <= 0.0 else ap1 / ap2
-    return ap1, ap2, rap, auc1, auc2, auc1 - auc2
+class _RankedCohort:
+    """A cohort ranked once for counts-based resampling at horizon t0.
 
+    Only censoring times below t0 move G at a case's time or at t0, so
+    the reverse Kaplan-Meier curve is kept to those jumps; every other
+    jump of a resample's own fit multiplies G by exactly 1, so the curve
+    matches a fit on the materialised resample value for value.
+    """
 
-def _stat_fn(estimands: tuple[str, ...], score: int):
-    if estimands == _PAIRED_ESTIMANDS:
-        return _paired_stats
-    if estimands == ("ap",):
-        return lambda c, w, t0: (average_precision(c, w, t0, score=score),)
-    if estimands == ("auc",):
-        return lambda c, w, t0: (auc(c, w, t0, score=score),)
-    raise ValueError(f"unknown estimand set {estimands!r}")
+    def __init__(self, cohort: CohortSample, t0: float, n_scores: int):
+        times = cohort.times
+        before = np.flatnonzero(times < t0)
+        t_before = times[before]
+        is_case = cohort.status[before] == 1.0
+        self.n = cohort.n
+        self.before = before
+        self.cases = np.flatnonzero(is_case)  # positions within `before`
+        self.censored = np.flatnonzero(~is_case)  # positions within `before`
+        jumps, self.jump_of_censored = np.unique(
+            t_before[self.censored], return_inverse=True
+        )
+        self.n_jumps = jumps.size
+        # jumps at or below each early time: subject i is at risk at jump
+        # j unless its time has at most j jumps at or below it
+        self.jumps_upto = np.searchsorted(jumps, t_before, side="right")
+        # jumps strictly below each case time index the left limit G(X)
+        self.case_jumps = np.searchsorted(jumps, t_before[self.cases], side="left")
+        self.groups = []
+        for s in range(1, n_scores + 1):
+            _, group = np.unique(-cohort.scores(s), return_inverse=True)
+            size = int(group.max()) + 1
+            self.groups.append(
+                (group, group[before], group[before[self.cases]], size)
+            )
+
+    def accuracy(self, m: np.ndarray):
+        """(AP, AUC) per score for the resample with multiplicities ``m``.
+
+        Returns None when the resample fails: no case before t0, nobody
+        followed up to t0, or a zero censoring survival where a weight
+        needs it.
+        """
+        m = m.astype(float)
+        m_before = m[self.before]
+        m_case = m_before[self.cases]
+        n_at_t0 = self.n - m_before.sum()
+        if not (m_case.any() and n_at_t0 > 0):
+            return None
+        censored_at = np.bincount(
+            self.jump_of_censored,
+            weights=m_before[self.censored],
+            minlength=self.n_jumps,
+        )
+        at_risk = self.n - np.cumsum(
+            np.bincount(self.jumps_upto, weights=m_before, minlength=self.n_jumps + 1)
+        )[: self.n_jumps]
+        hazard = np.divide(
+            censored_at, at_risk, out=np.zeros(self.n_jumps), where=censored_at > 0
+        )
+        g = np.concatenate(([1.0], np.cumprod(1.0 - hazard)))
+        # G is non-increasing and G(t0) is its last value, so one check
+        # covers every case weight too
+        if not g[-1] > 0.0:
+            return None
+        case_w = m_case * (1.0 / g[self.case_jumps])
+        ctrl_w = 1.0 / g[-1]
+        acc = []
+        for group, group_before, group_case, size in self.groups:
+            counts = np.bincount(group, weights=m, minlength=size)
+            ctrl = counts - np.bincount(group_before, weights=m_before, minlength=size)
+            case = np.bincount(group_case, weights=case_w, minlength=size)
+            acc.append(_accuracy(counts, case, ctrl_w * ctrl))
+        return acc
 
 
 def _replicate_matrix(
     cohort: CohortSample,
     t0: float,
     spec: BootstrapSpec,
-    stat,
-    width: int,
-    threads: int = 1,
+    estimands: tuple[str, ...],
 ) -> tuple[np.ndarray, int]:
-    """Run all replicates; rows with any NaN mark failed resamples."""
+    """Run every replicate; return the usable rows and the failure count.
+
+    Columns follow ``estimands`` (keys of the estimand table).  A row
+    with any NaN marks a failed resample and is dropped.  Replicate b
+    draws ``default_rng(SeedSequence(spec.seed).spawn(B)[b]).integers(0,
+    n, size=n)``, so the resamples are those of a plain per-replicate
+    loop over ``CohortSample.take``.
+    """
+    table = [_ESTIMANDS[name] for name in estimands]
+    n_scores = 2 if _NEEDS_SCORE2.intersection(estimands) else 1
+    ranked = _RankedCohort(cohort, t0, n_scores)
     n = cohort.n
-    children = np.random.SeedSequence(spec.seed).spawn(spec.replicates)
+    values = np.full((spec.replicates, len(table)), np.nan)
+    for b, child in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.replicates)):
+        idx = np.random.default_rng(child).integers(0, n, size=n)
+        acc = ranked.accuracy(np.bincount(idx, minlength=n))
+        if acc is not None:
+            values[b] = [stat(acc) for stat in table]
 
-    def one(b: int) -> tuple:
-        rng = np.random.default_rng(children[b])
-        idx = rng.integers(0, n, size=n)
-        sub = cohort.take(idx)
-        try:
-            validate_horizon(sub, t0)
-            w = ipcw_weights(sub, fit_censoring_km(sub), t0)
-            row = stat(sub, w, t0)
-        except TdapError:
-            return (np.nan,) * width
-        return row
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(spec.replicates)))
-    else:
-        rows = [one(b) for b in range(spec.replicates)]
-    values = np.asarray(rows, dtype=float)
-
-    failed = int(np.isnan(values).any(axis=1).sum())
+    usable = ~np.isnan(values).any(axis=1)
+    failed = spec.replicates - int(usable.sum())
     if failed > 0.1 * spec.replicates:
         raise TooManyFailedReplicatesError(failed, spec.replicates)
-    return values[~np.isnan(values).any(axis=1)], failed
+    return values[usable], failed
+
+
+def _single_estimand(estimand: str, score: int) -> str:
+    if estimand not in _SINGLE_ESTIMANDS:
+        raise ValueError(
+            f"estimand must be one of {_SINGLE_ESTIMANDS}, got {estimand!r}"
+        )
+    if score not in (1, 2):
+        raise ValueError(f"score selector must be 1 or 2, got {score!r}")
+    return estimand if score == 1 else estimand + "2"
+
+
+def _full_weights(
+    cohort: CohortSample, t0: float, weights: WeightVector | None
+) -> WeightVector:
+    if weights is None:
+        return ipcw_weights(cohort, fit_censoring_km(cohort), t0)
+    if weights.t0 != float(t0) or weights.n != cohort.n:
+        raise ValueError(
+            f"weights were built for t0={weights.t0!r} and {weights.n} subjects, "
+            f"not t0={float(t0)!r} and {cohort.n}"
+        )
+    return weights
 
 
 def bootstrap_values(
@@ -151,13 +253,12 @@ def bootstrap_values(
     """Raw replicate values for one estimand, plus the failure count.
 
     Useful for diagnostics and plots; :func:`bootstrap_summary` consumes
-    the same replicate stream.
+    the same replicate stream.  ``threads`` is accepted for
+    compatibility; runs are single-threaded.
     """
-    if estimand not in _SINGLE_ESTIMANDS:
-        raise ValueError(f"estimand must be one of {_SINGLE_ESTIMANDS}, got {estimand!r}")
+    name = _single_estimand(estimand, score)
     validate_horizon(cohort, t0)
-    stat = _stat_fn((estimand,), score)
-    values, failed = _replicate_matrix(cohort, t0, spec, stat, 1, threads)
+    values, failed = _replicate_matrix(cohort, t0, spec, (name,))
     return values[:, 0], failed
 
 
@@ -176,6 +277,15 @@ def _summary(estimand, t0, point, values, failed, level) -> AccuracySummary:
     )
 
 
+def _summaries(cohort, t0, spec, points: dict) -> dict[str, AccuracySummary]:
+    """One joint bootstrap of every estimand named in ``points``."""
+    values, failed = _replicate_matrix(cohort, t0, spec, tuple(points))
+    return {
+        name: _summary(name, t0, point, values[:, k], failed, spec.level)
+        for k, (name, point) in enumerate(points.items())
+    }
+
+
 def bootstrap_summary(
     cohort: CohortSample,
     t0: float,
@@ -184,18 +294,39 @@ def bootstrap_summary(
     score: int = 1,
     threads: int = 1,
 ) -> AccuracySummary:
-    """Point estimate on the original cohort plus percentile CI and SE."""
-    if estimand not in _SINGLE_ESTIMANDS:
-        raise ValueError(f"estimand must be one of {_SINGLE_ESTIMANDS}, got {estimand!r}")
+    """Point estimate on the original cohort plus percentile CI and SE.
+
+    ``threads`` is accepted for compatibility; runs are single-threaded.
+    """
+    name = _single_estimand(estimand, score)
     validate_horizon(cohort, t0)
     weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
-    if estimand == "ap":
-        point = average_precision(cohort, weights, t0, score=score)
-    else:
-        point = auc(cohort, weights, t0, score=score)
-    stat = _stat_fn((estimand,), score)
-    values, failed = _replicate_matrix(cohort, t0, spec, stat, 1, threads)
+    estimator = average_precision if estimand == "ap" else auc
+    point = estimator(cohort, weights, t0, score=score)
+    values, failed = _replicate_matrix(cohort, t0, spec, (name,))
     return _summary(estimand, t0, point, values[:, 0], failed, spec.level)
+
+
+def bootstrap_estimate(
+    cohort: CohortSample,
+    t0: float,
+    spec: BootstrapSpec,
+    weights: WeightVector | None = None,
+) -> dict[str, AccuracySummary]:
+    """AP and AUC of score 1 from one joint bootstrap.
+
+    Both estimands are computed on the same resamples, so one pass of
+    ``spec.replicates`` gives exactly what two :func:`bootstrap_summary`
+    calls give.  ``weights`` may carry the full-cohort weights at ``t0``
+    when the caller already has them.  Keys: ``ap``, ``auc``.
+    """
+    validate_horizon(cohort, t0)
+    weights = _full_weights(cohort, t0, weights)
+    points = {
+        "ap": average_precision(cohort, weights, t0),
+        "auc": auc(cohort, weights, t0),
+    }
+    return _summaries(cohort, t0, spec, points)
 
 
 def bootstrap_compare(
@@ -203,17 +334,18 @@ def bootstrap_compare(
     t0: float,
     spec: BootstrapSpec,
     threads: int = 1,
+    weights: WeightVector | None = None,
 ) -> dict[str, AccuracySummary]:
     """Joint bootstrap of both scores' AP, AUC, their ratio and difference.
 
     All six estimands are computed on the same resamples, so the paired
-    quantities stay internally consistent.  Keys: ``ap``, ``ap2``,
+    quantities stay internally consistent.  ``weights`` may carry the
+    full-cohort weights at ``t0``.  ``threads`` is accepted for
+    compatibility; runs are single-threaded.  Keys: ``ap``, ``ap2``,
     ``rap``, ``auc``, ``auc2``, ``dauc``.
     """
-    from .estimators import compare_horizon
-
     validate_horizon(cohort, t0)
-    point = compare_horizon(cohort, t0)
+    point = compare_horizon(cohort, t0, _full_weights(cohort, t0, weights))
     points = {
         "ap": point.ap1,
         "ap2": point.ap2,
@@ -222,10 +354,4 @@ def bootstrap_compare(
         "auc2": point.auc2,
         "dauc": point.dauc,
     }
-    values, failed = _replicate_matrix(
-        cohort, t0, spec, _paired_stats, len(_PAIRED_ESTIMANDS), threads
-    )
-    return {
-        name: _summary(name, t0, points[name], values[:, k], failed, spec.level)
-        for k, name in enumerate(_PAIRED_ESTIMANDS)
-    }
+    return _summaries(cohort, t0, spec, points)

@@ -33,16 +33,15 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .censoring import WeightVector, fit_censoring_km, ipcw_weights
+from .censoring import fit_censoring_km, ipcw_weights
 from .cohort import CohortSample, validate_horizon
 from .errors import TdapError
-from .estimators import average_precision
+from .estimators import _accuracy, average_precision
 from .inference import BootstrapSpec, _replicate_matrix
 
 __all__ = [
@@ -68,6 +67,8 @@ _GAMMA_SHAPE = 25.0
 _GAMMA_RATE = 0.75
 
 ESTIMANDS = ("AP1", "AP2", "rAP")
+# the same cells as keys of the bootstrap engine's estimand table
+_BOOT_ESTIMANDS = ("ap", "ap2", "rap")
 
 # stream tags keeping oracle, cohort, and bootstrap draws disjoint
 _STREAM_ORACLE = 0
@@ -149,23 +150,25 @@ def generate_cohort(n: int, seed) -> CohortSample:
 
 
 def _oracle(config: SimulationConfig):
-    """One large uncensored draw -> (true accuracy cells, event rates)."""
+    """One large uncensored draw -> (true accuracy cells, event rates).
+
+    With T fully observed every weight is 1, so each score is ranked
+    once and each horizon's case counts per score group go straight to
+    the AP/AUC kernel.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, _STREAM_ORACLE))
     )
-    m = config.oracle_size
-    t, _, u1, u2 = _draw_latent(m, rng)
-    cohort = CohortSample(t, np.ones(m), u1, u2)
+    t, _, u1, u2 = _draw_latent(config.oracle_size, rng)
     trues: dict[tuple[float, str], float] = {}
-    rates: dict[float, float] = {}
+    rates = {t0: float(np.mean(t < t0)) for t0 in config.horizons}
+    for name, score in (("AP1", u1), ("AP2", u2)):
+        _, group, counts = np.unique(-score, return_inverse=True, return_counts=True)
+        for t0 in config.horizons:
+            cases = np.bincount(group, weights=t < t0, minlength=counts.size)
+            trues[(t0, name)] = _accuracy(counts, cases, counts - cases)[0]
     for t0 in config.horizons:
-        unit = WeightVector(t0=t0, weights=np.ones(m))
-        ap1 = average_precision(cohort, unit, t0, score=1)
-        ap2 = average_precision(cohort, unit, t0, score=2)
-        trues[(t0, "AP1")] = ap1
-        trues[(t0, "AP2")] = ap2
-        trues[(t0, "rAP")] = ap1 / ap2
-        rates[t0] = float(np.mean(t < t0))
+        trues[(t0, "rAP")] = trues[(t0, "AP1")] / trues[(t0, "AP2")]
     return trues, rates
 
 
@@ -286,13 +289,6 @@ class SimulationReport:
         return out.getvalue()
 
 
-def _sim_stats(cohort: CohortSample, weights, t0: float) -> tuple:
-    ap1 = average_precision(cohort, weights, t0, score=1)
-    ap2 = average_precision(cohort, weights, t0, score=2)
-    rap = np.nan if ap2 <= 0.0 else ap1 / ap2
-    return ap1, ap2, rap
-
-
 def _one_replication(config: SimulationConfig, r: int):
     """Generate one valid cohort and estimate all cells with bootstrap."""
     attempts = 0
@@ -319,16 +315,19 @@ def _one_replication(config: SimulationConfig, r: int):
     lowers = np.empty_like(estimates)
     uppers = np.empty_like(estimates)
     alpha = 1.0 - config.bootstrap.level
+    censor_survival = fit_censoring_km(cohort)
     for h, t0 in enumerate(config.horizons):
-        w = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
-        estimates[h] = _sim_stats(cohort, w, t0)
+        w = ipcw_weights(cohort, censor_survival, t0)
+        ap1 = average_precision(cohort, w, t0, score=1)
+        ap2 = average_precision(cohort, w, t0, score=2)
+        estimates[h] = (ap1, ap2, ap1 / ap2)  # an estimable AP is always > 0
         boot_seed = int(
             np.random.SeedSequence((config.seed, _STREAM_BOOT, r, h)).generate_state(
                 1, dtype=np.uint64
             )[0]
         )
         spec = replace(config.bootstrap, seed=boot_seed)
-        values, _ = _replicate_matrix(cohort, t0, spec, _sim_stats, 3)
+        values, _ = _replicate_matrix(cohort, t0, spec, _BOOT_ESTIMANDS)
         lowers[h], uppers[h] = np.quantile(
             values, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0
         )
@@ -341,18 +340,15 @@ def run_study(config: SimulationConfig, threads: int = 1) -> SimulationReport:
     """Run the full Monte-Carlo study described by ``config``.
 
     Replications use independent seed streams indexed by replication
-    number, so reports are identical for any ``threads`` value.  A drawn
+    number.  ``threads`` is accepted for compatibility; runs are
+    single-threaded, so it never changes the report.  A drawn
     cohort failing horizon validation is replaced using that
     replication's next stream and counted in ``regenerated``.
     """
     trues, event_rates = _oracle(config)
 
     reps = config.replications
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda r: _one_replication(config, r), range(reps)))
-    else:
-        results = [_one_replication(config, r) for r in range(reps)]
+    results = [_one_replication(config, r) for r in range(reps)]
 
     est = np.stack([res[0] for res in results])  # (reps, horizons, 3)
     ses = np.stack([res[1] for res in results])

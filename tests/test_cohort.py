@@ -15,6 +15,7 @@ from tdap import (
     NotPairedError,
     SubjectRecord,
     T0BeyondSupportError,
+    estimate_horizon,
     read_cohort_csv,
     validate_horizon,
     write_cohort_csv,
@@ -186,6 +187,20 @@ def test_validate_horizon():
         validate_horizon(censored, 2.0)  # the only early time is censored
     with pytest.raises(ValueError):
         validate_horizon(coh, -1.0)
+
+
+def test_validate_horizon_numeric_types():
+    coh = read_cohort_csv(io.StringIO(BASIC))
+    # numpy scalars are real numbers and give the same estimates
+    for t0 in (np.int64(3), np.float32(2.5), np.float64(2.5), np.uint8(3)):
+        validate_horizon(coh, t0)
+        assert estimate_horizon(coh, t0) == estimate_horizon(coh, float(t0))
+    # a bool is not a horizon, even though True == 1
+    for t0 in (True, False, np.True_, "3", None):
+        with pytest.raises(ValueError):
+            validate_horizon(coh, t0)
+    with pytest.raises(ValueError):
+        estimate_horizon(coh, True)
 
 
 def test_fuzz_parser_agrees_with_arrays():

@@ -6,11 +6,15 @@ from tdap import (
     AccuracySummary,
     BootstrapSpec,
     CohortSample,
+    NotPairedError,
     TooManyFailedReplicatesError,
     bootstrap_compare,
+    bootstrap_estimate,
     bootstrap_summary,
     bootstrap_values,
+    fit_censoring_km,
     generate_cohort,
+    ipcw_weights,
 )
 
 
@@ -35,6 +39,27 @@ def test_spec_validation():
         BootstrapSpec(seed=-1)
     with pytest.raises(ValueError):
         AccuracySummary("ap", 1.0, 0.5, 0.6, 0.4, 0.1, 10, 0)
+
+
+def test_spec_accepts_numpy_integers_and_rejects_bools():
+    spec = BootstrapSpec(
+        replicates=np.int64(30), level=np.float32(0.5), seed=np.uint64(3)
+    )
+    assert (spec.replicates, spec.level, spec.seed) == (30, 0.5, 3)
+    assert type(spec.replicates) is int and type(spec.seed) is int
+    coh = small_cohort()
+    plain = BootstrapSpec(replicates=30, level=0.5, seed=3)
+    assert bootstrap_summary(coh, 4.0, spec) == bootstrap_summary(coh, 4.0, plain)
+    for bad in (
+        dict(seed=True),
+        dict(seed=np.True_),
+        dict(replicates=True),
+        dict(replicates=np.float64(200.0)),
+        dict(level=True),
+        dict(level="0.9"),
+    ):
+        with pytest.raises(ValueError):
+            BootstrapSpec(**bad)
 
 
 def test_point_estimate_from_original_cohort():
@@ -181,3 +206,24 @@ def test_estimand_validation():
         bootstrap_summary(coh, 4.0, BootstrapSpec(replicates=10), "rap")
     with pytest.raises(ValueError):
         bootstrap_values(coh, 4.0, BootstrapSpec(replicates=10), "nope")
+    with pytest.raises(ValueError):
+        bootstrap_values(coh, 4.0, BootstrapSpec(replicates=10), "ap", score=3)
+    with pytest.raises(NotPairedError):
+        bootstrap_values(coh, 4.0, BootstrapSpec(replicates=10), "ap", score=2)
+
+
+def test_joint_estimate_uses_supplied_weights_and_checks_them():
+    coh = paired_cohort()
+    spec = BootstrapSpec(replicates=40, seed=47)
+    w = ipcw_weights(coh, fit_censoring_km(coh), 4.0)
+    joint = bootstrap_estimate(coh, 4.0, spec, weights=w)
+    assert joint == bootstrap_estimate(coh, 4.0, spec)
+    assert joint["ap"] == bootstrap_summary(coh, 4.0, spec, "ap")
+    assert joint["auc"] == bootstrap_summary(coh, 4.0, spec, "auc")
+    paired = bootstrap_compare(coh, 4.0, spec, weights=w)
+    assert paired == bootstrap_compare(coh, 4.0, spec)
+    w5 = ipcw_weights(coh, fit_censoring_km(coh), 5.0)
+    with pytest.raises(ValueError):
+        bootstrap_estimate(coh, 4.0, spec, weights=w5)
+    with pytest.raises(ValueError):
+        bootstrap_compare(coh.take(np.arange(50)), 4.0, spec, weights=w)
