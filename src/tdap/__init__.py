@@ -22,6 +22,7 @@ from .errors import (
     EmptyCohortError,
     EmptyThresholdSetError,
     InvalidStatusError,
+    MalformedCsvError,
     MissingColumnError,
     NoControlsAtT0Error,
     NoEventsBeforeT0Error,
@@ -87,6 +88,7 @@ __all__ = [
     "ESTIMANDS",
     "HorizonEstimates",
     "InvalidStatusError",
+    "MalformedCsvError",
     "MissingColumnError",
     "NoControlsAtT0Error",
     "NoEventsBeforeT0Error",

@@ -13,14 +13,13 @@ error class name is printed on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
 import numpy as np
 
 from .censoring import fit_censoring_km, ipcw_weights
-from .cohort import ColumnMap, read_cohort_csv, validate_horizon
+from .cohort import ColumnMap, _write_csv, read_cohort_csv, validate_horizon
 from .errors import TdapError
 from .estimators import event_rate, pr_curve, roc_curve
 from .inference import (  # bench/spans.py wraps bootstrap_summary here too
@@ -139,18 +138,9 @@ def _flat(prefix: str, s) -> dict:
 def _write_curves(path: str, cohort, weights, t0: float) -> None:
     pr = pr_curve(cohort, weights, t0)
     roc = roc_curve(cohort, weights, t0)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "tpf", "ppv", "fpf"])
-        for k in range(len(pr)):
-            writer.writerow(
-                [
-                    repr(float(pr.thresholds[k])),
-                    repr(float(pr.xs[k])),
-                    repr(float(pr.ys[k])),
-                    repr(float(roc.xs[k])),
-                ]
-            )
+    _write_csv(
+        path, ("threshold", "tpf", "ppv", "fpf"), (pr.thresholds, pr.xs, pr.ys, roc.xs)
+    )
 
 
 def _cmd_estimate(args) -> int:
@@ -193,6 +183,22 @@ _COMPARE_LABELS = (
 )
 
 
+# sweep CSV column -> key of a result row
+_SWEEP_COLUMNS = (
+    ("t0", "t0"),
+    ("ap1", "ap"),
+    ("ap2", "ap2"),
+    ("rap", "rap"),
+    ("rap_lo", "rap_lower"),
+    ("rap_hi", "rap_upper"),
+    ("auc1", "auc"),
+    ("auc2", "auc2"),
+    ("dauc", "dauc"),
+    ("dauc_lo", "dauc_lower"),
+    ("dauc_hi", "dauc_upper"),
+)
+
+
 def _parse_sweep(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -226,39 +232,11 @@ def _cmd_compare(args) -> int:
             row.update(_flat(key, summaries[key]))
         results.append(row)
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "t0",
-                    "ap1",
-                    "ap2",
-                    "rap",
-                    "rap_lo",
-                    "rap_hi",
-                    "auc1",
-                    "auc2",
-                    "dauc",
-                    "dauc_lo",
-                    "dauc_hi",
-                ]
-            )
-            for row in results:
-                writer.writerow(
-                    [
-                        repr(row["t0"]),
-                        repr(row["ap"]),
-                        repr(row["ap2"]),
-                        repr(row["rap"]),
-                        repr(row["rap_lower"]),
-                        repr(row["rap_upper"]),
-                        repr(row["auc"]),
-                        repr(row["auc2"]),
-                        repr(row["dauc"]),
-                        repr(row["dauc_lower"]),
-                        repr(row["dauc_upper"]),
-                    ]
-                )
+        _write_csv(
+            args.csv,
+            [name for name, _ in _SWEEP_COLUMNS],
+            [[row[key] for row in results] for _, key in _SWEEP_COLUMNS],
+        )
     if args.json:
         payload = {"n": cohort.n, "level": spec.level, "results": results}
         with open(args.json, "w", encoding="utf-8") as fh:

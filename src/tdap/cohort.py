@@ -9,10 +9,13 @@ accuracy comparisons.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
 import numbers
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -22,12 +25,14 @@ import numpy as np
 from .errors import (
     EmptyCohortError,
     InvalidStatusError,
+    MalformedCsvError,
     MissingColumnError,
     NoEventsBeforeT0Error,
     NonNumericCellError,
     NonPositiveTimeError,
     NotPairedError,
     T0BeyondSupportError,
+    TdapError,
 )
 
 __all__ = [
@@ -38,6 +43,9 @@ __all__ = [
     "write_cohort_csv",
     "validate_horizon",
 ]
+
+# rows formatted and written per block by the CSV writer
+_CSV_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -228,15 +236,140 @@ def _parse_float(text: str, line: int, column: str) -> float:
     return value
 
 
-def _open_text(source):
-    """Normalize path / text stream / binary stream into a text stream."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", newline="", encoding="utf-8"), True
-    if isinstance(source, io.TextIOBase):
-        return source, False
-    if hasattr(source, "read"):
-        return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
-    raise TypeError(f"cannot read cohort from {type(source).__name__}")
+def _header_positions(
+    header: list[str], columns: ColumnMap
+) -> tuple[dict[str, int], str | None]:
+    """Header position of each mapped column, and the score2 column in use."""
+    positions: dict[str, int] = {}
+    for name in (columns.time, columns.status, columns.score1):
+        if name not in header:
+            raise MissingColumnError(name)
+        positions[name] = header.index(name)
+    score2_name = columns.score2
+    if score2_name is not None:
+        if score2_name not in header:
+            raise MissingColumnError(score2_name)
+    elif "score2" in header:
+        score2_name = "score2"
+    if score2_name is not None:
+        positions[score2_name] = header.index(score2_name)
+    return positions, score2_name
+
+
+def _csv_rows(stream) -> Iterator[list[str]]:
+    """``csv.reader`` rows; malformed CSV raises MalformedCsvError."""
+    reader = csv.reader(stream)
+    try:
+        yield from reader
+    except csv.Error as err:
+        raise MalformedCsvError(reader.line_num, str(err)) from None
+
+
+def _read_rows(stream, columns: ColumnMap) -> CohortSample:
+    """Parse a text stream row by row.
+
+    This is the reference reader: it handles quoted cells, and every
+    ingestion error (class, message and line number) comes from here.
+    """
+    rows = _csv_rows(stream)
+    header = next(rows, None)
+    if header is None:
+        raise EmptyCohortError("input has no header row")
+    positions, score2_name = _header_positions([h.strip() for h in header], columns)
+
+    times: list[float] = []
+    status: list[float] = []
+    score1: list[float] = []
+    score2: list[float] | None = [] if score2_name is not None else None
+    lines: list[int] = []
+
+    def cell(row: list[str], name: str, line: int) -> str:
+        pos = positions[name]
+        if pos >= len(row):
+            raise NonNumericCellError(line, name, "<missing>")
+        return row[pos].strip()
+
+    for line, row in enumerate(rows, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        t = _parse_float(cell(row, columns.time, line), line, columns.time)
+        if t <= 0:
+            raise NonPositiveTimeError(line, t)
+        s_text = cell(row, columns.status, line)
+        try:
+            s = float(s_text)
+        except ValueError:
+            raise InvalidStatusError(line, s_text) from None
+        if s not in (0.0, 1.0):
+            raise InvalidStatusError(line, s_text)
+        z1 = _parse_float(cell(row, columns.score1, line), line, columns.score1)
+        times.append(t)
+        status.append(s)
+        score1.append(z1)
+        if score2 is not None:
+            score2.append(
+                _parse_float(cell(row, score2_name, line), line, score2_name)
+            )
+        lines.append(line)
+
+    if not times:
+        raise EmptyCohortError()
+    return CohortSample(times, status, score1, score2, _rows=lines)
+
+
+def _may_hold_long_line(data: bytes, limit: int) -> bool:
+    """False only if every line (ended by \\r or \\n) is under ``limit`` bytes.
+
+    A line of ``2 * step - 1`` bytes or more covers a whole aligned block
+    of ``step`` bytes, so it is enough to look for a block that holds no
+    line end.  Such a block flags any line of ``step`` bytes or more,
+    which errs on the safe side, and the scan allocates nothing.
+    """
+    step = limit // 2
+    if step < 1:
+        return True
+    return any(
+        data.find(b"\n", start, start + step) < 0
+        and data.find(b"\r", start, start + step) < 0
+        for start in range(0, len(data) - step + 1, step)
+    )
+
+
+def _read_columns(data: bytes, columns: ColumnMap) -> CohortSample | None:
+    """Parse unquoted CSV bytes in one vectorised pass.
+
+    Returns None where the row reader must decide: a cell that might
+    exceed ``csv.field_size_limit()``, a missing column, a cell that does
+    not parse, a failed check, no subject rows, or bytes that are not
+    UTF-8.  Lines are split as ``csv.reader`` splits them (a text wrapper
+    with ``newline=""``), so a cohort returned here equals the row
+    reader's.
+    """
+    if _may_hold_long_line(data, csv.field_size_limit()):
+        return None
+    try:
+        line = re.match(rb"[^\r\n]*", data)[0].decode("utf-8")
+        # csv.reader gives [] for an empty line and splits at every comma
+        header = [h.strip() for h in line.split(",")] if line else []
+        positions, score2_name = _header_positions(header, columns)
+        names = [columns.time, columns.status, columns.score1]
+        if score2_name is not None:
+            names.append(score2_name)
+        with warnings.catch_warnings():
+            # header-only input warns "input contained no data"
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""),
+                delimiter=",",
+                comments=None,
+                quotechar=None,
+                skiprows=1,
+                usecols=[positions[name] for name in names],
+                ndmin=2,
+            )
+        return CohortSample(*table.T)
+    except (TdapError, ValueError, UserWarning):
+        return None
 
 
 def read_cohort_csv(source, columns: ColumnMap | None = None) -> CohortSample:
@@ -246,100 +379,84 @@ def read_cohort_csv(source, columns: ColumnMap | None = None) -> CohortSample:
     1-based file line (header is line 1).  Parsing is lossless: values
     round-trip through ``write_cohort_csv`` bit for bit.
 
+    A path or binary stream is read once as bytes.  Unless the bytes
+    hold a quote or a NUL, they are parsed column-wise in one pass;
+    quoted files, and any input that pass cannot accept, go through the
+    row reader, which alone raises the errors below.  A text stream is
+    always read row by row.
+
     Raises
     ------
     MissingColumnError, NonNumericCellError, NonPositiveTimeError,
-    InvalidStatusError, EmptyCohortError
+    InvalidStatusError, EmptyCohortError, MalformedCsvError
     """
     columns = columns or ColumnMap()
-    stream, owned = _open_text(source)
-    try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyCohortError("input has no header row") from None
-        header = [h.strip() for h in header]
-        positions: dict[str, int] = {}
-        for name in (columns.time, columns.status, columns.score1):
-            if name not in header:
-                raise MissingColumnError(name)
-            positions[name] = header.index(name)
-        score2_name = columns.score2
-        if score2_name is not None:
-            if score2_name not in header:
-                raise MissingColumnError(score2_name)
-        elif "score2" in header:
-            score2_name = "score2"
-        if score2_name is not None:
-            positions[score2_name] = header.index(score2_name)
+    if isinstance(source, io.TextIOBase):
+        return _read_rows(source, columns)
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            data = fh.read()
+    elif hasattr(source, "read"):
+        data = source.read()
+    else:
+        raise TypeError(f"cannot read cohort from {type(source).__name__}")
+    # quotes need the csv module; so does NUL, which csv rejects on Python 3.10
+    if b'"' not in data and b"\0" not in data:
+        cohort = _read_columns(data, columns)
+        if cohort is not None:
+            return cohort
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    return _read_rows(text, columns)
 
-        times: list[float] = []
-        status: list[float] = []
-        score1: list[float] = []
-        score2: list[float] | None = [] if score2_name is not None else None
-        rows: list[int] = []
 
-        def cell(row: list[str], name: str, line: int) -> str:
-            pos = positions[name]
-            if pos >= len(row):
-                raise NonNumericCellError(line, name, "<missing>")
-            return row[pos].strip()
+def _cells(block) -> list[str]:
+    """The CSV text of each cell of ``block``: ``repr`` of a float.
 
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            t = _parse_float(cell(row, columns.time, line), line, columns.time)
-            if t <= 0:
-                raise NonPositiveTimeError(line, t)
-            s_text = cell(row, columns.status, line)
-            try:
-                s = float(s_text)
-            except ValueError:
-                raise InvalidStatusError(line, s_text) from None
-            if s not in (0.0, 1.0):
-                raise InvalidStatusError(line, s_text)
-            z1 = _parse_float(cell(row, columns.score1, line), line, columns.score1)
-            times.append(t)
-            status.append(s)
-            score1.append(z1)
-            if score2 is not None:
-                score2.append(
-                    _parse_float(cell(row, score2_name, line), line, score2_name)
-                )
-            rows.append(line)
+    In a float block with many repeats (curve coordinates), ``repr``
+    runs once per run of equal bits, so -0.0 and 0.0 stay apart.
+    """
+    if not isinstance(block, np.ndarray):
+        return list(map(str, block))  # a float's str is its repr
+    if block.dtype != np.float64:
+        return list(map(str, block.tolist()))
+    bits = block.view(np.int64)
+    head = np.empty(block.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=head[1:])
+    if 2 * np.count_nonzero(head) > block.size:
+        return list(map(repr, block.tolist()))
+    texts = [repr(v) for v in block[head].tolist()]
+    return [texts[i] for i in (np.cumsum(head) - 1).tolist()]
 
-        if not times:
-            raise EmptyCohortError()
-        return CohortSample(times, status, score1, score2, _rows=rows)
-    finally:
-        if owned:
-            stream.close()
+
+def _write_csv(destination, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length columns as CSV to a path or a text stream.
+
+    Rows end in \\r\\n, as ``csv.writer`` ends them.  Cells are written
+    verbatim, so they must never need CSV quoting: numbers and fixed
+    labels only.  Rows are formatted and written in blocks of
+    ``_CSV_BLOCK_ROWS``, so memory does not grow with the row count.
+    """
+    with (
+        open(destination, "w", newline="", encoding="utf-8")
+        if isinstance(destination, (str, Path))
+        else contextlib.nullcontext(destination)
+    ) as stream:
+        stream.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            cells = [_cells(column[start:stop]) for column in columns]
+            stream.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_cohort_csv(cohort: CohortSample, destination) -> None:
     """Write a cohort back to CSV with full-precision floats."""
-    stream, owned = (
-        (open(destination, "w", newline="", encoding="utf-8"), True)
-        if isinstance(destination, (str, Path))
-        else (destination, False)
-    )
-    try:
-        writer = csv.writer(stream)
-        header = ["time", "status", "score1"] + (["score2"] if cohort.paired else [])
-        writer.writerow(header)
-        for i in range(cohort.n):
-            row = [
-                repr(float(cohort.times[i])),
-                str(int(cohort.status[i])),
-                repr(float(cohort.score1[i])),
-            ]
-            if cohort.paired:
-                row.append(repr(float(cohort.score2[i])))
-            writer.writerow(row)
-    finally:
-        if owned:
-            stream.close()
+    header = ["time", "status", "score1"]
+    columns = [cohort.times, cohort.status.astype(np.int64), cohort.score1]
+    if cohort.paired:
+        header.append("score2")
+        columns.append(cohort.score2)
+    _write_csv(destination, header, columns)
 
 
 def _is_real(value) -> bool:

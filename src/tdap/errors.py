@@ -14,6 +14,7 @@ __all__ = [
     "NonPositiveTimeError",
     "InvalidStatusError",
     "EmptyCohortError",
+    "MalformedCsvError",
     "NoEventsBeforeT0Error",
     "T0BeyondSupportError",
     "ZeroCensorSurvivalError",
@@ -73,6 +74,15 @@ class EmptyCohortError(TdapError):
 
     def __init__(self, message: str = "cohort contains no subjects"):
         super().__init__(message)
+
+
+class MalformedCsvError(TdapError):
+    """The input is not well-formed CSV (for example, an over-long cell)."""
+
+    def __init__(self, row: int, detail: str):
+        self.row = row
+        self.detail = detail
+        super().__init__(f"line {row}: malformed CSV: {detail}")
 
 
 class NoEventsBeforeT0Error(TdapError):

@@ -31,15 +31,13 @@ large uncensored draw.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .censoring import fit_censoring_km, ipcw_weights
-from .cohort import CohortSample, validate_horizon
+from .cohort import CohortSample, _is_integer, _write_csv, validate_horizon
 from .errors import TdapError
 from .estimators import _accuracy, average_precision
 from .inference import BootstrapSpec, _replicate_matrix
@@ -88,9 +86,9 @@ class SimulationConfig:
     seed: int = DEFAULT_STUDY_SEED
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 2):
+        if not (_is_integer(self.n) and self.n >= 2):
             raise ValueError(f"n must be an int >= 2, got {self.n!r}")
-        if not (isinstance(self.replications, int) and self.replications >= 1):
+        if not (_is_integer(self.replications) and self.replications >= 1):
             raise ValueError(
                 f"replications must be an int >= 1, got {self.replications!r}"
             )
@@ -104,12 +102,14 @@ class SimulationConfig:
                     f"(0, {_UNIFORM_HIGH})"
                 )
         object.__setattr__(self, "horizons", horizons)
-        if not (isinstance(self.oracle_size, int) and self.oracle_size >= 100_000):
+        if not (_is_integer(self.oracle_size) and self.oracle_size >= 100_000):
             raise ValueError(
                 f"oracle_size must be an int >= 100000, got {self.oracle_size!r}"
             )
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
+        for name in ("n", "replications", "oracle_size", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 def _draw_latent(n: int, rng: np.random.Generator):
@@ -239,30 +239,11 @@ class SimulationReport:
         }
 
     def to_csv(self, destination) -> None:
-        stream, owned = (
-            (open(destination, "w", newline="", encoding="utf-8"), True)
-            if isinstance(destination, (str, Path))
-            else (destination, False)
+        _write_csv(
+            destination,
+            _CSV_COLUMNS,
+            [[getattr(r, col) for r in self.rows] for col in _CSV_COLUMNS],
         )
-        try:
-            writer = csv.writer(stream)
-            writer.writerow(_CSV_COLUMNS)
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        repr(r.t0),
-                        repr(r.event_rate),
-                        r.estimand,
-                        repr(r.true),
-                        repr(r.bias),
-                        repr(r.ese),
-                        repr(r.ase_boot),
-                        repr(r.ecovp_pct),
-                    ]
-                )
-        finally:
-            if owned:
-                stream.close()
 
     def format_table(self) -> str:
         cfg = self.config

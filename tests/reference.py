@@ -2,9 +2,11 @@
 
 Everything here is written as plain double loops over subjects, sharing
 no code with the package, so agreement is evidence of correctness rather
-than of consistency.
+than of consistency.  The CSV writers are the row-by-row originals
+that the package's column writers must match byte for byte.
 """
 
+import csv
 import math
 
 
@@ -81,3 +83,54 @@ def percentile(values, p):
     lo = math.floor(h)
     hi = min(lo + 1, m - 1)
     return v[lo] + (h - lo) * (v[hi] - v[lo])
+
+
+def write_cohort_rows(cohort, stream):
+    """A cohort as CSV, one ``csv.writer`` row per subject."""
+    writer = csv.writer(stream)
+    writer.writerow(["time", "status", "score1"] + (["score2"] if cohort.paired else []))
+    for i in range(cohort.n):
+        row = [
+            repr(float(cohort.times[i])),
+            str(int(cohort.status[i])),
+            repr(float(cohort.score1[i])),
+        ]
+        if cohort.paired:
+            row.append(repr(float(cohort.score2[i])))
+        writer.writerow(row)
+
+
+def write_curve_rows(pr, roc, stream):
+    """PR and ROC traces as the ``--curves`` CSV, one row per threshold."""
+    writer = csv.writer(stream)
+    writer.writerow(["threshold", "tpf", "ppv", "fpf"])
+    for k in range(len(pr)):
+        writer.writerow(
+            [
+                repr(float(pr.thresholds[k])),
+                repr(float(pr.xs[k])),
+                repr(float(pr.ys[k])),
+                repr(float(roc.xs[k])),
+            ]
+        )
+
+
+def write_report_rows(report, stream):
+    """A simulation report as CSV, one ``csv.writer`` row per cell."""
+    writer = csv.writer(stream)
+    writer.writerow(
+        ["t0", "event_rate", "estimand", "true", "bias", "ese", "ase_boot", "ecovp_pct"]
+    )
+    for r in report.rows:
+        writer.writerow(
+            [
+                repr(r.t0),
+                repr(r.event_rate),
+                r.estimand,
+                repr(r.true),
+                repr(r.bias),
+                repr(r.ese),
+                repr(r.ase_boot),
+                repr(r.ecovp_pct),
+            ]
+        )

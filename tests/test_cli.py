@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import pytest
@@ -94,6 +95,16 @@ def test_bad_cell_reports_class_and_exits_2(tmp_path, capsys):
     assert "NonNumericCellError" in capsys.readouterr().err
 
 
+def test_overlong_cell_reports_class_and_exits_2(tmp_path, capsys):
+    # a 200,000-character cell, past csv.field_size_limit(), in an unmapped column
+    p = tmp_path / "long.csv"
+    p.write_text("time,status,score1,note\n1,1,4,ok\n2,0,3," + "x" * 200_000 + "\n")
+    code = run(["estimate", "--input", str(p), "--t0", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "MalformedCsvError" in err and "line 3" in err
+
+
 def test_curves_csv_schema(fixture_csv, tmp_path):
     curves = str(tmp_path / "curves.csv")
     code = run(
@@ -185,6 +196,24 @@ def test_sweep_csv_schema(sim_csv, tmp_path):
         assert float(r[4]) <= float(r[5])  # rap_lo <= rap_hi
         assert float(r[9]) <= float(r[10])  # dauc_lo <= dauc_hi
         assert float(r[1]) > 0 and float(r[2]) > 0
+
+
+def test_sweep_csv_matches_json(sim_csv, tmp_path):
+    out_csv, out_json = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+    code = run(
+        ["compare", "--input", sim_csv, "--sweep", "5:35:10", "--boot", "25",
+         "--csv", str(out_csv), "--json", str(out_json)]
+    )
+    assert code == 0
+    keys = ["t0", "ap", "ap2", "rap", "rap_lower", "rap_upper",
+            "auc", "auc2", "dauc", "dauc_lower", "dauc_upper"]
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["t0", "ap1", "ap2", "rap", "rap_lo", "rap_hi",
+                     "auc1", "auc2", "dauc", "dauc_lo", "dauc_hi"])
+    for row in json.loads(out_json.read_text())["results"]:
+        writer.writerow([repr(row[k]) for k in keys])
+    assert out_csv.read_bytes() == expected.getvalue().encode()
 
 
 def test_simulate_smoke(tmp_path, capsys):

@@ -1,13 +1,20 @@
+import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import reference
+import tdap.cohort as cohort_module
 from tdap import (
     CohortSample,
     ColumnMap,
     EmptyCohortError,
     InvalidStatusError,
+    MalformedCsvError,
     MissingColumnError,
     NoEventsBeforeT0Error,
     NonNumericCellError,
@@ -16,10 +23,17 @@ from tdap import (
     SubjectRecord,
     T0BeyondSupportError,
     estimate_horizon,
+    fit_censoring_km,
+    generate_cohort,
+    ipcw_weights,
+    pr_curve,
     read_cohort_csv,
+    roc_curve,
     validate_horizon,
     write_cohort_csv,
 )
+from tdap.cli import _write_curves
+from tdap.cohort import _read_rows
 
 BASIC = "time,status,score1\n1,1,4\n5,1,3\n2,1,2\n6,1,1\n"
 PAIRED = "time,status,score1,score2\n1,1,4,0.1\n5,1,3,0.2\n2,1,2,0.3\n6,1,1,0.4\n"
@@ -215,3 +229,232 @@ def test_fuzz_parser_agrees_with_arrays():
             lines.append(f"{float(times[i])!r},{status[i]},{float(scores[i])!r}")
         coh = read_cohort_csv(io.StringIO("\n".join(lines) + "\n"))
         assert coh == CohortSample(times, status, scores)
+
+
+def test_overlong_cell_raises_malformed_csv(tmp_path):
+    # an unmapped cell past csv.field_size_limit() (131072 characters)
+    text = "time,status,score1,note\n1,1,4,ok\n2,0,3," + "x" * 200_000 + "\n"
+    p = tmp_path / "long.csv"
+    p.write_text(text)
+    for source in (p, io.StringIO(text), io.BytesIO(text.encode())):
+        with pytest.raises(MalformedCsvError) as err:
+            read_cohort_csv(source)
+        assert err.value.row == 3
+        assert "field larger than field limit" in str(err.value)
+
+
+def test_columnar_path_reads_clean_files(tmp_path, monkeypatch):
+    # an unquoted, valid file never reaches the row reader
+    def refuse(stream, columns):
+        raise AssertionError("row reader used")
+
+    p = tmp_path / "paired.csv"
+    p.write_text(PAIRED)
+    expected = read_cohort_csv(io.StringIO(PAIRED))
+    monkeypatch.setattr(cohort_module, "_read_rows", refuse)
+    assert read_cohort_csv(p) == expected
+    assert read_cohort_csv(io.BytesIO(PAIRED.encode())) == expected
+
+
+def test_header_only_input_warns_nothing():
+    # numpy warns "input contained no data"; the reader must not leak it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for data in (b"time,status,score1\n", b"time,status,score1\n\n\r\n"):
+            with pytest.raises(EmptyCohortError):
+                read_cohort_csv(io.BytesIO(data))
+    assert [str(w.message) for w in caught] == []
+
+
+# ---------------------------------------------------------------- reader paths
+
+READER_SETTINGS = settings(
+    max_examples=400,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# csv.field_size_limit() while the differential test runs, so over-long
+# cells stay short enough to generate
+SMALL_FIELD_LIMIT = 1000
+
+_PADS = st.sampled_from(["", "", "", " ", "\t", "\x1c", "\xa0", " \t"])
+_NUMBER_FORMS = st.sampled_from(
+    ["+1.5", "1.", ".5", "2e1", "2E-1", "1_0", "nan", "inf", "-inf", "Infinity",
+     "1e500", "1e-400", "-0", "-0.0", "0", "1", "1.0", "+1", "", " ", "abc",
+     "0x10", "\u0661", "3j", "1 2", "--1", "2"]
+)
+_ODD_CELLS = st.sampled_from(
+    ['"1,5"', '"2\n3"', '"4"', '"', '"a,2,1,3,5,b"', "1\x00",
+     "x" * (SMALL_FIELD_LIMIT + 5)]
+)
+_BLANK_LINES = st.sampled_from(["", "   ", "\t", ",,", " , ,"])
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def _one_in(k):
+    return st.sampled_from([False] * (k - 1) + [True])
+
+
+@st.composite
+def _cell(draw, name, flavour):
+    """One cell of column ``name``; ``flavour`` sets how odd it may be."""
+    if flavour != "clean" and draw(_one_in(4)):
+        text = draw(_ODD_CELLS if flavour == "odd" else _NUMBER_FORMS)
+    elif name.strip() == "status":
+        text = draw(st.sampled_from(["0", "1", "1.0", "0e0"]))
+    elif name.strip() == "time":
+        text = repr(draw(st.floats(min_value=1e-3, max_value=1e6)))
+    else:
+        text = repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    return draw(_PADS) + text + draw(_PADS)
+
+
+@st.composite
+def _csv_bytes(draw):
+    """CSV bytes: mostly valid, with every oddity the readers must agree on.
+
+    Oddities: CR, LF and CRLF line ends, mixed; blank, whitespace-only
+    and comma-only lines; padded cells (tab, \\x1c, NBSP); number forms
+    Python and numpy might read differently; ragged rows; duplicate and
+    missing header names; a BOM; quotes, NUL, over-long cells and bytes
+    that are not UTF-8; header-only input.
+    """
+    flavour = draw(st.sampled_from(["clean", "clean", "forms", "odd"]))
+    names = ["time", "status", "score1"]
+    extra = st.sampled_from(["score2", "note", "time", " score1 "])
+    names += draw(st.lists(extra, max_size=3))
+    names = draw(st.permutations(names))
+    if draw(_one_in(12)):
+        names = names[1:]  # a required column may go missing
+    lines = [",".join(names)]
+    for _ in range(0 if draw(_one_in(10)) else draw(st.integers(1, 8))):
+        if draw(_one_in(8)):
+            lines.append(draw(_BLANK_LINES))
+            continue
+        row = [draw(_cell(name, flavour)) for name in names]
+        if draw(_one_in(8)):
+            row = row[: draw(st.integers(0, len(row)))]  # a short row
+        elif draw(_one_in(8)):
+            row += [draw(_cell("note", flavour))]  # a long row
+        lines.append(",".join(row))
+    style = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    text = "".join(
+        line + (draw(_LINE_ENDS) if style == "mixed" else style) for line in lines
+    )
+    if draw(_one_in(4)):
+        text = text.rstrip("\r\n")
+    if draw(_one_in(12)):
+        text = "\ufeff" + text
+    data = text.encode("utf-8")
+    if draw(_one_in(20)):
+        data += b"\xff\n"
+    return data
+
+
+_COLUMN_MAPS = st.sampled_from(
+    [ColumnMap(), ColumnMap(), ColumnMap(score2="note"), ColumnMap(score2="score1")]
+)
+
+
+def _outcome(read):
+    try:
+        coh = read()
+    except Exception as err:  # the class and message are what is compared
+        return ("error", type(err).__name__, str(err))
+    arrays = (coh.times, coh.status, coh.score1, coh.score2)
+    return ("cohort",) + tuple(None if a is None else a.tobytes() for a in arrays)
+
+
+@READER_SETTINGS
+@given(data=_csv_bytes(), columns=_COLUMN_MAPS)
+@example(data=b"time,status,score1,score2\r1,1,4,5\r2,0,3,1\r", columns=ColumnMap())
+@example(data=b"time,status,score1\r\n1,1,4\r\n\r\n2,0,3", columns=ColumnMap())
+@example(data=b"time,status,score1\n", columns=ColumnMap())
+@example(data=b"\n1,1,4\n", columns=ColumnMap(time="", status="", score1=""))
+@example(data=b'note,time,status,score1\n"a,2,1,3,b",1,1,4\n', columns=ColumnMap())
+@example(
+    data=b"time,status,score1,note\n1,1,4," + b"x" * SMALL_FIELD_LIMIT + b"\n",
+    columns=ColumnMap(),
+)
+def test_columnar_reader_matches_row_reader(data, columns):
+    old_limit = csv.field_size_limit(SMALL_FIELD_LIMIT)
+    try:
+        public = _outcome(lambda: read_cohort_csv(io.BytesIO(data), columns))
+        rows = _outcome(
+            lambda: _read_rows(
+                io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""),
+                columns,
+            )
+        )
+    finally:
+        csv.field_size_limit(old_limit)
+    assert public == rows
+
+
+# ---------------------------------------------------------------- writers
+
+
+@st.composite
+def _cohorts(draw):
+    n = draw(st.integers(1, 40))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    positive = st.floats(min_value=5e-324, max_value=1e300)
+    times = draw(st.lists(positive, min_size=n, max_size=n))
+    status = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    # few distinct scores, so runs of equal values (and of 0.0 / -0.0) occur
+    pool = draw(st.lists(finite, min_size=1, max_size=4)) + [0.0, -0.0]
+    scores = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    score2 = draw(scores) if draw(st.booleans()) else None
+    return CohortSample(times, status, draw(scores), score2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(coh=_cohorts())
+def test_cohort_writer_matches_row_writer(coh):
+    ours, theirs = io.StringIO(), io.StringIO()
+    write_cohort_csv(coh, ours)
+    reference.write_cohort_rows(coh, theirs)
+    assert ours.getvalue() == theirs.getvalue()
+    back = read_cohort_csv(io.BytesIO(ours.getvalue().encode()))
+    assert back == coh
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    values=st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, 0.1, 5e-324, float("inf"), float("nan")]),
+        min_size=0,
+        max_size=60,
+    ),
+    block=st.integers(1, 7),
+)
+def test_column_writer_matches_csv_writer(values, block):
+    # runs of equal values across small blocks; 0.0 and -0.0 must stay apart
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cohort_module, "_CSV_BLOCK_ROWS", block)
+        arr = np.array(values, dtype=float)
+        labels = [f"r{i}" for i in range(len(values))]
+        ours = io.StringIO()
+        cohort_module._write_csv(ours, ("x", "label", "y"), (arr, labels, arr[::-1].copy()))
+    theirs = io.StringIO()
+    writer = csv.writer(theirs)
+    writer.writerow(["x", "label", "y"])
+    for x, label, y in zip(values, labels, values[::-1]):
+        writer.writerow([repr(x), label, repr(y)])
+    assert ours.getvalue() == theirs.getvalue()
+
+
+def test_curve_writer_matches_row_writer(tmp_path):
+    for n, digits, t0 in ((300, 1, 8.0), (2000, 2, 36.0), (5000, None, 8.0)):
+        coh = generate_cohort(n, n)
+        if digits is not None:
+            coh = CohortSample(coh.times, coh.status, np.round(coh.score1, digits))
+        w = ipcw_weights(coh, fit_censoring_km(coh), t0)
+        path = tmp_path / "curves.csv"
+        _write_curves(str(path), coh, w, t0)
+        theirs = io.StringIO()
+        reference.write_curve_rows(pr_curve(coh, w, t0), roc_curve(coh, w, t0), theirs)
+        assert path.read_bytes() == theirs.getvalue().encode()

@@ -7,6 +7,7 @@ from tdap import (
     BootstrapSpec,
     CohortSample,
     NotPairedError,
+    SimulationConfig,
     TooManyFailedReplicatesError,
     bootstrap_compare,
     bootstrap_estimate,
@@ -15,6 +16,7 @@ from tdap import (
     fit_censoring_km,
     generate_cohort,
     ipcw_weights,
+    run_study,
 )
 
 
@@ -60,6 +62,40 @@ def test_spec_accepts_numpy_integers_and_rejects_bools():
     ):
         with pytest.raises(ValueError):
             BootstrapSpec(**bad)
+
+
+def test_simulation_config_accepts_numpy_integers_and_rejects_bools():
+    config = SimulationConfig(
+        n=np.int64(300),
+        replications=np.int32(2),
+        horizons=(8.0,),
+        bootstrap=BootstrapSpec(replicates=25),
+        oracle_size=np.int64(100_000),
+        seed=np.uint64(5),
+    )
+    fields = (config.n, config.replications, config.oracle_size, config.seed)
+    assert fields == (300, 2, 100_000, 5)
+    assert all(type(v) is int for v in fields)
+    plain = SimulationConfig(
+        n=300,
+        replications=2,
+        horizons=(8.0,),
+        bootstrap=BootstrapSpec(replicates=25),
+        oracle_size=100_000,
+        seed=5,
+    )
+    assert config == plain
+    assert run_study(config).rows == run_study(plain).rows
+    for bad in (
+        dict(seed=True),
+        dict(seed=np.True_),
+        dict(replications=True),
+        dict(n=np.float64(300.0)),
+        dict(oracle_size=2e6),
+        dict(seed="5"),
+    ):
+        with pytest.raises(ValueError):
+            SimulationConfig(**bad)
 
 
 def test_point_estimate_from_original_cohort():

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+import reference
 from tdap import (
     BootstrapSpec,
     ESTIMANDS,
@@ -134,6 +135,18 @@ def test_report_csv_round_trip():
     assert float(first[0]) == rep.rows[0].t0
     assert first[2] == "AP1"
     assert float(first[4]) == rep.rows[0].bias  # repr round-trip is exact
+
+
+def test_report_csv_matches_row_writer(tmp_path):
+    rep = run_study(tiny_config())
+    expected = io.StringIO()
+    reference.write_report_rows(rep, expected)
+    buf = io.StringIO()
+    rep.to_csv(buf)
+    assert buf.getvalue() == expected.getvalue()
+    path = tmp_path / "report.csv"
+    rep.to_csv(str(path))
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_report_table_and_dict():
