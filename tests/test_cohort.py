@@ -260,7 +260,12 @@ def test_header_only_input_warns_nothing():
     # numpy warns "input contained no data"; the reader must not leak it
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for data in (b"time,status,score1\n", b"time,status,score1\n\n\r\n"):
+        for data in (
+            b"time,status,score1",
+            b"time,status,score1\n",
+            b"time,status,score1\n\n\r\n",
+            b"time,status,score1\r\r",
+        ):
             with pytest.raises(EmptyCohortError):
                 read_cohort_csv(io.BytesIO(data))
     assert [str(w.message) for w in caught] == []
