@@ -205,6 +205,36 @@ def _accuracy(counts, case_mass, ctrl_mass) -> tuple[float, float]:
     return ap, _clip01(conc / (total_case * total_ctrl))
 
 
+def _case_segments(sorted_scores: np.ndarray, case_scores: np.ndarray):
+    """Case-anchored segments of a score for the AP/AUC kernel.
+
+    ``_accuracy`` reads the cumulative count and control masses only at
+    groups holding case mass, plus those groups' own masses, so every run
+    of caseless groups between two case-holding groups can merge into one
+    bin without changing a result.  With h distinct case scores (the
+    anchors) the layout, highest score first, is ``[gap_0, tie_0, ...,
+    gap_{h-1}, tie_{h-1}, tail]``: 2h + 1 bins, where ``tie_k`` holds the
+    subjects tied at anchor k and ``gap_k`` those strictly between anchor
+    k - 1 and anchor k.
+
+    ``sorted_scores`` is every subject's score in ascending order and
+    ``case_scores`` the cases' scores, in any order.  Returns the subject
+    count and the case count of each bin; with no case there is one bin,
+    holding everybody, and the kernel gives NaN.
+    """
+    anchors, ties = np.unique(case_scores, return_counts=True)
+    h = anchors.size
+    # bin edges in ascending score order: [0, left_0, right_0, ..., n]
+    edges = np.empty(2 * h + 2, dtype=np.intp)
+    edges[0], edges[-1] = 0, sorted_scores.size
+    edges[1:-1:2] = np.searchsorted(sorted_scores, anchors, side="left")
+    edges[2:-1:2] = np.searchsorted(sorted_scores, anchors, side="right")
+    sizes = np.diff(edges)[::-1]
+    cases = np.zeros(2 * h + 1)
+    cases[1::2] = ties[::-1]
+    return sizes, cases
+
+
 def _point_accuracy(
     cohort: CohortSample, weights: WeightVector, t0: float, score: int
 ) -> tuple[float, float]:
@@ -214,6 +244,18 @@ def _point_accuracy(
         _control_mass(cohort, weights, t0),
     )
     return _accuracy(counts, case_mass, ctrl_mass)
+
+
+def _estimable_accuracy(
+    cohort: CohortSample, weights: WeightVector, t0: float, score: int = 1
+) -> tuple[float, float]:
+    """(AP, AUC) from one grouping, raising as ``auc`` does."""
+    ap, value = _point_accuracy(cohort, weights, t0, score)
+    if np.isnan(ap):
+        raise NoEventsBeforeT0Error(t0)
+    if np.isnan(value):
+        raise NoControlsAtT0Error(t0)
+    return ap, value
 
 
 def average_precision(
@@ -240,12 +282,7 @@ def auc(
     Weighted concordance over case/control pairs with half credit for
     tied scores; clipped into [0, 1].
     """
-    ap, value = _point_accuracy(cohort, weights, t0, score)
-    if np.isnan(ap):
-        raise NoEventsBeforeT0Error(t0)
-    if np.isnan(value):
-        raise NoControlsAtT0Error(t0)
-    return value
+    return _estimable_accuracy(cohort, weights, t0, score)[1]
 
 
 def event_rate(cohort: CohortSample, weights: WeightVector, t0: float) -> float:
@@ -334,11 +371,9 @@ def estimate_horizon(
     validate_horizon(cohort, t0)
     if weights is None:
         weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
+    ap, value = _estimable_accuracy(cohort, weights, t0)
     return HorizonEstimates(
-        t0=float(t0),
-        event_rate=event_rate(cohort, weights, t0),
-        ap=average_precision(cohort, weights, t0),
-        auc=auc(cohort, weights, t0),
+        t0=float(t0), event_rate=event_rate(cohort, weights, t0), ap=ap, auc=value
     )
 
 
@@ -350,12 +385,15 @@ def compare_horizon(
     validate_horizon(cohort, t0)
     if weights is None:
         weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
-    ap1 = average_precision(cohort, weights, t0, score=1)
-    ap2 = average_precision(cohort, weights, t0, score=2)
+    # one grouping per score; errors keep the order of separate
+    # average_precision and auc calls
+    (ap1, auc1), (ap2, auc2) = (_point_accuracy(cohort, weights, t0, s) for s in (1, 2))
+    if np.isnan(ap1) or np.isnan(ap2):
+        raise NoEventsBeforeT0Error(t0)
     if ap2 <= 0.0:
         raise DivisionByZeroAPError()
-    auc1 = auc(cohort, weights, t0, score=1)
-    auc2 = auc(cohort, weights, t0, score=2)
+    if np.isnan(auc1) or np.isnan(auc2):
+        raise NoControlsAtT0Error(t0)
     return PairedEstimates(
         t0=float(t0),
         event_rate=event_rate(cohort, weights, t0),

@@ -11,12 +11,15 @@ replicate index.  Runs are single-threaded; the ``threads`` arguments
 are accepted for compatibility and never change a result.
 
 The engine never materialises a resample.  The cohort is ranked once
-per bootstrap (time order, each score's descending group index) and a
-replicate is its multiplicity vector: how often each subject was drawn.
-Resample validity, the reverse Kaplan-Meier curve, the weights and the
-grouped case, control and count masses are then ``bincount``/``cumsum``
-passes over those fixed ranks, and the grouped masses go through the
-same AP/AUC kernel as the point estimators.
+per bootstrap (time order, and each subject's case-anchored score
+segment) and a replicate is its multiplicity vector: how often each
+subject was drawn.  Resample validity, the reverse Kaplan-Meier curve,
+the weights and the segmented case, control and count masses are then
+``bincount``/``cumsum`` passes over those fixed ranks, and the masses go
+through the same AP/AUC kernel as the point estimators.  A segment is a
+score group holding a case of the full cohort, or one run of caseless
+groups between two such groups, so a replicate's arrays have 2h + 1
+bins for h distinct case scores rather than one per distinct score.
 """
 
 from __future__ import annotations
@@ -28,7 +31,14 @@ import numpy as np
 from .censoring import WeightVector, fit_censoring_km, ipcw_weights
 from .cohort import CohortSample, _is_integer, _is_real, validate_horizon
 from .errors import TooManyFailedReplicatesError
-from .estimators import _accuracy, auc, average_precision, compare_horizon
+from .estimators import (
+    _accuracy,
+    _case_segments,
+    _estimable_accuracy,
+    auc,
+    average_precision,
+    compare_horizon,
+)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -139,12 +149,19 @@ class _RankedCohort:
         self.jumps_upto = np.searchsorted(jumps, t_before, side="right")
         # jumps strictly below each case time index the left limit G(X)
         self.case_jumps = np.searchsorted(jumps, t_before[self.cases], side="left")
+        # each subject's case-anchored segment (estimators._case_segments):
+        # a resample's cases are among the cohort's, so the anchors hold
+        # for every replicate
+        case_subjects = before[self.cases]
         self.groups = []
         for s in range(1, n_scores + 1):
-            _, group = np.unique(-cohort.scores(s), return_inverse=True)
-            size = int(group.max()) + 1
+            score = cohort.scores(s)
+            order = np.argsort(score)
+            sizes, _ = _case_segments(score[order], score[case_subjects])
+            group = np.empty(self.n, dtype=np.intp)
+            group[order[::-1]] = np.repeat(np.arange(sizes.size), sizes)
             self.groups.append(
-                (group, group[before], group[before[self.cases]], size)
+                (group, group[before], group[case_subjects], sizes.size)
             )
 
     def accuracy(self, m: np.ndarray):
@@ -322,11 +339,8 @@ def bootstrap_estimate(
     """
     validate_horizon(cohort, t0)
     weights = _full_weights(cohort, t0, weights)
-    points = {
-        "ap": average_precision(cohort, weights, t0),
-        "auc": auc(cohort, weights, t0),
-    }
-    return _summaries(cohort, t0, spec, points)
+    ap, value = _estimable_accuracy(cohort, weights, t0)
+    return _summaries(cohort, t0, spec, {"ap": ap, "auc": value})
 
 
 def bootstrap_compare(

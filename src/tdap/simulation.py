@@ -27,6 +27,13 @@ by quadrature).  Because C < 50 always and P(T < 50) is only about
 precision and their ratio at each horizon with bootstrap intervals, and
 aggregates bias, spread, and coverage against oracle values from one
 large uncensored draw.
+
+Each draw takes the failure variables (U1, U2, the noise) from its
+stream before the censoring variables (A, B).  The oracle needs no
+censoring, so it makes only the failure draw and still sees the T, U1
+and U2 of the full draw.  It sorts each score once and reads AP from
+case-anchored segments (see ``_oracle``), so beyond the draw it holds one
+sorted copy of a score and one case mask per horizon.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import numpy as np
 from .censoring import fit_censoring_km, ipcw_weights
 from .cohort import CohortSample, _is_integer, _write_csv, validate_horizon
 from .errors import TdapError
-from .estimators import _accuracy, average_precision
+from .estimators import _accuracy, _case_segments, average_precision
 from .inference import BootstrapSpec, _replicate_matrix
 
 __all__ = [
@@ -112,8 +119,8 @@ class SimulationConfig:
             object.__setattr__(self, name, int(getattr(self, name)))
 
 
-def _draw_latent(n: int, rng: np.random.Generator):
-    """Draw (T, C, U1, U2); U1 values of exactly 0 are redrawn."""
+def _draw_failure(n: int, rng: np.random.Generator):
+    """Draw (T, U1, U2); U1 values of exactly 0 are redrawn."""
     u1 = rng.standard_normal(n)
     # log(U1^2) needs U1 != 0; probability-zero case redrawn for safety
     while True:
@@ -130,7 +137,16 @@ def _draw_latent(n: int, rng: np.random.Generator):
         - _COEF_LOG * np.log(u1 * u1)
         + eps
     )
-    t = np.exp(log_t)
+    return np.exp(log_t), u1, u2
+
+
+def _draw_latent(n: int, rng: np.random.Generator):
+    """Draw (T, C, U1, U2): the failure draw, then the censoring draw.
+
+    The failure draw comes first on the stream, so T, U1 and U2 are the
+    values ``_draw_failure`` gives on the same generator.
+    """
+    t, u1, u2 = _draw_failure(n, rng)
     a = rng.uniform(0.0, _UNIFORM_HIGH, n)
     b = rng.gamma(_GAMMA_SHAPE, 1.0 / _GAMMA_RATE, n)
     c = np.minimum(a, b + 1.0)
@@ -152,21 +168,26 @@ def generate_cohort(n: int, seed) -> CohortSample:
 def _oracle(config: SimulationConfig):
     """One large uncensored draw -> (true accuracy cells, event rates).
 
-    With T fully observed every weight is 1, so each score is ranked
-    once and each horizon's case counts per score group go straight to
-    the AP/AUC kernel.
+    Only the failure draw is made: with T fully observed every weight is
+    1 and there is no censoring to draw.  Each score is sorted once.  Per
+    horizon, the distinct case scores and their tie counts are placed in
+    the sorted scores by two ``searchsorted`` passes, which gives the
+    case-anchored segments (``estimators._case_segments``) that the
+    AP/AUC kernel reads.  No pass groups the subjects by score.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, _STREAM_ORACLE))
     )
-    t, _, u1, u2 = _draw_latent(config.oracle_size, rng)
+    t, u1, u2 = _draw_failure(config.oracle_size, rng)
+    is_case = {t0: t < t0 for t0 in config.horizons}
+    rates = {t0: float(np.mean(case)) for t0, case in is_case.items()}
+    del t
     trues: dict[tuple[float, str], float] = {}
-    rates = {t0: float(np.mean(t < t0)) for t0 in config.horizons}
     for name, score in (("AP1", u1), ("AP2", u2)):
-        _, group, counts = np.unique(-score, return_inverse=True, return_counts=True)
+        ordered = np.sort(score)
         for t0 in config.horizons:
-            cases = np.bincount(group, weights=t < t0, minlength=counts.size)
-            trues[(t0, name)] = _accuracy(counts, cases, counts - cases)[0]
+            sizes, cases = _case_segments(ordered, score[is_case[t0]])
+            trues[(t0, name)] = _accuracy(sizes, cases, sizes - cases)[0]
     for t0 in config.horizons:
         trues[(t0, "rAP")] = trues[(t0, "AP1")] / trues[(t0, "AP2")]
     return trues, rates

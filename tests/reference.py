@@ -3,11 +3,15 @@
 Everything here is written as plain double loops over subjects, sharing
 no code with the package, so agreement is evidence of correctness rather
 than of consistency.  The CSV writers are the row-by-row originals
-that the package's column writers must match byte for byte.
+that the package's column writers must match byte for byte.  The
+generator draw and the study oracle are the earlier forms that the
+package's draw and oracle must match bit for bit.
 """
 
 import csv
 import math
+
+import numpy as np
 
 
 def km_censor_survival(times, status, c):
@@ -134,3 +138,47 @@ def write_report_rows(report, stream):
                 repr(r.ecovp_pct),
             ]
         )
+
+
+def draw_latent_unsplit(n, rng):
+    """(T, C, U1, U2) of the study generator as one draw, in stream order.
+
+    U1, U2 and the noise come first, then the censoring variables A and B;
+    U1 values of exactly 0 are redrawn.
+    """
+    u1 = rng.standard_normal(n)
+    while True:
+        zero = u1 == 0.0
+        if not zero.any():
+            break
+        u1[zero] = rng.standard_normal(int(zero.sum()))
+    u2 = rng.standard_normal(n)
+    eps = rng.normal(0.0, 1.5, n)
+    log_t = 7.2 - 1.1 * u1 - 2.5 * u2 - 1.5 * np.log(u1 * u1) + eps
+    t = np.exp(log_t)
+    a = rng.uniform(0.0, 50.0, n)
+    b = rng.gamma(25.0, 1.0 / 0.75, n)
+    c = np.minimum(a, b + 1.0)
+    return t, c, u1, u2
+
+
+def unique_grouping(scores, is_case):
+    """Subject and case counts, one group per distinct score, highest first."""
+    _, group, counts = np.unique(-scores, return_inverse=True, return_counts=True)
+    return counts, np.bincount(group, weights=is_case, minlength=counts.size)
+
+
+def unique_oracle(t, u1, u2, horizons, kernel):
+    """Oracle AP cells with one group per distinct score (``np.unique``).
+
+    ``kernel(counts, case_mass, ctrl_mass)`` is the package's AP/AUC
+    kernel; only the grouping is the reference's own.
+    """
+    trues = {}
+    for name, score in (("AP1", u1), ("AP2", u2)):
+        for t0 in horizons:
+            counts, cases = unique_grouping(score, t < t0)
+            trues[(t0, name)] = kernel(counts, cases, counts - cases)[0]
+    for t0 in horizons:
+        trues[(t0, "rAP")] = trues[(t0, "AP1")] / trues[(t0, "AP2")]
+    return trues

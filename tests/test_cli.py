@@ -274,3 +274,14 @@ def test_cli_entry_point_installed():
     out = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert out.returncode == 0
     assert "estimate" in out.stdout and "simulate" in out.stdout
+
+
+def test_simulate_horizon_below_every_oracle_event_exits_2(capsys):
+    # the oracle has no case at this horizon (its cells are NaN); the
+    # drawn cohorts do, but too rarely for the bootstrap
+    code = run(
+        ["simulate", "--n", "200", "--reps", "1", "--boot", "10",
+         "--oracle", "100000", "--t0", "0.0001"]
+    )
+    assert code == 2
+    assert "TooManyFailedReplicatesError" in capsys.readouterr().err

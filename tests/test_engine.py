@@ -7,11 +7,15 @@ per-replicate loop as the reference: ``take``, ``validate_horizon``,
 within 1e-12 and fail on the same number of replicates, on adversarial
 cohorts: all scores tied, events and censorings tied at t0, a single
 case, censoring survival reaching 0 at the tail, and n <= 5.
+
+The engine and the study oracle bin scores into case-anchored segments
+(``estimators._case_segments``); the kernel must read the same AP and
+AUC from them as from one group per distinct score.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -29,7 +33,8 @@ from tdap import (
     ipcw_weights,
     validate_horizon,
 )
-from tdap.inference import _PAIRED_ESTIMANDS, _replicate_matrix
+from tdap.estimators import _accuracy, _case_segments
+from tdap.inference import _PAIRED_ESTIMANDS, _RankedCohort, _replicate_matrix
 
 SETTINGS = settings(
     max_examples=150,
@@ -200,3 +205,59 @@ def test_kernel_point_estimates_match_loop_reference(case):
         assert ap == pytest.approx(ref_ap, abs=1e-12)
         ref_auc = min(1.0, reference.auc_loop(times, scores, t0, ref_w))
         assert auc(cohort, w, t0, score=s) == pytest.approx(ref_auc, abs=1e-12)
+
+
+@st.composite
+def scored_subjects(draw):
+    """Scores (all tied, a few values, or distinct), case flags, a control weight."""
+    n = draw(st.integers(1, 25))
+    kind = draw(st.sampled_from(["tied", "few", "distinct"]))
+    pool = {"tied": [0.5], "few": [-1.0, 0.0, 1.0, 2.0], "distinct": range(200)}[kind]
+    scores = draw(st.lists(st.sampled_from([float(v) for v in pool]), min_size=n, max_size=n))
+    is_case = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return scores, is_case, draw(st.floats(1.0, 40.0))
+
+
+@SETTINGS
+@given(scored_subjects())
+@example(([0.5] * 6, [True, False, True, False, False, True], 3.0))  # all tied
+@example(([4.0, 3.0, 2.0, 1.0, 0.0], [True, False, False, False, True], 1.7))  # top and bottom
+@example(([3.0, 2.0, 1.0, 0.0], [False, True, False, False], 2.5))  # a single case
+@example(([3.0, 3.0, 2.0, 1.0, 0.0], [True, False, True, True, False], 1.1))  # empty gaps
+@example(([2.0, 1.0, 1.0], [False, False, False], 1.0))  # no case
+def test_case_segments_give_per_score_accuracy(case):
+    scores, is_case, ctrl_w = case
+    scores, is_case = np.array(scores), np.array(is_case)
+    counts, cases = reference.unique_grouping(scores, is_case)
+    sizes, seg_cases = _case_segments(np.sort(scores), scores[is_case])
+    h = np.unique(scores[is_case]).size
+    assert sizes.size == 2 * h + 1 and sizes.sum() == scores.size
+    assert seg_cases.sum() == is_case.sum() and not seg_cases[::2].any()
+    # integer masses: bit-identical, NaN included
+    full = np.array(_accuracy(counts, cases, counts - cases))
+    anchored = np.array(_accuracy(sizes, seg_cases, sizes - seg_cases))
+    assert anchored.tobytes() == full.tobytes()
+    # weighted control masses, as in a bootstrap replicate: gaps sum
+    # before weighting, so only rounding may differ
+    full = _accuracy(counts, cases, ctrl_w * (counts - cases))
+    anchored = _accuracy(sizes, seg_cases, ctrl_w * (sizes - seg_cases))
+    np.testing.assert_allclose(anchored, full, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("decimals", [None, 1])
+@pytest.mark.parametrize("t0", [0.5, 8.0, 36.0])
+def test_ranked_cohort_bins_are_case_anchored(decimals, t0):
+    c = generate_cohort(2000, 99)
+    s1, s2 = c.score1, c.score2
+    if decimals is not None:
+        s1, s2 = np.round(s1, decimals), np.round(s2, decimals)
+    cohort = CohortSample(c.times, c.status, s1, s2)
+    ranked = _RankedCohort(cohort, t0, 2)
+    is_case = (cohort.times < t0) & (cohort.status == 1.0)
+    for s, (group, group_before, group_case, size) in zip((1, 2), ranked.groups):
+        h = np.unique(cohort.scores(s)[is_case]).size
+        assert size == 2 * h + 1  # not one bin per distinct score
+        assert 0 <= group.min() and group.max() < size
+        assert np.array_equal(group_before, group[cohort.times < t0])
+        assert np.array_equal(group_case, group[is_case])
+        assert (group_case % 2 == 1).all()  # every case sits in a tie bin

@@ -274,8 +274,70 @@ def test_ap_ratio_zero_denominator_guard(monkeypatch):
     )
     with pytest.raises(DivisionByZeroAPError):
         est.ap_ratio(coh, 2.0)
+    # compare_horizon groups each score once through _point_accuracy
+    real_point = est._point_accuracy
+    monkeypatch.setattr(
+        est,
+        "_point_accuracy",
+        lambda c, w, t0, score: (
+            (0.0, real_point(c, w, t0, score)[1]) if score == 2
+            else real_point(c, w, t0, score)
+        ),
+    )
     with pytest.raises(DivisionByZeroAPError):
         est.compare_horizon(coh, 2.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "acc1, acc2, paired_error, single_error",
+    [
+        ((NAN, NAN), (0.0, NAN), NoEventsBeforeT0Error, NoEventsBeforeT0Error),
+        ((0.5, 0.5), (NAN, NAN), NoEventsBeforeT0Error, None),
+        ((0.5, NAN), (0.0, NAN), DivisionByZeroAPError, NoControlsAtT0Error),
+        ((0.5, 0.5), (0.5, NAN), NoControlsAtT0Error, None),
+        ((0.5, NAN), (0.5, 0.5), NoControlsAtT0Error, NoControlsAtT0Error),
+    ],
+)
+def test_point_bundles_keep_error_precedence(
+    monkeypatch, acc1, acc2, paired_error, single_error
+):
+    # no events, then a zero score-2 AP, then no controls: the order of
+    # separate average_precision and auc calls, from one grouping per score
+    import tdap.estimators as est
+    from tdap import BootstrapSpec, bootstrap_estimate
+
+    coh = CohortSample([1, 5], [1, 1], [2, 1], [1, 2])
+    monkeypatch.setattr(
+        est, "_point_accuracy", lambda c, w, t0, score: acc1 if score == 1 else acc2
+    )
+    with pytest.raises(paired_error):
+        compare_horizon(coh, 2.0)
+    if single_error is None:
+        assert estimate_horizon(coh, 2.0).ap == acc1[0]
+        return
+    with pytest.raises(single_error):
+        estimate_horizon(coh, 2.0)
+    with pytest.raises(single_error):
+        bootstrap_estimate(coh, 2.0, BootstrapSpec(replicates=10))
+
+
+def test_point_bundles_equal_separate_estimators():
+    rng = np.random.default_rng(25)
+    for tie in (False, True):
+        base = random_censored_cohort(rng, n=200, tie_scores=tie)
+        coh = CohortSample(base.times, base.status, base.score1, np.round(base.score1 ** 3, 1))
+        t0 = 4.0
+        w = ipcw_weights(coh, fit_censoring_km(coh), t0)
+        ap1, ap2 = (average_precision(coh, w, t0, score=s) for s in (1, 2))
+        auc1, auc2 = (auc(coh, w, t0, score=s) for s in (1, 2))
+        pe = compare_horizon(coh, t0, w)
+        assert (pe.ap1, pe.ap2, pe.auc1, pe.auc2) == (ap1, ap2, auc1, auc2)
+        assert (pe.rap, pe.dauc) == (ap1 / ap2, auc1 - auc2)
+        he = estimate_horizon(coh, t0, w)
+        assert (he.ap, he.auc) == (ap1, auc1)
 
 
 def test_estimate_horizon_bundle():

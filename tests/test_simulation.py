@@ -12,7 +12,8 @@ from tdap import (
     run_study,
     true_values,
 )
-from tdap.simulation import _draw_latent
+from tdap.estimators import _accuracy
+from tdap.simulation import _STREAM_ORACLE, _draw_failure, _draw_latent
 
 
 def tiny_config(**kw):
@@ -96,6 +97,44 @@ def test_true_values_structure_and_plausibility():
 def test_true_values_deterministic_in_config_seed():
     assert true_values(tiny_config()) == true_values(tiny_config())
     assert true_values(tiny_config()) != true_values(tiny_config(seed=6))
+
+
+def oracle_rng(config):
+    return np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_ORACLE)))
+
+
+@pytest.mark.parametrize("seed", [3, 5, 11, 2024])
+def test_true_values_equal_unique_grouping_oracle(seed):
+    cfg = tiny_config(horizons=(0.5, 8.0, 36.0), seed=seed)
+    t, _, u1, u2 = reference.draw_latent_unsplit(cfg.oracle_size, oracle_rng(cfg))
+    expected = reference.unique_oracle(t, u1, u2, cfg.horizons, _accuracy)
+    assert true_values(cfg) == expected
+
+
+def test_true_values_are_nan_below_every_oracle_event():
+    cfg = tiny_config(horizons=(1e-4, 8.0))
+    t, _, _ = _draw_failure(cfg.oracle_size, oracle_rng(cfg))
+    assert t.min() > 1e-4  # no oracle case at the first horizon
+    tv = true_values(cfg)
+    assert all(np.isnan(tv[(1e-4, e)]) for e in ESTIMANDS)
+    assert not any(np.isnan(tv[(8.0, e)]) for e in ESTIMANDS)
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (1000, 42), (100_000, 7)])
+def test_draws_are_bit_identical_to_unsplit_draw(n, seed):
+    t, c, u1, u2 = reference.draw_latent_unsplit(n, np.random.default_rng(seed))
+    latent = _draw_latent(n, np.random.default_rng(seed))
+    for got, want in zip(latent, (t, c, u1, u2)):
+        assert got.tobytes() == want.tobytes()
+    # the failure draw is the stream's prefix
+    failure = _draw_failure(n, np.random.default_rng(seed))
+    for got, want in zip(failure, (t, u1, u2)):
+        assert got.tobytes() == want.tobytes()
+    cohort = generate_cohort(n, seed)
+    assert cohort.times.tobytes() == np.minimum(t, c).tobytes()
+    assert cohort.status.tobytes() == (t <= c).astype(float).tobytes()
+    assert cohort.score1.tobytes() == u1.tobytes()
+    assert cohort.score2.tobytes() == u2.tobytes()
 
 
 def test_run_study_report_shape_and_determinism():
