@@ -285,3 +285,167 @@ def test_simulate_horizon_below_every_oracle_event_exits_2(capsys):
     )
     assert code == 2
     assert "TooManyFailedReplicatesError" in capsys.readouterr().err
+
+
+# A multi-horizon command validates and estimates its horizons in order,
+# prints every horizon before the first failing one, then exits 2 with
+# that horizon's error.  Horizons keep the order given on the command
+# line, repeats included.  The cohort has failed replicates at t0 = 8.5
+# and too many at t0 = 11, and its largest time is 12.
+LATE = (
+    "time,status,score1,score2\n"
+    "1,1,0.9,0.6\n2,0,0.2,0.1\n3,1,0.8,0.9\n4,1,0.3,0.7\n5,0,0.6,0.2\n"
+    "6,1,0.5,0.8\n7,0,0.4,0.3\n8,1,0.7,0.4\n9,1,0.1,0.5\n12,0,0.35,0.05\n"
+)
+
+ESTIMATE_AT_4_5 = """\
+t0=4.5  event_rate=0.325
+  AP    0.792308   95% CI [0.369093, 1]  SE 0.208088  (20 used, 0 failed)
+  AUC   0.711538   95% CI [0.230714, 1]  SE 0.244064  (20 used, 0 failed)
+"""
+ESTIMATE_AT_8_5 = """\
+t0=8.5  event_rate=0.64
+  AP    1          95% CI [0.74736, 1]  SE 0.0822121  (18 used, 2 failed)
+  AUC   0.912109   95% CI [0.637273, 1]  SE 0.112121  (18 used, 2 failed)
+"""
+COMPARE_AT_4_5 = """\
+t0=4.5  event_rate=0.325
+  AP1   0.792308   95% CI [0.369093, 1]  SE 0.208088  (20 used, 0 failed)
+  AP2   0.864835   95% CI [0.4825, 1]  SE 0.180437  (20 used, 0 failed)
+  rAP   0.916137   95% CI [0.473, 1.70382]  SE 0.336233  (20 used, 0 failed)
+  AUC1  0.711538   95% CI [0.230714, 1]  SE 0.244064  (20 used, 0 failed)
+  AUC2  0.891026   95% CI [0.75, 1]  SE 0.0740402  (20 used, 0 failed)
+  dAUC  -0.179487  95% CI [-0.6655, 0.134375]  SE 0.243258  (20 used, 0 failed)
+"""
+COMPARE_AT_8_5 = """\
+t0=8.5  event_rate=0.64
+  AP1   1          95% CI [0.74736, 1]  SE 0.0822121  (18 used, 2 failed)
+  AP2   1          95% CI [0.84023, 1]  SE 0.0514315  (18 used, 2 failed)
+  rAP   1          95% CI [0.74736, 1.15178]  SE 0.10542  (18 used, 2 failed)
+  AUC1  0.912109   95% CI [0.637273, 1]  SE 0.112121  (18 used, 2 failed)
+  AUC2  0.859375   95% CI [0.482963, 1]  SE 0.182657  (18 used, 2 failed)
+  dAUC  0.0527344  95% CI [-0.362727, 0.517037]  SE 0.257149  (18 used, 2 failed)
+"""
+LATE_HEADER = "cohort: n=10 (paired)\n"
+
+
+@pytest.fixture
+def late_csv(tmp_path):
+    p = tmp_path / "late.csv"
+    p.write_text(LATE)
+    return str(p)
+
+
+def run_captured(argv, capsys):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_sweep_prints_horizons_before_one_beyond_support(late_csv, capsys):
+    code, out, err = run_captured(
+        ["compare", "--input", late_csv, "--sweep", "4.5:13:4", "--boot", "20"], capsys
+    )
+    assert code == 2
+    assert out == LATE_HEADER + COMPARE_AT_4_5 + COMPARE_AT_8_5
+    assert err == (
+        "error: T0BeyondSupportError: t0=12.5 exceeds the largest observed time 12.0\n"
+    )
+
+
+def test_estimate_prints_horizon_before_one_beyond_support(sim_csv, capsys):
+    code, out, err = run_captured(
+        ["estimate", "--input", sim_csv, "--t0", "8", "--t0", "60", "--boot", "20"], capsys
+    )
+    assert code == 2
+    assert out == (
+        "cohort: n=2000 (paired)\n"
+        "t0=8  event_rate=0.0519897\n"
+        "  AP    0.31967    95% CI [0.206948, 0.39112]  SE 0.0520259  (20 used, 0 failed)\n"
+        "  AUC   0.839145   95% CI [0.768432, 0.891954]  SE 0.0340719  (20 used, 0 failed)\n"
+    )
+    assert err == (
+        "error: T0BeyondSupportError: t0=60.0 exceeds the largest observed time "
+        "49.21386493689839\n"
+    )
+
+
+def test_too_many_failures_at_a_later_horizon_exit_after_earlier_ones(
+    late_csv, tmp_path, capsys
+):
+    out_json = tmp_path / "out.json"
+    code, out, err = run_captured(
+        ["estimate", "--input", late_csv, "--t0", "4.5", "--t0", "8.5", "--t0", "11",
+         "--boot", "20", "--json", str(out_json)],
+        capsys,
+    )
+    assert code == 2
+    assert out == LATE_HEADER + ESTIMATE_AT_4_5 + ESTIMATE_AT_8_5
+    assert err == (
+        "error: TooManyFailedReplicatesError: 8 of 20 bootstrap replicates failed; "
+        "results would be unreliable\n"
+    )
+    assert not out_json.exists()
+    code, out, err = run_captured(
+        ["compare", "--input", late_csv, "--t0", "4.5", "--t0", "11", "--boot", "20"],
+        capsys,
+    )
+    assert code == 2
+    assert out == LATE_HEADER + COMPARE_AT_4_5
+    assert "TooManyFailedReplicatesError: 8 of 20" in err
+
+
+def assert_rows_close(rows, expected):
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert set(row) == set(want)
+        for key, value in want.items():
+            assert row[key] == pytest.approx(value, rel=0.0, abs=1e-12), key
+
+
+def test_unsorted_and_repeated_horizons_keep_command_line_order(
+    late_csv, tmp_path, capsys
+):
+    out_json = tmp_path / "out.json"
+    code, out, err = run_captured(
+        ["estimate", "--input", late_csv, "--t0", "8.5", "--t0", "4.5", "--t0", "8.5",
+         "--boot", "20", "--json", str(out_json)],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out == LATE_HEADER + ESTIMATE_AT_8_5 + ESTIMATE_AT_4_5 + ESTIMATE_AT_8_5
+    at_8_5 = {
+        "t0": 8.5, "event_rate": 0.64,
+        "ap": 1.0, "ap_lower": 0.7473600852272727, "ap_upper": 1.0,
+        "ap_se": 0.0822120717603136,
+        "auc": 0.9121093750000001, "auc_lower": 0.6372727272727273, "auc_upper": 1.0,
+        "auc_se": 0.1121209071911362,
+    }
+    at_4_5 = {
+        "t0": 4.5, "event_rate": 0.325,
+        "ap": 0.7923076923076924, "ap_lower": 0.3690934065934068, "ap_upper": 1.0,
+        "ap_se": 0.20808794934913505,
+        "auc": 0.7115384615384616, "auc_lower": 0.23071428571428593, "auc_upper": 1.0,
+        "auc_se": 0.24406441797973677,
+    }
+    results = json.loads(out_json.read_text())["results"]
+    assert_rows_close(results, [at_8_5, at_4_5, at_8_5])
+
+    code, out, err = run_captured(
+        ["compare", "--input", late_csv, "--t0", "8.5", "--t0", "4.5", "--t0", "8.5",
+         "--boot", "20", "--json", str(out_json)],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out == LATE_HEADER + COMPARE_AT_8_5 + COMPARE_AT_4_5 + COMPARE_AT_8_5
+    results = json.loads(out_json.read_text())["results"]
+    # each row is what a one-horizon run gives
+    single = []
+    for t0 in ("8.5", "4.5", "8.5"):
+        one = tmp_path / f"one-{t0}.json"
+        assert run(["compare", "--input", late_csv, "--t0", t0, "--boot", "20",
+                    "--json", str(one)]) == 0
+        single += json.loads(one.read_text())["results"]
+    capsys.readouterr()
+    assert_rows_close(results, single)
+    assert results[0] == results[2]
