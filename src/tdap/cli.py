@@ -21,12 +21,12 @@ import numpy as np
 from .censoring import fit_censoring_km, ipcw_weights
 from .cohort import ColumnMap, _write_csv, read_cohort_csv, validate_horizon
 from .errors import TdapError
-from .estimators import event_rate, pr_curve, roc_curve
-from .inference import (  # bench/spans.py wraps bootstrap_summary here too
+from .estimators import compare_horizon, estimate_horizon, pr_curve, roc_curve
+from .inference import (  # bench/spans.py wraps the two bootstrap_* names here
     DEFAULT_SEED,
     BootstrapSpec,
+    _bootstrap_horizons,
     bootstrap_compare,
-    bootstrap_estimate,
     bootstrap_summary,
 )
 from .simulation import DEFAULT_STUDY_SEED, SimulationConfig, run_study
@@ -143,6 +143,26 @@ def _write_curves(path: str, cohort, weights, t0: float) -> None:
     )
 
 
+def _horizon_points(cohort, horizons, estimate):
+    """Weights and point estimates per horizon, in order, up to the first error.
+
+    Returns the list of ``(t0, weights, estimates)`` and the error of the
+    first horizon that fails (None when none does).  The commands print
+    the horizons before it and then raise it, as a horizon-by-horizon
+    loop would.
+    """
+    censor_survival = fit_censoring_km(cohort)
+    points = []
+    for t0 in horizons:
+        try:
+            validate_horizon(cohort, t0)
+            weights = ipcw_weights(cohort, censor_survival, t0)
+            points.append((t0, weights, estimate(cohort, t0, weights)))
+        except (TdapError, ValueError) as err:
+            return points, err
+    return points, None
+
+
 def _cmd_estimate(args) -> int:
     cohort = read_cohort_csv(args.input, _column_map(args))
     horizons = list(args.t0)
@@ -151,13 +171,13 @@ def _cmd_estimate(args) -> int:
     spec = BootstrapSpec(replicates=args.boot, level=args.level, seed=args.seed)
     results = []
     print(f"cohort: n={cohort.n} ({'paired' if cohort.paired else 'single score'})")
-    censor_survival = fit_censoring_km(cohort)
-    for t0 in horizons:
-        validate_horizon(cohort, t0)
-        weights = ipcw_weights(cohort, censor_survival, t0)
-        rate = event_rate(cohort, weights, t0)
-        both = bootstrap_estimate(cohort, t0, spec, weights=weights)
+    points, error = _horizon_points(cohort, horizons, estimate_horizon)
+    summaries = _bootstrap_horizons(
+        cohort, spec, [(t0, {"ap": p.ap, "auc": p.auc}) for t0, _, p in points]
+    )
+    for (t0, weights, point), both in zip(points, summaries):
         ap_s, auc_s = both["ap"], both["auc"]
+        rate = point.event_rate
         print(f"t0={t0:.6g}  event_rate={rate:.6g}")
         print(_summary_block("AP", ap_s, spec.level))
         print(_summary_block("AUC", auc_s, spec.level))
@@ -166,6 +186,8 @@ def _cmd_estimate(args) -> int:
         )
         if args.curves:
             _write_curves(args.curves, cohort, weights, t0)
+    if error is not None:
+        raise error
     if args.json:
         payload = {"n": cohort.n, "level": spec.level, "results": results}
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -173,13 +195,14 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-_COMPARE_LABELS = (
-    ("ap", "AP1"),
-    ("ap2", "AP2"),
-    ("rap", "rAP"),
-    ("auc", "AUC1"),
-    ("auc2", "AUC2"),
-    ("dauc", "dAUC"),
+# estimand, its printed label, its field of estimators.PairedEstimates
+_COMPARE = (
+    ("ap", "AP1", "ap1"),
+    ("ap2", "AP2", "ap2"),
+    ("rap", "rAP", "rap"),
+    ("auc", "AUC1", "auc1"),
+    ("auc2", "AUC2", "auc2"),
+    ("dauc", "dAUC", "dauc"),
 )
 
 
@@ -218,19 +241,24 @@ def _cmd_compare(args) -> int:
     spec = BootstrapSpec(replicates=args.boot, level=args.level, seed=args.seed)
     results = []
     print(f"cohort: n={cohort.n} ({'paired' if cohort.paired else 'single score'})")
-    censor_survival = fit_censoring_km(cohort)
-    for t0 in horizons:
-        validate_horizon(cohort, t0)
-        weights = ipcw_weights(cohort, censor_survival, t0)
-        rate = event_rate(cohort, weights, t0)
-        summaries = bootstrap_compare(cohort, t0, spec, weights=weights)
+    points, error = _horizon_points(cohort, horizons, compare_horizon)
+    estimates = [
+        (t0, {key: getattr(p, field) for key, _, field in _COMPARE})
+        for t0, _, p in points
+    ]
+    for (t0, _, point), summaries in zip(
+        points, _bootstrap_horizons(cohort, spec, estimates)
+    ):
+        rate = point.event_rate
         print(f"t0={t0:.6g}  event_rate={rate:.6g}")
-        for key, label in _COMPARE_LABELS:
+        for key, label, _ in _COMPARE:
             print(_summary_block(label, summaries[key], spec.level))
         row = {"t0": t0, "event_rate": rate}
-        for key, _ in _COMPARE_LABELS:
+        for key, _, _ in _COMPARE:
             row.update(_flat(key, summaries[key]))
         results.append(row)
+    if error is not None:
+        raise error
     if args.csv:
         _write_csv(
             args.csv,

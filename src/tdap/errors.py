@@ -146,11 +146,31 @@ class DivisionByZeroAPError(TdapError):
 
 
 class TooManyFailedReplicatesError(TdapError):
-    """More than 10% of bootstrap resamples failed to produce an estimate."""
+    """More than 10% of bootstrap resamples failed to produce an estimate.
 
-    def __init__(self, failed: int, total: int):
+    ``failed`` splits by the first cause that applies to a resample:
+    ``no_case`` (no event before t0), ``zero_censor_survival`` (the
+    censoring survival reaches 0 before t0, which leaves nobody at t0
+    too), ``nobody_at_t0`` (no one followed up to t0) and ``zero_ap2``
+    (rAP with a score-2 AP that is not positive).
+    """
+
+    def __init__(
+        self,
+        failed: int,
+        total: int,
+        *,
+        no_case: int = 0,
+        zero_censor_survival: int = 0,
+        nobody_at_t0: int = 0,
+        zero_ap2: int = 0,
+    ):
         self.failed = failed
         self.total = total
+        self.no_case = no_case
+        self.zero_censor_survival = zero_censor_survival
+        self.nobody_at_t0 = nobody_at_t0
+        self.zero_ap2 = zero_ap2
         super().__init__(
             f"{failed} of {total} bootstrap replicates failed; "
             f"results would be unreliable"

@@ -170,39 +170,56 @@ def ppv_tie_corrected(
     return float(num / den)
 
 
-def _clip01(value: float) -> float:
-    return min(1.0, max(0.0, float(value)))
-
-
-def _accuracy(counts, case_mass, ctrl_mass) -> tuple[float, float]:
+def _accuracy(counts, case_mass, ctrl_mass):
     """AP and AUC from per-group masses, groups ordered by descending score.
 
-    This is the one place the two formulas live: the point estimators and
-    every bootstrap replicate read from it.  Groups may be empty (count
-    and masses 0).  AP is NaN without case mass; AUC is NaN without case
-    or control mass.  Both are clipped into [0, 1]; the clip can bind
-    only in heavily censored corners where single weights exceed 1.
+    This is the one place the two formulas live: the point estimators,
+    the study oracle and every bootstrap replicate read from it.  Groups
+    may be empty (count and masses 0).  AP is NaN without case mass; AUC
+    is NaN without case or control mass.  Both are clipped into [0, 1];
+    the clip can bind only in heavily censored corners where single
+    weights exceed 1.
 
-    Only groups holding case mass enter either sum, so both are taken
-    over those groups alone; empty groups change no bit of AP.
-    Reductions use ``einsum`` rather than ``np.dot``: BLAS worker threads
-    spin on these short vectors and burn CPU without saving wall time.
+    One set of groups (1-d arrays) gives two floats.  A table of rows
+    (2-d arrays, one row per bootstrap replicate) gives one AP array and
+    one AUC array.  Only groups holding case mass enter either sum, so
+    the sums are taken over the columns that hold case mass in some row;
+    within a row, a column without case mass adds an exact 0.  A single
+    row therefore sums exactly the elements, in the order, of its own
+    case-holding groups.  Reductions use ``einsum`` rather than
+    ``np.dot``: BLAS worker threads spin on these short vectors and burn
+    CPU without saving wall time.
     """
-    hit = np.flatnonzero(case_mass > 0.0)
-    case = case_mass[hit]
-    total_case = case.sum()
-    if not total_case > 0.0:
-        return np.nan, np.nan
+    one_set = np.ndim(case_mass) == 1
+    counts, case_mass, ctrl_mass = (
+        np.atleast_2d(a) for a in (counts, case_mass, ctrl_mass)
+    )
+    hit = np.flatnonzero((case_mass > 0.0).any(axis=0))
+    case = case_mass[:, hit]
+    total_case = case.sum(axis=1)
+    with_case = total_case > 0.0
     # tie-corrected precision at each case group's score: half of the
     # tied group's own mass counts as "above"
-    ppv = (np.cumsum(case) - 0.5 * case) / (np.cumsum(counts)[hit] - 0.5 * counts[hit])
-    ap = _clip01(np.einsum("i,i->", case, ppv) / total_case)
-    total_ctrl = ctrl_mass.sum()
-    if not total_ctrl > 0.0:
-        return ap, np.nan
-    ctrl_below = total_ctrl - np.cumsum(ctrl_mass)[hit]
-    conc = np.einsum("i,i->", case, ctrl_below + 0.5 * ctrl_mass[hit])
-    return ap, _clip01(conc / (total_case * total_ctrl))
+    ppv = np.divide(
+        np.cumsum(case, axis=1) - 0.5 * case,
+        np.cumsum(counts, axis=1)[:, hit] - 0.5 * counts[:, hit],
+        out=np.zeros(case.shape),
+        where=case > 0.0,
+    )
+    ap = _ratio(np.einsum("bi,bi->b", case, ppv), total_case, with_case)
+    total_ctrl = ctrl_mass.sum(axis=1)
+    ctrl_below = total_ctrl[:, None] - np.cumsum(ctrl_mass, axis=1)[:, hit]
+    conc = np.einsum("bi,bi->b", case, ctrl_below + 0.5 * ctrl_mass[:, hit])
+    auc = _ratio(conc, total_case * total_ctrl, with_case & (total_ctrl > 0.0))
+    ap, auc = np.clip(ap, 0.0, 1.0), np.clip(auc, 0.0, 1.0)
+    if one_set:
+        return float(ap[0]), float(auc[0])
+    return ap, auc
+
+
+def _ratio(num, den, defined):
+    """``num / den`` where ``defined`` holds, NaN elsewhere."""
+    return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=defined)
 
 
 def _case_segments(sorted_scores: np.ndarray, case_scores: np.ndarray):

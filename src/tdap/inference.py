@@ -10,16 +10,21 @@ Replicate streams are derived from a single seed, one child stream per
 replicate index.  Runs are single-threaded; the ``threads`` arguments
 are accepted for compatibility and never change a result.
 
-The engine never materialises a resample.  The cohort is ranked once
-per bootstrap (time order, and each subject's case-anchored score
-segment) and a replicate is its multiplicity vector: how often each
-subject was drawn.  Resample validity, the reverse Kaplan-Meier curve,
-the weights and the segmented case, control and count masses are then
-``bincount``/``cumsum`` passes over those fixed ranks, and the masses go
-through the same AP/AUC kernel as the point estimators.  A segment is a
-score group holding a case of the full cohort, or one run of caseless
-groups between two such groups, so a replicate's arrays have 2h + 1
-bins for h distinct case scores rather than one per distinct score.
+The engine never materialises a resample, and one pass serves every
+horizon of a command.  The cohort is ranked once (time order, and each
+subject's case-anchored score segment at each horizon) and a replicate
+is its multiplicity vector: how often each subject was drawn.  Each
+replicate is drawn once, and its reverse Kaplan-Meier curve fitted once,
+for all horizons; resample validity, G(t0) and the segmented case,
+control and count masses per horizon are ``bincount``/``cumsum`` passes
+over those fixed ranks.  A segment is a score group holding a case of
+the full cohort, or one run of caseless groups between two such groups,
+so a replicate has 2h + 1 bins per horizon and score for h distinct case
+scores rather than one per distinct score.  Replicates fill tables of
+these masses block by block, and the same AP/AUC kernel as the point
+estimators turns each block's table into AP and AUC columns, one call
+per horizon and score.  A block is sized by a fixed byte budget, so
+memory does not grow with the replicate count.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .estimators import (
     _accuracy,
     _case_segments,
     _estimable_accuracy,
+    _ratio,
     auc,
     average_precision,
     compare_horizon,
@@ -55,14 +61,14 @@ DEFAULT_SEED = 1729
 _SINGLE_ESTIMANDS = ("ap", "auc")
 _PAIRED_ESTIMANDS = ("ap", "ap2", "rap", "auc", "auc2", "dauc")
 
-# estimand -> its value on one resample, given acc[s] = (AP, AUC) of
-# score s + 1; a NaN marks the replicate as failed
+# estimand -> its column over a block of resamples, given acc[s] = (AP,
+# AUC) columns of score s + 1; a NaN marks the replicate as failed
 _ESTIMANDS = {
     "ap": lambda acc: acc[0][0],
     "auc": lambda acc: acc[0][1],
     "ap2": lambda acc: acc[1][0],
     "auc2": lambda acc: acc[1][1],
-    "rap": lambda acc: acc[0][0] / acc[1][0] if acc[1][0] > 0.0 else np.nan,
+    "rap": lambda acc: _ratio(acc[0][0], acc[1][0], acc[1][0] > 0.0),
     "dauc": lambda acc: acc[0][1] - acc[1][1],
 }
 _NEEDS_SCORE2 = {"ap2", "auc2", "rap", "dauc"}
@@ -123,22 +129,33 @@ class AccuracySummary:
 
 
 class _RankedCohort:
-    """A cohort ranked once for counts-based resampling at horizon t0.
+    """A cohort ranked once for counts-based resampling at a set of horizons.
 
-    Only censoring times below t0 move G at a case's time or at t0, so
-    the reverse Kaplan-Meier curve is kept to those jumps; every other
-    jump of a resample's own fit multiplies G by exactly 1, so the curve
-    matches a fit on the materialised resample value for value.
+    ``horizons`` holds the distinct horizons in ascending order.  Only
+    censoring times below a horizon t0 move G at a case's time or at t0,
+    so the reverse Kaplan-Meier curve is kept to the jumps below the
+    largest horizon; G(t0) is the product over the jumps below t0, a
+    prefix of one ``cumprod``.  Every other jump of a resample's own fit
+    multiplies G by exactly 1, so the curve matches a fit on the
+    materialised resample value for value.
+
+    Each (horizon, score) pair has its case-anchored segments
+    (``estimators._case_segments``): a resample's cases are among the
+    cohort's, so the anchors hold for every replicate.  One replicate is
+    two ``bincount`` passes over fixed keys: subject masses into each
+    pair's segments, split by follow-up (interleaved: at or beyond t0,
+    then before t0), and case weights into each pair's segments plus one
+    spare bin that takes the cases at or beyond t0.
     """
 
-    def __init__(self, cohort: CohortSample, t0: float, n_scores: int):
+    def __init__(self, cohort: CohortSample, horizons, n_scores: int):
+        self.horizons = np.unique(np.asarray(horizons, dtype=float))
         times = cohort.times
-        before = np.flatnonzero(times < t0)
+        before = np.flatnonzero(times < self.horizons[-1])
         t_before = times[before]
         is_case = cohort.status[before] == 1.0
         self.n = cohort.n
         self.before = before
-        self.cases = np.flatnonzero(is_case)  # positions within `before`
         self.censored = np.flatnonzero(~is_case)  # positions within `before`
         jumps, self.jump_of_censored = np.unique(
             t_before[self.censored], return_inverse=True
@@ -147,36 +164,55 @@ class _RankedCohort:
         # jumps at or below each early time: subject i is at risk at jump
         # j unless its time has at most j jumps at or below it
         self.jumps_upto = np.searchsorted(jumps, t_before, side="right")
+        # G(t0) is the product over the jumps strictly below t0
+        self.horizon_jumps = np.searchsorted(jumps, self.horizons, side="left")
+        self.case_subjects = before[is_case]
+        case_times = times[self.case_subjects]
         # jumps strictly below each case time index the left limit G(X)
-        self.case_jumps = np.searchsorted(jumps, t_before[self.cases], side="left")
-        # each subject's case-anchored segment (estimators._case_segments):
-        # a resample's cases are among the cohort's, so the anchors hold
-        # for every replicate
-        case_subjects = before[self.cases]
-        self.groups = []
-        for s in range(1, n_scores + 1):
-            score = cohort.scores(s)
-            order = np.argsort(score)
-            sizes, _ = _case_segments(score[order], score[case_subjects])
-            group = np.empty(self.n, dtype=np.intp)
-            group[order[::-1]] = np.repeat(np.arange(sizes.size), sizes)
-            self.groups.append(
-                (group, group[before], group[case_subjects], sizes.size)
-            )
+        self.case_jumps = np.searchsorted(jumps, case_times, side="left")
+        # horizons at or below each time: subject i is followed less than
+        # horizon k exactly when its slot is at most k
+        self.slot = np.searchsorted(self.horizons, times, side="right")
+        self.case_slot = self.slot[self.case_subjects]
 
-    def accuracy(self, m: np.ndarray):
-        """(AP, AUC) per score for the resample with multiplicities ``m``.
+        # per (horizon, score) pair, horizon-major: its segment count and
+        # the subject -> segment map
+        self.n_scores = n_scores
+        self.sizes = []
+        mass_keys, case_keys = [], []
+        mass_width = case_width = 0
+        orders = [np.argsort(cohort.scores(s)) for s in range(1, n_scores + 1)]
+        for t0 in self.horizons:
+            followed_less = times < t0
+            case_in = case_times < t0
+            for s, order in enumerate(orders, start=1):
+                score = cohort.scores(s)
+                sizes, _ = _case_segments(
+                    score[order], score[self.case_subjects[case_in]]
+                )
+                group = np.empty(self.n, dtype=np.intp)
+                group[order[::-1]] = np.repeat(np.arange(sizes.size), sizes)
+                mass_keys.append(mass_width + 2 * group + followed_less)
+                case_keys.append(
+                    case_width
+                    + np.where(case_in, group[self.case_subjects], sizes.size)
+                )
+                self.sizes.append(sizes.size)
+                mass_width += 2 * sizes.size
+                case_width += sizes.size + 1
+        self.mass_keys = np.concatenate(mass_keys)
+        self.case_keys = np.concatenate(case_keys)
+        self.mass_width, self.case_width = mass_width, case_width
 
-        Returns None when the resample fails: no case before t0, nobody
-        followed up to t0, or a zero censoring survival where a weight
-        needs it.
+    def replicate(self, m, mass_out, case_out, stats_out) -> None:
+        """Write the resample with multiplicities ``m`` into row buffers.
+
+        ``mass_out`` and ``case_out`` receive the segment masses.  The
+        three rows of ``stats_out`` receive, per horizon, the case count
+        before t0, the count followed up to t0 and G(t0).
         """
         m = m.astype(float)
         m_before = m[self.before]
-        m_case = m_before[self.cases]
-        n_at_t0 = self.n - m_before.sum()
-        if not (m_case.any() and n_at_t0 > 0):
-            return None
         censored_at = np.bincount(
             self.jump_of_censored,
             weights=m_before[self.censored],
@@ -189,19 +225,133 @@ class _RankedCohort:
             censored_at, at_risk, out=np.zeros(self.n_jumps), where=censored_at > 0
         )
         g = np.concatenate(([1.0], np.cumprod(1.0 - hazard)))
-        # G is non-increasing and G(t0) is its last value, so one check
-        # covers every case weight too
-        if not g[-1] > 0.0:
-            return None
-        case_w = m_case * (1.0 / g[self.case_jumps])
-        ctrl_w = 1.0 / g[-1]
-        acc = []
-        for group, group_before, group_case, size in self.groups:
-            counts = np.bincount(group, weights=m, minlength=size)
-            ctrl = counts - np.bincount(group_before, weights=m_before, minlength=size)
-            case = np.bincount(group_case, weights=case_w, minlength=size)
-            acc.append(_accuracy(counts, case, ctrl_w * ctrl))
-        return acc
+        # G may reach 0 beyond a horizon; a case past that point belongs
+        # only to horizons where the resample fails, so its weight is moot
+        inv_g = np.divide(1.0, g, out=np.zeros(g.size), where=g > 0.0)
+        m_case = m[self.case_subjects]
+        case_w = m_case * inv_g[self.case_jumps]
+        pairs = len(self.sizes)
+        mass_out[:] = np.bincount(
+            self.mass_keys, weights=np.tile(m, pairs), minlength=self.mass_width
+        )
+        case_out[:] = np.bincount(
+            self.case_keys, weights=np.tile(case_w, pairs), minlength=self.case_width
+        )
+        k = self.horizons.size
+        stats_out[0] = np.cumsum(
+            np.bincount(self.case_slot, weights=m_case, minlength=k + 1)
+        )[:k]
+        stats_out[1] = self.n - np.cumsum(
+            np.bincount(self.slot, weights=m, minlength=k + 1)
+        )[:k]
+        stats_out[2] = g[self.horizon_jumps]
+
+    def accuracy(self, mass, case, g_t0):
+        """Per horizon, (AP, AUC) columns per score for a block of rows.
+
+        ``mass`` and ``case`` are block tables written by ``replicate``
+        and ``g_t0`` the block's (rows x horizons) G(t0).
+        """
+        ctrl_w = np.divide(1.0, g_t0, out=np.zeros(g_t0.shape), where=g_t0 > 0.0)
+        out = []
+        mass_at = case_at = 0
+        for k in range(self.horizons.size):
+            acc = []
+            for size in self.sizes[k * self.n_scores : (k + 1) * self.n_scores]:
+                pair = mass[:, mass_at : mass_at + 2 * size]
+                ctrl = pair[:, 0::2]
+                acc.append(
+                    _accuracy(
+                        ctrl + pair[:, 1::2],
+                        case[:, case_at : case_at + size],
+                        ctrl * ctrl_w[:, k, None],
+                    )
+                )
+                mass_at += 2 * size
+                case_at += size + 1
+            out.append(acc)
+        return out
+
+
+# bytes of segment-mass tables per block of replicates: the AP/AUC kernel
+# runs once per block, and the tables stay small beside the cohort
+_BLOCK_BYTES = 1 << 20
+
+# why a replicate failed, in the order the reasons are tested
+_FAILURE_CAUSES = ("no_case", "zero_censor_survival", "nobody_at_t0", "zero_ap2")
+
+
+def _replicate_matrices(
+    cohort: CohortSample,
+    horizons,
+    spec: BootstrapSpec,
+    estimands: tuple[str, ...],
+) -> list[tuple[np.ndarray, dict[str, int]]]:
+    """Run every replicate once for all ``horizons``.
+
+    Returns, per horizon in the given order (repeats included), the
+    usable rows and the failure count of each cause in
+    ``_FAILURE_CAUSES``: no case before t0; the censoring survival
+    reaching 0 below t0 (which leaves nobody at t0 as well); nobody
+    followed up to t0; an estimand undefined on a usable resample (rAP
+    when the score-2 AP is not positive).  Columns follow ``estimands``
+    (keys of the estimand table).
+
+    Replicate b draws ``default_rng(SeedSequence(spec.seed).spawn(B)[b])
+    .integers(0, n, size=n)``, so the resamples are those of a plain
+    per-replicate loop over ``CohortSample.take``, the same for every
+    horizon.  Replicates run in blocks whose segment-mass tables fit in
+    ``_BLOCK_BYTES``; the AP/AUC kernel runs once per block, horizon and
+    score.
+    """
+    if len(horizons) == 0:
+        return []
+    table = [_ESTIMANDS[name] for name in estimands]
+    n_scores = 2 if _NEEDS_SCORE2.intersection(estimands) else 1
+    ranked = _RankedCohort(cohort, horizons, n_scores)
+    n, n_reps, n_horizons = cohort.n, spec.replicates, ranked.horizons.size
+    values = np.empty((n_horizons, n_reps, len(table)))
+    stats = np.empty((n_reps, 3, n_horizons))
+    rows = max(1, _BLOCK_BYTES // (8 * (ranked.mass_width + ranked.case_width)))
+    mass = np.empty((rows, ranked.mass_width))
+    case = np.empty((rows, ranked.case_width))
+    children = np.random.SeedSequence(spec.seed).spawn(n_reps)
+    for start in range(0, n_reps, rows):
+        block = children[start : start + rows]
+        for r, child in enumerate(block):
+            idx = np.random.default_rng(child).integers(0, n, size=n)
+            ranked.replicate(
+                np.bincount(idx, minlength=n), mass[r], case[r], stats[start + r]
+            )
+        stop = start + len(block)
+        per_horizon = ranked.accuracy(
+            mass[: len(block)], case[: len(block)], stats[start:stop, 2]
+        )
+        for k, acc in enumerate(per_horizon):
+            for e, stat in enumerate(table):
+                values[k, start:stop, e] = stat(acc)
+
+    cases, at_t0, g_t0 = stats[:, 0], stats[:, 1], stats[:, 2]
+    no_case = cases == 0.0
+    zero_g = ~no_case & ~(g_t0 > 0.0)
+    nobody = ~no_case & ~zero_g & ~(at_t0 > 0.0)
+    usable = ~(no_case | zero_g | nobody)
+    results = []
+    for k in range(n_horizons):
+        defined = ~np.isnan(values[k]).any(axis=1)
+        counts = (no_case[:, k], zero_g[:, k], nobody[:, k], usable[:, k] & ~defined)
+        causes = dict(zip(_FAILURE_CAUSES, (int(c.sum()) for c in counts)))
+        results.append((values[k][usable[:, k] & defined], causes))
+    slots = np.searchsorted(ranked.horizons, np.asarray(horizons, dtype=float))
+    return [results[k] for k in slots]
+
+
+def _usable(values: np.ndarray, causes: dict[str, int], total: int):
+    """``(values, failed)``; raises when more than 10% of replicates failed."""
+    failed = sum(causes.values())
+    if failed > 0.1 * total:
+        raise TooManyFailedReplicatesError(failed, total, **causes)
+    return values, failed
 
 
 def _replicate_matrix(
@@ -210,30 +360,14 @@ def _replicate_matrix(
     spec: BootstrapSpec,
     estimands: tuple[str, ...],
 ) -> tuple[np.ndarray, int]:
-    """Run every replicate; return the usable rows and the failure count.
+    """Run every replicate at one horizon; return the usable rows and the failure count.
 
-    Columns follow ``estimands`` (keys of the estimand table).  A row
-    with any NaN marks a failed resample and is dropped.  Replicate b
-    draws ``default_rng(SeedSequence(spec.seed).spawn(B)[b]).integers(0,
-    n, size=n)``, so the resamples are those of a plain per-replicate
-    loop over ``CohortSample.take``.
+    Columns follow ``estimands`` (keys of the estimand table).  A
+    replicate fails when its resample cannot be estimated or an
+    estimand is undefined on it; failed rows are dropped.
     """
-    table = [_ESTIMANDS[name] for name in estimands]
-    n_scores = 2 if _NEEDS_SCORE2.intersection(estimands) else 1
-    ranked = _RankedCohort(cohort, t0, n_scores)
-    n = cohort.n
-    values = np.full((spec.replicates, len(table)), np.nan)
-    for b, child in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.replicates)):
-        idx = np.random.default_rng(child).integers(0, n, size=n)
-        acc = ranked.accuracy(np.bincount(idx, minlength=n))
-        if acc is not None:
-            values[b] = [stat(acc) for stat in table]
-
-    usable = ~np.isnan(values).any(axis=1)
-    failed = spec.replicates - int(usable.sum())
-    if failed > 0.1 * spec.replicates:
-        raise TooManyFailedReplicatesError(failed, spec.replicates)
-    return values[usable], failed
+    (result,) = _replicate_matrices(cohort, (t0,), spec, estimands)
+    return _usable(*result, spec.replicates)
 
 
 def _single_estimand(estimand: str, score: int) -> str:
@@ -294,13 +428,28 @@ def _summary(estimand, t0, point, values, failed, level) -> AccuracySummary:
     )
 
 
+def _bootstrap_horizons(cohort, spec, points: list[tuple[float, dict]]):
+    """Summaries per horizon from one joint bootstrap of every horizon.
+
+    ``points`` pairs each horizon with its point estimates, keyed by
+    estimand (the same keys at every horizon).  Yields one dict of
+    summaries per horizon, in order; a horizon with too many failed
+    replicates raises ``TooManyFailedReplicatesError`` once the horizons
+    before it have been yielded.
+    """
+    estimands = tuple(points[0][1]) if points else ()
+    results = _replicate_matrices(cohort, [t0 for t0, _ in points], spec, estimands)
+    for (t0, point), result in zip(points, results):
+        values, failed = _usable(*result, spec.replicates)
+        yield {
+            name: _summary(name, t0, value, values[:, k], failed, spec.level)
+            for k, (name, value) in enumerate(point.items())
+        }
+
+
 def _summaries(cohort, t0, spec, points: dict) -> dict[str, AccuracySummary]:
     """One joint bootstrap of every estimand named in ``points``."""
-    values, failed = _replicate_matrix(cohort, t0, spec, tuple(points))
-    return {
-        name: _summary(name, t0, point, values[:, k], failed, spec.level)
-        for k, (name, point) in enumerate(points.items())
-    }
+    return next(_bootstrap_horizons(cohort, spec, [(t0, points)]))
 
 
 def bootstrap_summary(

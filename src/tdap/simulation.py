@@ -120,7 +120,13 @@ class SimulationConfig:
 
 
 def _draw_failure(n: int, rng: np.random.Generator):
-    """Draw (T, U1, U2); U1 values of exactly 0 are redrawn."""
+    """Draw (T, U1, U2); U1 values of exactly 0 are redrawn.
+
+    ``log T`` is built in place, term by term in the order of the model
+    formula, and the noise is drawn once the U1 and U2 terms are in: it
+    is still the third draw on the stream, and no more than four arrays
+    of n values are alive at any point.
+    """
     u1 = rng.standard_normal(n)
     # log(U1^2) needs U1 != 0; probability-zero case redrawn for safety
     while True:
@@ -129,15 +135,17 @@ def _draw_failure(n: int, rng: np.random.Generator):
             break
         u1[zero] = rng.standard_normal(int(zero.sum()))
     u2 = rng.standard_normal(n)
-    eps = rng.normal(0.0, _NOISE_SD, n)
-    log_t = (
-        _INTERCEPT
-        - _COEF_U1 * u1
-        - _COEF_U2 * u2
-        - _COEF_LOG * np.log(u1 * u1)
-        + eps
-    )
-    return np.exp(log_t), u1, u2
+    log_t = np.multiply(_COEF_U1, u1)
+    np.subtract(_INTERCEPT, log_t, out=log_t)
+    term = np.multiply(_COEF_U2, u2)
+    log_t -= term
+    np.multiply(u1, u1, out=term)
+    np.log(term, out=term)
+    term *= _COEF_LOG
+    log_t -= term
+    del term
+    log_t += rng.normal(0.0, _NOISE_SD, n)
+    return np.exp(log_t, out=log_t), u1, u2
 
 
 def _draw_latent(n: int, rng: np.random.Generator):

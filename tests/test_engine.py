@@ -8,6 +8,12 @@ within 1e-12 and fail on the same number of replicates, on adversarial
 cohorts: all scores tied, events and censorings tied at t0, a single
 case, censoring survival reaching 0 at the tail, and n <= 5.
 
+The engine runs one pass for all of a command's horizons: one resample
+and one censoring fit per replicate, and the AP/AUC kernel over blocks of
+replicates.  At every horizon, repeated or out of order, it must agree
+with a one-horizon pass and with the loop within 1e-12, with the same
+failures for the same causes, whatever the block size.
+
 The engine and the study oracle bin scores into case-anchored segments
 (``estimators._case_segments``); the kernel must read the same AP and
 AUC from them as from one group per distinct score.
@@ -19,6 +25,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference
+import tdap.inference as inference
 from tdap import (
     BootstrapSpec,
     CohortSample,
@@ -34,7 +41,14 @@ from tdap import (
     validate_horizon,
 )
 from tdap.estimators import _accuracy, _case_segments
-from tdap.inference import _PAIRED_ESTIMANDS, _RankedCohort, _replicate_matrix
+from tdap.cli import main
+from tdap.inference import (
+    _FAILURE_CAUSES,
+    _PAIRED_ESTIMANDS,
+    _RankedCohort,
+    _replicate_matrices,
+    _replicate_matrix,
+)
 
 SETTINGS = settings(
     max_examples=150,
@@ -252,12 +266,178 @@ def test_ranked_cohort_bins_are_case_anchored(decimals, t0):
     if decimals is not None:
         s1, s2 = np.round(s1, decimals), np.round(s2, decimals)
     cohort = CohortSample(c.times, c.status, s1, s2)
-    ranked = _RankedCohort(cohort, t0, 2)
-    is_case = (cohort.times < t0) & (cohort.status == 1.0)
-    for s, (group, group_before, group_case, size) in zip((1, 2), ranked.groups):
-        h = np.unique(cohort.scores(s)[is_case]).size
-        assert size == 2 * h + 1  # not one bin per distinct score
+    ranked = _RankedCohort(cohort, (40.0, t0, t0), 2)
+    assert ranked.horizons.tolist() == [t0, 40.0]
+    n, cases = cohort.n, ranked.case_subjects
+    assert np.array_equal(cases, np.flatnonzero((cohort.times < 40.0) & (cohort.status == 1.0)))
+    mass_at = case_at = 0
+    pairs = [(h, s) for h in ranked.horizons for s in (1, 2)]
+    assert len(ranked.sizes) == len(pairs)
+    for p, ((h, s), size) in enumerate(zip(pairs, ranked.sizes)):
+        is_case = (cohort.times < h) & (cohort.status == 1.0)
+        assert size == 2 * np.unique(cohort.scores(s)[is_case]).size + 1
+        keys = ranked.mass_keys[p * n : (p + 1) * n] - mass_at
+        group = keys // 2
         assert 0 <= group.min() and group.max() < size
-        assert np.array_equal(group_before, group[cohort.times < t0])
-        assert np.array_equal(group_case, group[is_case])
-        assert (group_case % 2 == 1).all()  # every case sits in a tie bin
+        # interleaved: at or beyond the horizon, then before it
+        assert np.array_equal(keys % 2 == 1, cohort.times < h)
+        # a higher score never sits in a later segment
+        order = np.argsort(-cohort.scores(s), kind="stable")
+        assert (np.diff(group[order]) >= 0).all()
+        case_keys = ranked.case_keys[p * cases.size : (p + 1) * cases.size] - case_at
+        in_horizon = cohort.times[cases] < h
+        assert np.array_equal(case_keys[in_horizon], group[cases[in_horizon]])
+        assert (case_keys[~in_horizon] == size).all()  # the spare bin
+        assert (case_keys[in_horizon] % 2 == 1).all()  # every case sits in a tie bin
+        mass_at += 2 * size
+        case_at += size + 1
+    assert (mass_at, case_at) == (ranked.mass_width, ranked.case_width)
+
+
+def loop_causes(cohort, t0, spec):
+    """Failure count per cause, from materialised resamples.
+
+    The first cause that applies counts: no case before t0, the
+    censoring survival at 0 by t0, nobody followed up to t0.
+    """
+    causes = dict.fromkeys(_FAILURE_CAUSES, 0)
+    for child in np.random.SeedSequence(spec.seed).spawn(spec.replicates):
+        sub = cohort.take(np.random.default_rng(child).integers(0, cohort.n, size=cohort.n))
+        if not ((sub.times < t0) & (sub.status == 1.0)).any():
+            causes["no_case"] += 1
+        elif fit_censoring_km(sub)(t0) == 0.0:
+            causes["zero_censor_survival"] += 1
+        elif not (sub.times >= t0).any():
+            causes["nobody_at_t0"] += 1
+    return causes
+
+
+def assert_horizons_match(cohort, horizons, spec, estimand_sets=ESTIMAND_SETS):
+    """At each horizon, the shared pass equals a one-horizon pass and the loop.
+
+    Returns the failure causes per horizon of the last estimand set.
+    """
+    distinct = sorted(set(horizons))
+    stats = {t0: loop_stats(cohort, t0, spec) for t0 in distinct}
+    expected_causes = {t0: loop_causes(cohort, t0, spec) for t0 in distinct}
+    for estimands in estimand_sets:
+        multi = _replicate_matrices(cohort, horizons, spec, estimands)
+        assert len(multi) == len(horizons)
+        for t0, (values, causes) in zip(horizons, multi):
+            assert causes == expected_causes[t0]  # rAP's AP2 is never 0 here
+            failed = sum(causes.values())
+            expected, loop_failed = loop_replicates(stats[t0], estimands)
+            assert failed == loop_failed
+            assert values.shape == expected.shape
+            np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
+            if failed > 0.1 * spec.replicates:
+                with pytest.raises(TooManyFailedReplicatesError) as err:
+                    _replicate_matrix(cohort, t0, spec, estimands)
+                assert (err.value.failed, err.value.total) == (failed, spec.replicates)
+                assert {c: getattr(err.value, c) for c in _FAILURE_CAUSES} == causes
+                continue
+            single, single_failed = _replicate_matrix(cohort, t0, spec, estimands)
+            assert single_failed == failed
+            np.testing.assert_allclose(values, single, rtol=0.0, atol=1e-12)
+    return [causes for _, causes in multi]
+
+
+@settings(SETTINGS, max_examples=60)
+@given(
+    adversarial_cohorts(),
+    st.lists(st.sampled_from([1.5, 2.0, 3.0, 4.0, 5.0]), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_shared_pass_matches_one_horizon_passes_and_loop(case, extra, seed):
+    cohort, t0 = case
+    horizons = [*extra, t0, *extra[:1]]  # out of order, and repeated
+    assert_horizons_match(cohort, horizons, BootstrapSpec(replicates=20, seed=seed))
+
+
+def test_censoring_survival_reaching_zero_at_one_horizon_only():
+    # resamples without the subject at 8 but with one censored at 6 have
+    # G = 0 beyond 6: they fail at t0 = 7 and are fine at t0 = 5.5
+    times = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 6.0, 8.0, 9.0])
+    status = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+    coh = CohortSample(times, status, [3, 1, 4, 1, 5, 9, 2, 6, 5], [2, 7, 1, 8, 2, 8, 1, 8, 2])
+    causes = assert_horizons_match(coh, [7.0, 5.5, 7.0], BootstrapSpec(replicates=150, seed=3))
+    assert causes[0]["zero_censor_survival"] > 0
+    assert causes[1]["zero_censor_survival"] == 0
+    assert causes[0] == causes[2]
+
+
+def test_all_tied_scores_across_horizons():
+    c = generate_cohort(200, 8)
+    tied = np.full(c.n, 0.5)
+    cohort = CohortSample(c.times, c.status, tied, tied)
+    assert_horizons_match(cohort, [36.0, 8.0, 36.0], BootstrapSpec(replicates=30, seed=4))
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])  # None: one block holds every replicate
+def test_block_edges(monkeypatch, rows):
+    c = generate_cohort(150, 21)
+    cohort = CohortSample(c.times, c.status, np.round(c.score1, 1), c.score2)
+    horizons = [20.0, 8.0]
+    if rows is not None:
+        ranked = _RankedCohort(cohort, horizons, 2)
+        row_bytes = 8 * (ranked.mass_width + ranked.case_width)
+        # a budget of 1 byte still gives 1-row blocks
+        budget = 1 if rows == 1 else rows * row_bytes + row_bytes // 2
+        monkeypatch.setattr(inference, "_BLOCK_BYTES", budget)
+    # 30 replicates: not a multiple of 7, and below one default block
+    assert_horizons_match(cohort, horizons, BootstrapSpec(replicates=30, seed=12))
+
+
+def test_rap_fails_where_the_score2_ap_is_zero(monkeypatch):
+    # an AP is positive whenever a case is drawn, so the kernel is stubbed
+    # to give score 2 an AP of 0 on the replicates where score 1's is high
+    cohort = generate_cohort(300, 11)
+    spec = BootstrapSpec(replicates=40, seed=5)
+    horizons = (8.0, 36.0)
+    base = _replicate_matrices(cohort, horizons, spec, ("ap", "ap2", "rap"))
+    cut = {t0: np.median(values[:, 0]) for t0, (values, _) in zip(horizons, base)}
+    kernel, calls = inference._accuracy, []
+
+    def stub(counts, case, ctrl):
+        ap, auc = kernel(counts, case, ctrl)
+        if len(calls) % 2 == 1:  # score 2 of the horizon whose score 1 came last
+            t0 = horizons[len(calls) // 2 % len(horizons)]
+            ap = np.where(calls[-1] > cut[t0], 0.0, ap)
+        calls.append(ap)
+        return ap, auc
+
+    monkeypatch.setattr(inference, "_accuracy", stub)
+    got = _replicate_matrices(cohort, horizons, spec, ("ap", "ap2", "rap"))
+    for t0, (values, causes), (base_values, base_causes) in zip(horizons, got, base):
+        keep = base_values[:, 0] <= cut[t0]
+        np.testing.assert_array_equal(values, base_values[keep])
+        assert causes == {**base_causes, "zero_ap2": int((~keep).sum())}
+        assert causes["zero_ap2"] > 0
+    # without rAP, an AP2 of 0 is a value and no replicate fails for it
+    calls.clear()
+    got = _replicate_matrices(cohort, horizons, spec, ("ap", "ap2"))
+    for t0, (values, causes), (base_values, base_causes) in zip(horizons, got, base):
+        np.testing.assert_array_equal(values[:, 0], base_values[:, 0])
+        assert (values[base_values[:, 0] > cut[t0], 1] == 0.0).all()
+        assert causes == base_causes
+
+
+def test_failure_causes_split_the_failure_count(tmp_path, capsys):
+    # six subjects: `tdap estimate --t0 11 --boot 20` loses 5 of 20 resamples
+    path = tmp_path / "six.csv"
+    path.write_text(
+        "time,status,score1\n2,1,0.9\n4,0,0.3\n6,1,0.7\n9,0,0.5\n12,1,0.4\n14,0,0.1\n"
+    )
+    assert main(["estimate", "--input", str(path), "--t0", "11", "--boot", "20"]) == 2
+    assert capsys.readouterr().err == (
+        "error: TooManyFailedReplicatesError: 5 of 20 bootstrap replicates failed; "
+        "results would be unreliable\n"
+    )
+    cohort = CohortSample([2, 4, 6, 9, 12, 14], [1, 0, 1, 0, 1, 0], [0.9, 0.3, 0.7, 0.5, 0.4, 0.1])
+    spec = BootstrapSpec(replicates=20)
+    with pytest.raises(TooManyFailedReplicatesError) as err:
+        bootstrap_estimate(cohort, 11.0, spec)
+    causes = {c: getattr(err.value, c) for c in _FAILURE_CAUSES}
+    assert causes == loop_causes(cohort, 11.0, spec)
+    assert sum(causes.values()) == err.value.failed == 5
+    assert causes["zero_censor_survival"] > 0 and causes["no_case"] > 0
