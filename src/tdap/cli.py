@@ -26,6 +26,7 @@ from .inference import (  # bench/spans.py wraps the two bootstrap_* names here
     DEFAULT_SEED,
     BootstrapSpec,
     _bootstrap_horizons,
+    _paired_points,
     bootstrap_compare,
     bootstrap_summary,
 )
@@ -195,14 +196,13 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-# estimand, its printed label, its field of estimators.PairedEstimates
-_COMPARE = (
-    ("ap", "AP1", "ap1"),
-    ("ap2", "AP2", "ap2"),
-    ("rap", "rAP", "rap"),
-    ("auc", "AUC1", "auc1"),
-    ("auc2", "AUC2", "auc2"),
-    ("dauc", "dAUC", "dauc"),
+_COMPARE_LABELS = (
+    ("ap", "AP1"),
+    ("ap2", "AP2"),
+    ("rap", "rAP"),
+    ("auc", "AUC1"),
+    ("auc2", "AUC2"),
+    ("dauc", "dAUC"),
 )
 
 
@@ -242,19 +242,16 @@ def _cmd_compare(args) -> int:
     results = []
     print(f"cohort: n={cohort.n} ({'paired' if cohort.paired else 'single score'})")
     points, error = _horizon_points(cohort, horizons, compare_horizon)
-    estimates = [
-        (t0, {key: getattr(p, field) for key, _, field in _COMPARE})
-        for t0, _, p in points
-    ]
+    estimates = [(t0, _paired_points(p)) for t0, _, p in points]
     for (t0, _, point), summaries in zip(
         points, _bootstrap_horizons(cohort, spec, estimates)
     ):
         rate = point.event_rate
         print(f"t0={t0:.6g}  event_rate={rate:.6g}")
-        for key, label, _ in _COMPARE:
+        for key, label in _COMPARE_LABELS:
             print(_summary_block(label, summaries[key], spec.level))
         row = {"t0": t0, "event_rate": rate}
-        for key, _, _ in _COMPARE:
+        for key, _ in _COMPARE_LABELS:
             row.update(_flat(key, summaries[key]))
         results.append(row)
     if error is not None:

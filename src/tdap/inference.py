@@ -181,15 +181,16 @@ class _RankedCohort:
         self.sizes = []
         mass_keys, case_keys = [], []
         mass_width = case_width = 0
-        orders = [np.argsort(cohort.scores(s)) for s in range(1, n_scores + 1)]
+        ranked = []  # (case scores, ascending scores, their subjects) per score
+        for s in range(1, n_scores + 1):
+            score = cohort.scores(s)
+            order = np.argsort(score)
+            ranked.append((score[self.case_subjects], score[order], order))
         for t0 in self.horizons:
             followed_less = times < t0
             case_in = case_times < t0
-            for s, order in enumerate(orders, start=1):
-                score = cohort.scores(s)
-                sizes, _ = _case_segments(
-                    score[order], score[self.case_subjects[case_in]]
-                )
+            for case_scores, ascending, order in ranked:
+                sizes, _ = _case_segments(ascending, case_scores[case_in])
                 group = np.empty(self.n, dtype=np.intp)
                 group[order[::-1]] = np.repeat(np.arange(sizes.size), sizes)
                 mass_keys.append(mass_width + 2 * group + followed_less)
@@ -509,7 +510,12 @@ def bootstrap_compare(
     """
     validate_horizon(cohort, t0)
     point = compare_horizon(cohort, t0, _full_weights(cohort, t0, weights))
-    points = {
+    return _summaries(cohort, t0, spec, _paired_points(point))
+
+
+def _paired_points(point) -> dict[str, float]:
+    """``compare_horizon``'s estimates keyed as in the estimand table."""
+    return {
         "ap": point.ap1,
         "ap2": point.ap2,
         "rap": point.rap,
@@ -517,4 +523,3 @@ def bootstrap_compare(
         "auc2": point.auc2,
         "dauc": point.dauc,
     }
-    return _summaries(cohort, t0, spec, points)
