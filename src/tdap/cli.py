@@ -21,7 +21,13 @@ import numpy as np
 from .censoring import fit_censoring_km, ipcw_weights
 from .cohort import ColumnMap, _write_csv, read_cohort_csv, validate_horizon
 from .errors import TdapError
-from .estimators import compare_horizon, estimate_horizon, pr_curve, roc_curve
+from .estimators import (  # bench/spans.py wraps the two *_curve names here
+    _curves,
+    compare_horizon,
+    estimate_horizon,
+    pr_curve,
+    roc_curve,
+)
 from .inference import (  # bench/spans.py wraps the two bootstrap_* names here
     DEFAULT_SEED,
     BootstrapSpec,
@@ -137,8 +143,7 @@ def _flat(prefix: str, s) -> dict:
 
 
 def _write_curves(path: str, cohort, weights, t0: float) -> None:
-    pr = pr_curve(cohort, weights, t0)
-    roc = roc_curve(cohort, weights, t0)
+    pr, roc = _curves(cohort, weights, t0, 1, ("pr", "roc"))
     _write_csv(
         path, ("threshold", "tpf", "ppv", "fpf"), (pr.thresholds, pr.xs, pr.ys, roc.xs)
     )
@@ -227,6 +232,8 @@ def _parse_sweep(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"--sweep expects START:STOP:STEP, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not np.isfinite([start, stop, step]).all():
+        raise ValueError(f"--sweep needs finite START, STOP and STEP, got {text!r}")
     if step <= 0 or stop < start:
         raise ValueError(f"--sweep needs step > 0 and stop >= start, got {text!r}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1

@@ -308,6 +308,40 @@ def event_rate(cohort: CohortSample, weights: WeightVector, t0: float) -> float:
     return float(min(1.0, max(0.0, value)))
 
 
+def _curves(
+    cohort: CohortSample, weights: WeightVector, t0: float, score: int, kinds
+) -> list[CurveTrace]:
+    """Traces of ``kinds`` ("pr", "roc"), in order, from one grouping of the scores.
+
+    Raises as ``pr_curve`` does, and as ``roc_curve`` does when ``kinds``
+    holds "roc".
+    """
+    case_w = _case_mass(cohort, weights, t0)
+    ctrl_w = _control_mass(cohort, weights, t0)
+    total_case = case_w.sum()
+    total_ctrl = ctrl_w.sum()
+    if total_case <= 0.0:
+        raise NoEventsBeforeT0Error(t0)
+    if "roc" in kinds and total_ctrl <= 0.0:
+        raise NoControlsAtT0Error(t0)
+    thresholds, counts, (case_mass, ctrl_mass) = _grouped_desc(
+        cohort.scores(score), case_w, ctrl_w
+    )
+    cum_case = np.cumsum(case_mass)
+    tpf = np.clip(cum_case / total_case, 0.0, 1.0)
+    traces = []
+    for kind in kinds:
+        if kind == "pr":
+            ppv = np.clip(cum_case / np.cumsum(counts), 0.0, 1.0)
+            traces.append(
+                CurveTrace(kind="precision-recall", thresholds=thresholds, xs=tpf, ys=ppv)
+            )
+        else:
+            fpf = np.clip(np.cumsum(ctrl_mass) / total_ctrl, 0.0, 1.0)
+            traces.append(CurveTrace(kind="roc", thresholds=thresholds, xs=fpf, ys=tpf))
+    return traces
+
+
 def pr_curve(
     cohort: CohortSample, weights: WeightVector, t0: float, score: int = 1
 ) -> CurveTrace:
@@ -316,35 +350,16 @@ def pr_curve(
     Each point uses the plain ">= threshold" rule: TPF from the weighted
     case mass, PPV from that mass over the unweighted positive count.
     """
-    case_w = _case_mass(cohort, weights, t0)
-    total_case = case_w.sum()
-    if total_case <= 0.0:
-        raise NoEventsBeforeT0Error(t0)
-    thresholds, counts, (case_mass,) = _grouped_desc(cohort.scores(score), case_w)
-    cum_case = np.cumsum(case_mass)
-    tpf = np.clip(cum_case / total_case, 0.0, 1.0)
-    ppv = np.clip(cum_case / np.cumsum(counts), 0.0, 1.0)
-    return CurveTrace(kind="precision-recall", thresholds=thresholds, xs=tpf, ys=ppv)
+    (trace,) = _curves(cohort, weights, t0, score, ("pr",))
+    return trace
 
 
 def roc_curve(
     cohort: CohortSample, weights: WeightVector, t0: float, score: int = 1
 ) -> CurveTrace:
     """ROC trace (FPF, TPF) over all distinct score thresholds."""
-    case_w = _case_mass(cohort, weights, t0)
-    ctrl_w = _control_mass(cohort, weights, t0)
-    total_case = case_w.sum()
-    total_ctrl = ctrl_w.sum()
-    if total_case <= 0.0:
-        raise NoEventsBeforeT0Error(t0)
-    if total_ctrl <= 0.0:
-        raise NoControlsAtT0Error(t0)
-    thresholds, _, (case_mass, ctrl_mass) = _grouped_desc(
-        cohort.scores(score), case_w, ctrl_w
-    )
-    tpf = np.clip(np.cumsum(case_mass) / total_case, 0.0, 1.0)
-    fpf = np.clip(np.cumsum(ctrl_mass) / total_ctrl, 0.0, 1.0)
-    return CurveTrace(kind="roc", thresholds=thresholds, xs=fpf, ys=tpf)
+    (trace,) = _curves(cohort, weights, t0, score, ("roc",))
+    return trace
 
 
 def _require_paired(cohort: CohortSample) -> None:

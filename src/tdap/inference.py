@@ -17,14 +17,17 @@ is its multiplicity vector: how often each subject was drawn.  Each
 replicate is drawn once, and its reverse Kaplan-Meier curve fitted once,
 for all horizons; resample validity, G(t0) and the segmented case,
 control and count masses per horizon are ``bincount``/``cumsum`` passes
-over those fixed ranks.  A segment is a score group holding a case of
-the full cohort, or one run of caseless groups between two such groups,
-so a replicate has 2h + 1 bins per horizon and score for h distinct case
-scores rather than one per distinct score.  Replicates fill tables of
-these masses block by block, and the same AP/AUC kernel as the point
-estimators turns each block's table into AP and AUC columns, one call
-per horizon and score.  A block is sized by a fixed byte budget, so
-memory does not grow with the replicate count.
+over those fixed ranks.  The reverse Kaplan-Meier fit runs in place on
+its two ``bincount`` tables (made float64, since a ``bincount`` of no
+input is int64), and 1/G is taken only at the cases' own times.  A
+segment is a score group holding a case of the full cohort, or one run
+of caseless groups between two such groups, so a replicate has 2h + 1
+bins per horizon and score for h distinct case scores rather than one
+per distinct score.  Replicates fill tables of these masses block by
+block, and the same AP/AUC kernel as the point estimators turns each
+block's table into AP and AUC columns, one call per horizon and score.
+A block is sized by a fixed byte budget, so memory does not grow with
+the replicate count.
 """
 
 from __future__ import annotations
@@ -146,6 +149,11 @@ class _RankedCohort:
     pair's segments, split by follow-up (interleaved: at or beyond t0,
     then before t0), and case weights into each pair's segments plus one
     spare bin that takes the cases at or beyond t0.
+
+    The reverse KM runs in place on the two ``bincount`` tables (censored
+    count and at-risk count per jump): ``cumsum``, ``n - ``, a floor of 1,
+    the divide and ``1 - `` reuse their buffers, and ``cumprod`` writes
+    straight into G.  1/G is taken only at the cases' jump indices.
     """
 
     def __init__(self, cohort: CohortSample, horizons, n_scores: int):
@@ -172,8 +180,9 @@ class _RankedCohort:
         self.case_jumps = np.searchsorted(jumps, case_times, side="left")
         # horizons at or below each time: subject i is followed less than
         # horizon k exactly when its slot is at most k
-        self.slot = np.searchsorted(self.horizons, times, side="right")
-        self.case_slot = self.slot[self.case_subjects]
+        slot = np.searchsorted(self.horizons, times, side="right")
+        self.slot_before = slot[before]
+        self.case_slot = slot[self.case_subjects]
 
         # per (horizon, score) pair, horizon-major: its segment count and
         # the subject -> segment map
@@ -211,26 +220,40 @@ class _RankedCohort:
         ``mass_out`` and ``case_out`` receive the segment masses.  The
         three rows of ``stats_out`` receive, per horizon, the case count
         before t0, the count followed up to t0 and G(t0).
+
+        Every value is bit for bit what a masked hazard divide and 1/G
+        over every jump give: the counts are whole numbers, so the floor
+        of 1 on the at-risk count only turns 0/0 into 0/1 where nobody is
+        censored, and each case weight is still ``m * (1 / G)``, with 0
+        where G is 0.  Both ``bincount`` tables are made float64 for the
+        in-place passes: with no censoring below the largest horizon the
+        first has no input, and ``bincount`` then returns int64.
         """
         m = m.astype(float)
         m_before = m[self.before]
-        censored_at = np.bincount(
+        hazard = np.bincount(
             self.jump_of_censored,
             weights=m_before[self.censored],
             minlength=self.n_jumps,
-        )
-        at_risk = self.n - np.cumsum(
-            np.bincount(self.jumps_upto, weights=m_before, minlength=self.n_jumps + 1)
-        )[: self.n_jumps]
-        hazard = np.divide(
-            censored_at, at_risk, out=np.zeros(self.n_jumps), where=censored_at > 0
-        )
-        g = np.concatenate(([1.0], np.cumprod(1.0 - hazard)))
+        ).astype(float, copy=False)
+        at_risk = np.bincount(
+            self.jumps_upto, weights=m_before, minlength=self.n_jumps + 1
+        ).astype(float, copy=False)
+        np.cumsum(at_risk, out=at_risk)
+        at_risk = at_risk[: self.n_jumps]
+        np.subtract(self.n, at_risk, out=at_risk)
+        np.maximum(at_risk, 1.0, out=at_risk)
+        np.divide(hazard, at_risk, out=hazard)
+        np.subtract(1.0, hazard, out=hazard)
+        g = np.empty(self.n_jumps + 1)
+        g[0] = 1.0
+        np.cumprod(hazard, out=g[1:])
         # G may reach 0 beyond a horizon; a case past that point belongs
         # only to horizons where the resample fails, so its weight is moot
-        inv_g = np.divide(1.0, g, out=np.zeros(g.size), where=g > 0.0)
+        inv_g = g[self.case_jumps]
+        np.divide(1.0, inv_g, out=inv_g, where=inv_g > 0.0)
         m_case = m[self.case_subjects]
-        case_w = m_case * inv_g[self.case_jumps]
+        case_w = m_case * inv_g
         pairs = len(self.sizes)
         mass_out[:] = np.bincount(
             self.mass_keys, weights=np.tile(m, pairs), minlength=self.mass_width
@@ -242,9 +265,10 @@ class _RankedCohort:
         stats_out[0] = np.cumsum(
             np.bincount(self.case_slot, weights=m_case, minlength=k + 1)
         )[:k]
+        # a subject at or beyond the largest horizon is followed to every t0
         stats_out[1] = self.n - np.cumsum(
-            np.bincount(self.slot, weights=m, minlength=k + 1)
-        )[:k]
+            np.bincount(self.slot_before, weights=m_before, minlength=k)
+        )
         stats_out[2] = g[self.horizon_jumps]
 
     def accuracy(self, mass, case, g_t0):

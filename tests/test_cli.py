@@ -2,10 +2,21 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from tdap import generate_cohort, write_cohort_csv
+from tdap import (
+    CohortSample,
+    fit_censoring_km,
+    generate_cohort,
+    ipcw_weights,
+    pr_curve,
+    read_cohort_csv,
+    roc_curve,
+    write_cohort_csv,
+)
 from tdap.cli import canonical_json, main
+from tdap.cohort import _write_csv
 
 FIXTURE = "time,status,score1\n1,1,4\n5,1,3\n2,1,2\n6,1,1\n"
 PAIRED = "time,status,score1,score2\n1,1,4,8\n5,1,3,6\n2,1,2,4\n6,1,1,2\n"
@@ -161,6 +172,34 @@ def test_compare_needs_t0_or_sweep(paired_csv, capsys):
     assert (
         run(["compare", "--input", paired_csv, "--t0", "2", "--sweep", "1:3:1"]) == 2
     )
+
+
+@pytest.mark.parametrize("sweep", ["1:inf:1", "1:10:inf", "nan:10:1"])
+def test_sweep_rejects_non_finite_bounds(paired_csv, capsys, sweep):
+    assert run(["compare", "--input", paired_csv, "--sweep", sweep]) == 2
+    assert capsys.readouterr().err == (
+        f"error: ValueError: --sweep needs finite START, STOP and STEP, got {sweep!r}\n"
+    )
+
+
+def test_curves_csv_equals_separate_curve_calls(tmp_path):
+    # rounded scores: many subjects share each threshold
+    c = generate_cohort(1500, 5)
+    cohort = CohortSample(c.times, c.status, np.round(c.score1, 1))
+    source, curves = tmp_path / "tied.csv", tmp_path / "curves.csv"
+    with open(source, "w", newline="") as fh:
+        write_cohort_csv(cohort, fh)
+    code = run(["estimate", "--input", str(source), "--t0", "20", "--boot", "10",
+                "--curves", str(curves)])
+    assert code == 0
+    cohort = read_cohort_csv(str(source))
+    w = ipcw_weights(cohort, fit_censoring_km(cohort), 20.0)
+    pr, roc = pr_curve(cohort, w, 20.0), roc_curve(cohort, w, 20.0)
+    assert len(pr) < cohort.n / 10
+    expected = tmp_path / "expected.csv"
+    _write_csv(str(expected), ("threshold", "tpf", "ppv", "fpf"),
+               (pr.thresholds, pr.xs, pr.ys, roc.xs))
+    assert curves.read_bytes() == expected.read_bytes()
 
 
 def test_compare_recovers_true_ratio(sim_csv, tmp_path):

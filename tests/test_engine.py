@@ -12,7 +12,10 @@ The engine runs one pass for all of a command's horizons: one resample
 and one censoring fit per replicate, and the AP/AUC kernel over blocks of
 replicates.  At every horizon, repeated or out of order, it must agree
 with a one-horizon pass and with the loop within 1e-12, with the same
-failures for the same causes, whatever the block size.
+failures for the same causes, whatever the block size.  When one block
+holds every replicate, the two passes agree bit for bit, as they must on
+a cohort with no censoring below the largest horizon and on one whose
+censoring survival reaches 0 between two horizons.
 
 The engine and the study oracle bin scores into case-anchored segments
 (``estimators._case_segments``); the kernel must read the same AP and
@@ -364,6 +367,53 @@ def test_censoring_survival_reaching_zero_at_one_horizon_only():
     assert causes[0]["zero_censor_survival"] > 0
     assert causes[1]["zero_censor_survival"] == 0
     assert causes[0] == causes[2]
+
+
+def assert_single_horizon_bits(cohort, horizons, spec, estimands=_PAIRED_ESTIMANDS):
+    """Each horizon of a shared pass holds the bits of its one-horizon pass.
+
+    Both passes must fit every replicate in one block: the kernel's sums
+    depend on which columns of a block hold case mass.
+    """
+    shared = _replicate_matrices(cohort, horizons, spec, estimands)
+    for t0, (values, causes) in zip(horizons, shared):
+        ((single, single_causes),) = _replicate_matrices(cohort, (t0,), spec, estimands)
+        assert causes == single_causes
+        assert values.shape == single.shape and values.tobytes() == single.tobytes()
+        if sum(causes.values()) <= 0.1 * spec.replicates:
+            assert _replicate_matrix(cohort, t0, spec, estimands)[0].tobytes() == values.tobytes()
+
+
+def test_no_censoring_below_the_largest_horizon():
+    # every subject leaving before 10 is a case: the reverse KM has no
+    # jump there, and its censoring bincount has no input
+    rng = np.random.default_rng(41)
+    times = np.concatenate([rng.uniform(0.5, 10.0, 30), rng.uniform(10.0, 20.0, 30)])
+    status = np.concatenate([np.ones(30), rng.integers(0, 2, 30).astype(float)])
+    cohort = CohortSample(times, status, np.round(rng.normal(size=60), 1), rng.normal(size=60))
+    horizons = [10.0, 4.0, 10.0]
+    ranked = _RankedCohort(cohort, horizons, 2)
+    assert ranked.n_jumps == 0 and ranked.censored.size == 0
+    spec = BootstrapSpec(replicates=40, seed=17)
+    causes = assert_horizons_match(cohort, horizons, spec)
+    assert all(c["zero_censor_survival"] == 0 for c in causes)
+    assert_single_horizon_bits(cohort, horizons, spec)
+
+
+def test_censoring_survival_reaching_zero_between_horizons():
+    # a resample holding a subject censored at 4 but nobody after it has
+    # G = 0 beyond 4: it fails at t0 = 6 but not at 3.5, and the case at 5
+    # that it never drew sits where G(X-) = 0
+    times = np.array([1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 4.0, 5.0, 8.0])
+    status = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+    cohort = CohortSample(times, status, [3, 1, 4, 1, 5, 9, 2, 6, 5], np.arange(9.0))
+    horizons = [6.0, 3.5, 8.0]
+    spec = BootstrapSpec(replicates=100, seed=23)
+    causes = assert_horizons_match(cohort, horizons, spec)
+    assert causes[0]["zero_censor_survival"] > 0
+    assert causes[2]["zero_censor_survival"] >= causes[0]["zero_censor_survival"]
+    assert causes[1]["zero_censor_survival"] == 0
+    assert_single_horizon_bits(cohort, horizons, spec)
 
 
 def test_all_tied_scores_across_horizons():

@@ -174,12 +174,16 @@ def test_errors_without_cases_or_controls():
         auc(coh, w, 2.0)
     with pytest.raises(NoEventsBeforeT0Error):
         pr_curve(coh, w, 2.0)
+    with pytest.raises(NoEventsBeforeT0Error):
+        roc_curve(coh, w, 2.0)
     all_cases = CohortSample([1, 2], [1, 1], [1, 2])
     wac = unit_weights(all_cases, 3.0)
     with pytest.raises(NoControlsAtT0Error):
         auc(all_cases, wac, 3.0)
     with pytest.raises(NoControlsAtT0Error):
         roc_curve(all_cases, wac, 3.0)
+    # precision-recall needs no controls
+    assert pr_curve(all_cases, wac, 3.0).xs.tolist() == [0.5, 1.0]
 
 
 def test_ap_matches_loop_reference_uncensored():
