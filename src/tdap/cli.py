@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -227,7 +228,12 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _parse_sweep(text: str) -> list[float]:
+def _parse_sweep(text: str) -> Iterable[float]:
+    """The horizons START, START + STEP, ... up to STOP, made one at a time.
+
+    The grid is lazy, so a command stops at its first invalid horizon
+    however many the grid holds.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--sweep expects START:STOP:STEP, got {text!r}")
@@ -236,8 +242,11 @@ def _parse_sweep(text: str) -> list[float]:
         raise ValueError(f"--sweep needs finite START, STOP and STEP, got {text!r}")
     if step <= 0 or stop < start:
         raise ValueError(f"--sweep needs step > 0 and stop >= start, got {text!r}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return [float(start + step * k) for k in range(count)]
+    steps = (stop - start) / step  # inf when the span or the quotient overflows
+    if not np.isfinite(steps):
+        raise ValueError(f"--sweep needs a finite (STOP - START) / STEP, got {text!r}")
+    count = int(np.floor(steps + 1e-9)) + 1
+    return (float(start + step * k) for k in range(count))
 
 
 def _cmd_compare(args) -> int:

@@ -11,23 +11,30 @@ replicate index.  Runs are single-threaded; the ``threads`` arguments
 are accepted for compatibility and never change a result.
 
 The engine never materialises a resample, and one pass serves every
-horizon of a command.  The cohort is ranked once (time order, and each
-subject's case-anchored score segment at each horizon) and a replicate
-is its multiplicity vector: how often each subject was drawn.  Each
-replicate is drawn once, and its reverse Kaplan-Meier curve fitted once,
-for all horizons; resample validity, G(t0) and the segmented case,
-control and count masses per horizon are ``bincount``/``cumsum`` passes
-over those fixed ranks.  The reverse Kaplan-Meier fit runs in place on
-its two ``bincount`` tables (made float64, since a ``bincount`` of no
-input is int64), and 1/G is taken only at the cases' own times.  A
-segment is a score group holding a case of the full cohort, or one run
-of caseless groups between two such groups, so a replicate has 2h + 1
-bins per horizon and score for h distinct case scores rather than one
-per distinct score.  Replicates fill tables of these masses block by
-block, and the same AP/AUC kernel as the point estimators turns each
-block's table into AP and AUC columns, one call per horizon and score.
-A block is sized by a fixed byte budget, so memory does not grow with
-the replicate count.
+horizon of a command.  The cohort is ranked once and a replicate is its
+multiplicity vector: how often each subject was drawn.  Each replicate
+is drawn once, and its reverse Kaplan-Meier curve fitted once, for all
+horizons; resample validity, G(t0) and the segmented case, control and
+count masses are ``bincount``/``cumsum`` passes over fixed ranks.  The
+reverse Kaplan-Meier fit runs in place on its two ``bincount`` tables
+(made float64, since a ``bincount`` of no input is int64), and 1/G is
+taken only at the cases' own times.
+
+A segment is a score group holding a case of the full cohort, or one run
+of caseless groups between two such groups, so a horizon has 2h + 1
+bins per score for h distinct case scores rather than one per distinct
+score.  Each subject is keyed once per score: its fine segment, anchored
+at every case before the largest horizon, and its horizon slot, the
+number of horizons at or below its time.  A replicate's subject masses
+fill one slot-by-segment table per score, and its case weights each
+(horizon, score) pair's own segments.  Replicates fill these tables
+block by block.  Per block, running sums over the slot axis give every
+horizon's mass at or beyond t0, a fixed map per pair folds the fine
+segments into the horizon's own (its anchors are a subset of the fine
+ones), and the same AP/AUC kernel as the point estimators turns the
+block into AP and AUC columns, one call per horizon and score.  The
+masses are whole numbers, so every fold is exact.  A block is sized by
+a fixed byte budget, so memory does not grow with the replicate count.
 """
 
 from __future__ import annotations
@@ -142,13 +149,19 @@ class _RankedCohort:
     multiplies G by exactly 1, so the curve matches a fit on the
     materialised resample value for value.
 
-    Each (horizon, score) pair has its case-anchored segments
-    (``estimators._case_segments``): a resample's cases are among the
-    cohort's, so the anchors hold for every replicate.  One replicate is
-    two ``bincount`` passes over fixed keys: subject masses into each
-    pair's segments, split by follow-up (interleaved: at or beyond t0,
-    then before t0), and case weights into each pair's segments plus one
-    spare bin that takes the cases at or beyond t0.
+    Each score is keyed once per subject.  Its fine segments are anchored
+    at every case before the largest horizon (``estimators._case_segments``;
+    a resample's cases are among the cohort's, so the anchors hold for
+    every replicate), and its table crosses them with the horizon slots:
+    a subject's slot is the number of horizons at or below its time, so
+    it is followed less than horizon k exactly when its slot is at most
+    k.  A horizon's own case-anchored segments have a subset of those
+    anchors; each (horizon, score) pair keeps the map that folds the fine
+    segments into its own (None where they are the same), and its case
+    keys: case weights into its own segments plus one spare bin that
+    takes the cases at or beyond t0.  One replicate is two ``bincount``
+    passes over fixed keys, with weights copied into buffers allocated
+    here.
 
     The reverse KM runs in place on the two ``bincount`` tables (censored
     count and at-risk count per jump): ``cumsum``, ``n - ``, a floor of 1,
@@ -181,45 +194,68 @@ class _RankedCohort:
         # horizons at or below each time: subject i is followed less than
         # horizon k exactly when its slot is at most k
         slot = np.searchsorted(self.horizons, times, side="right")
-        self.slot_before = slot[before]
         self.case_slot = slot[self.case_subjects]
 
-        # per (horizon, score) pair, horizon-major: its segment count and
-        # the subject -> segment map
+        # per score, its fine segment count and the subject -> (slot, fine
+        # segment) keys; per (horizon, score) pair, horizon-major, its own
+        # segment count, its fold map and its case keys
         self.n_scores = n_scores
-        self.sizes = []
-        mass_keys, case_keys = [], []
-        mass_width = case_width = 0
-        ranked = []  # (case scores, ascending scores, their subjects) per score
-        for s in range(1, n_scores + 1):
-            score = cohort.scores(s)
+        n_slots = self.horizons.size + 1
+        self.fine_sizes, self.sizes, self.folds = [], [], []
+        mass_keys = np.empty((n_scores, self.n), dtype=np.intp)
+        mass_width = 0
+        anchored = []  # per score: the cases' fine segments, anchor times
+        for s in range(n_scores):
+            score = cohort.scores(s + 1)
             order = np.argsort(score)
-            ranked.append((score[self.case_subjects], score[order], order))
+            case_scores = score[self.case_subjects]
+            sizes, _ = _case_segments(score[order], case_scores)
+            group = np.empty(self.n, dtype=np.intp)
+            group[order[::-1]] = np.repeat(np.arange(sizes.size), sizes)
+            mass_keys[s] = mass_width + slot * sizes.size + group
+            self.fine_sizes.append(sizes.size)
+            mass_width += n_slots * sizes.size
+            # an anchor is one of a horizon's own when a case with its
+            # score comes before t0: its earliest case time, highest first
+            anchors, anchor_of = np.unique(case_scores, return_inverse=True)
+            first = np.full(anchors.size, np.inf)
+            np.minimum.at(first, anchor_of, case_times)
+            anchored.append((group[self.case_subjects], first[::-1]))
+        case_keys, case_width = [], 0
         for t0 in self.horizons:
-            followed_less = times < t0
             case_in = case_times < t0
-            for case_scores, ascending, order in ranked:
-                sizes, _ = _case_segments(ascending, case_scores[case_in])
-                group = np.empty(self.n, dtype=np.intp)
-                group[order[::-1]] = np.repeat(np.arange(sizes.size), sizes)
-                mass_keys.append(mass_width + 2 * group + followed_less)
+            for case_group, first in anchored:
+                is_own = first < t0
+                # fine segments: gap i (between anchors i - 1 and i), tie i,
+                # ..., tail; own anchors above each, then a fine tie's own
+                # segment is a tie if its anchor is own and a gap if not
+                above = np.concatenate(([0], np.cumsum(is_own)))
+                fold = np.empty(2 * first.size + 1, dtype=np.intp)
+                fold[0::2] = 2 * above
+                fold[1::2] = 2 * above[:-1] + is_own
+                size = 2 * int(above[-1]) + 1
                 case_keys.append(
-                    case_width
-                    + np.where(case_in, group[self.case_subjects], sizes.size)
+                    case_width + np.where(case_in, fold[case_group], size)
                 )
-                self.sizes.append(sizes.size)
-                mass_width += 2 * sizes.size
-                case_width += sizes.size + 1
-        self.mass_keys = np.concatenate(mass_keys)
+                self.sizes.append(size)
+                self.folds.append(None if is_own.all() else fold)
+                case_width += size + 1
+        self.mass_keys = mass_keys.ravel()
         self.case_keys = np.concatenate(case_keys)
         self.mass_width, self.case_width = mass_width, case_width
+        # weight buffers: every score's keys take the masses, every pair's
+        # the case weights
+        self.masses = np.empty((n_scores, self.n))
+        self.case_weights = np.empty((len(self.sizes), self.case_subjects.size))
 
     def replicate(self, m, mass_out, case_out, stats_out) -> None:
         """Write the resample with multiplicities ``m`` into row buffers.
 
-        ``mass_out`` and ``case_out`` receive the segment masses.  The
-        three rows of ``stats_out`` receive, per horizon, the case count
-        before t0, the count followed up to t0 and G(t0).
+        ``mass_out`` receives the slot-by-fine-segment masses of each
+        score and ``case_out`` the case weights in each pair's own
+        segments.  Rows 0 and 2 of ``stats_out`` receive, per horizon, the
+        case count before t0 and G(t0); ``accuracy`` gives the count
+        followed up to t0 from ``mass_out``.
 
         Every value is bit for bit what a masked hazard divide and 1/G
         over every jump give: the counts are whole numbers, so the floor
@@ -229,7 +265,8 @@ class _RankedCohort:
         in-place passes: with no censoring below the largest horizon the
         first has no input, and ``bincount`` then returns int64.
         """
-        m = m.astype(float)
+        self.masses[:] = m
+        m = self.masses[0]
         m_before = m[self.before]
         hazard = np.bincount(
             self.jump_of_censored,
@@ -253,49 +290,80 @@ class _RankedCohort:
         inv_g = g[self.case_jumps]
         np.divide(1.0, inv_g, out=inv_g, where=inv_g > 0.0)
         m_case = m[self.case_subjects]
-        case_w = m_case * inv_g
-        pairs = len(self.sizes)
+        np.multiply(m_case, inv_g, out=self.case_weights)
         mass_out[:] = np.bincount(
-            self.mass_keys, weights=np.tile(m, pairs), minlength=self.mass_width
+            self.mass_keys, weights=self.masses.ravel(), minlength=self.mass_width
         )
         case_out[:] = np.bincount(
-            self.case_keys, weights=np.tile(case_w, pairs), minlength=self.case_width
+            self.case_keys, weights=self.case_weights.ravel(), minlength=self.case_width
         )
         k = self.horizons.size
         stats_out[0] = np.cumsum(
             np.bincount(self.case_slot, weights=m_case, minlength=k + 1)
         )[:k]
-        # a subject at or beyond the largest horizon is followed to every t0
-        stats_out[1] = self.n - np.cumsum(
-            np.bincount(self.slot_before, weights=m_before, minlength=k)
-        )
         stats_out[2] = g[self.horizon_jumps]
 
     def accuracy(self, mass, case, g_t0):
         """Per horizon, (AP, AUC) columns per score for a block of rows.
 
         ``mass`` and ``case`` are block tables written by ``replicate``
-        and ``g_t0`` the block's (rows x horizons) G(t0).
+        and ``g_t0`` the block's (rows x horizons) G(t0).  Also returns
+        the (rows x horizons) count followed up to each t0.
+
+        Per score, the mass of every subject and of those at or beyond t0
+        are running sums over the slot axis of its table; each pair's map
+        folds both into the horizon's own segments (``_fold``).  The
+        masses are whole numbers, so every sum is exact and the kernel's
+        inputs are those of a table keyed per pair.  Folding one table at
+        a time keeps the block step's temporaries to one table's size.
         """
+        rows, k_count = g_t0.shape
         ctrl_w = np.divide(1.0, g_t0, out=np.zeros(g_t0.shape), where=g_t0 > 0.0)
+        # per score: its (rows, slots, fine segments) table, the mass of
+        # every subject and the mass at or beyond t0, running down from it
+        tables, mass_at = [], 0
+        for size in self.fine_sizes:
+            width = (k_count + 1) * size
+            table = mass[:, mass_at : mass_at + width].reshape(rows, k_count + 1, size)
+            total = table.sum(axis=1)
+            tables.append((table, total, total.copy()))
+            mass_at += width
+        followed = np.empty((rows, k_count))
         out = []
-        mass_at = case_at = 0
-        for k in range(self.horizons.size):
+        pair = case_at = 0
+        for k in range(k_count):
             acc = []
-            for size in self.sizes[k * self.n_scores : (k + 1) * self.n_scores]:
-                pair = mass[:, mass_at : mass_at + 2 * size]
-                ctrl = pair[:, 0::2]
+            for table, total, beyond in tables:
+                np.subtract(beyond, table[:, k], out=beyond)
+                size, fold = self.sizes[pair], self.folds[pair]
+                ctrl, counts = beyond, total
+                if fold is not None:
+                    ctrl, counts = _fold(beyond, fold, size), _fold(total, fold, size)
+                if pair % self.n_scores == 0:
+                    followed[:, k] = ctrl.sum(axis=1)
                 acc.append(
                     _accuracy(
-                        ctrl + pair[:, 1::2],
+                        counts,
                         case[:, case_at : case_at + size],
                         ctrl * ctrl_w[:, k, None],
                     )
                 )
-                mass_at += 2 * size
+                pair += 1
                 case_at += size + 1
             out.append(acc)
-        return out
+        return out, followed
+
+
+def _fold(table, fold, size):
+    """Sum each row's columns into ``size`` columns, column j into ``fold[j]``.
+
+    One ``bincount`` over row-offset keys serves every row.
+    """
+    rows = table.shape[0]
+    keys = np.add.outer(np.arange(0, rows * size, size), fold)
+    return np.bincount(
+        keys.ravel(), weights=table.ravel(), minlength=rows * size
+    ).reshape(rows, size)
 
 
 # bytes of segment-mass tables per block of replicates: the AP/AUC kernel
@@ -349,7 +417,7 @@ def _replicate_matrices(
                 np.bincount(idx, minlength=n), mass[r], case[r], stats[start + r]
             )
         stop = start + len(block)
-        per_horizon = ranked.accuracy(
+        per_horizon, stats[start:stop, 1] = ranked.accuracy(
             mass[: len(block)], case[: len(block)], stats[start:stop, 2]
         )
         for k, acc in enumerate(per_horizon):

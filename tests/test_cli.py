@@ -182,6 +182,40 @@ def test_sweep_rejects_non_finite_bounds(paired_csv, capsys, sweep):
     )
 
 
+@pytest.mark.parametrize(
+    "sweep, error",
+    [
+        # the span overflows to inf
+        ("-1e308:1e308:1", "--sweep needs a finite (STOP - START) / STEP, got '-1e308:1e308:1'"),
+        # 10^12 + 1 horizons, the first of them invalid
+        ("0:1e12:1", "t0 must be a positive finite number, got 0.0"),
+    ],
+)
+def test_sweep_with_a_huge_grid_ends_in_a_named_error(paired_csv, capsys, sweep, error):
+    # "--sweep=" keeps argparse from reading a leading "-" as an option
+    assert run(["compare", "--input", paired_csv, f"--sweep={sweep}"]) == 2
+    assert capsys.readouterr().err == f"error: ValueError: {error}\n"
+
+
+def test_huge_sweep_stops_at_the_first_horizon_beyond_support(tmp_path, capsys):
+    # times 0.1, ..., 4.0 and ten more at 4.0: horizons 1 to 4 are within
+    # support, and the grid holds 10^12 of them
+    rows = [
+        f"{0.1 * (i + 1):.1f},{1 - i % 2},{i * 7 % 11 / 10},{i * 5 % 13 / 10}"
+        for i in range(40)
+    ]
+    rows += ["4.0,0,0.5,0.5"] * 10
+    path = tmp_path / "short.csv"
+    path.write_text("time,status,score1,score2\n" + "\n".join(rows) + "\n")
+    code = run(["compare", "--input", str(path), "--sweep", "1:1e12:1", "--boot", "20"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert [line.split()[0] for line in out.splitlines() if line.startswith("t0=")] == [
+        "t0=1", "t0=2", "t0=3", "t0=4"
+    ]
+    assert err == "error: T0BeyondSupportError: t0=5.0 exceeds the largest observed time 4.0\n"
+
+
 def test_curves_csv_equals_separate_curve_calls(tmp_path):
     # rounded scores: many subjects share each threshold
     c = generate_cohort(1500, 5)

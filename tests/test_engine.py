@@ -19,7 +19,10 @@ censoring survival reaches 0 between two horizons.
 
 The engine and the study oracle bin scores into case-anchored segments
 (``estimators._case_segments``); the kernel must read the same AP and
-AUC from them as from one group per distinct score.
+AUC from them as from one group per distinct score.  The engine keys
+each subject once per score, at segments anchored at every case before
+the largest horizon, and folds those into each horizon's own: the fold
+must give exactly that horizon's segments.
 """
 
 import numpy as np
@@ -273,17 +276,35 @@ def test_ranked_cohort_bins_are_case_anchored(decimals, t0):
     assert ranked.horizons.tolist() == [t0, 40.0]
     n, cases = cohort.n, ranked.case_subjects
     assert np.array_equal(cases, np.flatnonzero((cohort.times < 40.0) & (cohort.status == 1.0)))
-    mass_at = case_at = 0
+    assert ranked.mass_keys.size == 2 * n  # one key per subject and score
+    n_slots = ranked.horizons.size + 1
+    fine_groups, mass_at = [], 0
+    for s, fine in zip((1, 2), ranked.fine_sizes):
+        # fine segments are anchored at every case before the largest horizon
+        assert fine == 2 * np.unique(cohort.scores(s)[cases]).size + 1
+        keys = ranked.mass_keys[(s - 1) * n : s * n] - mass_at
+        assert 0 <= keys.min() and keys.max() < n_slots * fine
+        slot, group = np.divmod(keys, fine)
+        # the slot splits at every horizon: before it, then at or beyond it
+        for k, h in enumerate(ranked.horizons):
+            assert np.array_equal(slot <= k, cohort.times < h)
+        fine_groups.append(group)
+        mass_at += n_slots * fine
+    assert mass_at == ranked.mass_width
+    case_at = 0
     pairs = [(h, s) for h in ranked.horizons for s in (1, 2)]
-    assert len(ranked.sizes) == len(pairs)
-    for p, ((h, s), size) in enumerate(zip(pairs, ranked.sizes)):
+    assert len(ranked.sizes) == len(ranked.folds) == len(pairs)
+    for p, ((h, s), size, fold) in enumerate(zip(pairs, ranked.sizes, ranked.folds)):
         is_case = (cohort.times < h) & (cohort.status == 1.0)
         assert size == 2 * np.unique(cohort.scores(s)[is_case]).size + 1
-        keys = ranked.mass_keys[p * n : (p + 1) * n] - mass_at
-        group = keys // 2
+        fine = ranked.fine_sizes[s - 1]
+        assert (fold is None) == (size == fine)  # the largest horizon's own are the fine
+        fold = np.arange(fine) if fold is None else fold
+        group = fold[fine_groups[s - 1]]
         assert 0 <= group.min() and group.max() < size
-        # interleaved: at or beyond the horizon, then before it
-        assert np.array_equal(keys % 2 == 1, cohort.times < h)
+        # through the map, the subjects fill the horizon's own segments
+        own_sizes, _ = _case_segments(np.sort(cohort.scores(s)), cohort.scores(s)[is_case])
+        assert np.array_equal(np.bincount(group, minlength=size), own_sizes)
         # a higher score never sits in a later segment
         order = np.argsort(-cohort.scores(s), kind="stable")
         assert (np.diff(group[order]) >= 0).all()
@@ -292,9 +313,39 @@ def test_ranked_cohort_bins_are_case_anchored(decimals, t0):
         assert np.array_equal(case_keys[in_horizon], group[cases[in_horizon]])
         assert (case_keys[~in_horizon] == size).all()  # the spare bin
         assert (case_keys[in_horizon] % 2 == 1).all()  # every case sits in a tie bin
-        mass_at += 2 * size
         case_at += size + 1
-    assert (mass_at, case_at) == (ranked.mass_width, ranked.case_width)
+    assert case_at == ranked.case_width
+
+
+@pytest.mark.parametrize("n_horizons", [1, 3, 20])
+def test_subject_keys_do_not_grow_with_the_horizons(n_horizons):
+    c = generate_cohort(500, 13)
+    cohort = CohortSample(c.times, c.status, np.round(c.score1, 1), c.score2)
+    horizons = np.linspace(2.0, 36.0, n_horizons)
+    for n_scores in (1, 2):
+        ranked = _RankedCohort(cohort, horizons, n_scores)
+        assert ranked.mass_keys.size == n_scores * cohort.n
+        assert len(ranked.sizes) == n_horizons * n_scores
+
+
+@settings(SETTINGS, max_examples=100)
+@given(
+    adversarial_cohorts(),
+    st.lists(st.sampled_from([1.5, 2.0, 3.0, 4.0, 5.0]), min_size=1, max_size=4),
+)
+def test_fold_maps_fine_segments_onto_each_horizons_own(case, extra):
+    cohort, t0 = case
+    ranked = _RankedCohort(cohort, [*extra, t0], 2)
+    pairs = [(h, s) for h in ranked.horizons for s in (1, 2)]
+    for (h, s), size, fold in zip(pairs, ranked.sizes, ranked.folds):
+        score = cohort.scores(s)
+        ascending = np.sort(score)
+        fine, _ = _case_segments(ascending, score[ranked.case_subjects])
+        is_case = (cohort.times < h) & (cohort.status == 1.0)
+        own, _ = _case_segments(ascending, score[is_case])
+        fold = np.arange(fine.size) if fold is None else fold
+        assert fold.size == fine.size and size == own.size
+        assert np.array_equal(np.bincount(fold, weights=fine, minlength=size), own)
 
 
 def loop_causes(cohort, t0, spec):
@@ -375,6 +426,11 @@ def assert_single_horizon_bits(cohort, horizons, spec, estimands=_PAIRED_ESTIMAN
     Both passes must fit every replicate in one block: the kernel's sums
     depend on which columns of a block hold case mass.
     """
+    n_scores = 2 if inference._NEEDS_SCORE2.intersection(estimands) else 1
+    for pass_horizons in [horizons, *([t0] for t0 in horizons)]:
+        ranked = _RankedCohort(cohort, pass_horizons, n_scores)
+        row_bytes = 8 * (ranked.mass_width + ranked.case_width)
+        assert inference._BLOCK_BYTES // row_bytes >= spec.replicates
     shared = _replicate_matrices(cohort, horizons, spec, estimands)
     for t0, (values, causes) in zip(horizons, shared):
         ((single, single_causes),) = _replicate_matrices(cohort, (t0,), spec, estimands)
@@ -413,6 +469,23 @@ def test_censoring_survival_reaching_zero_between_horizons():
     assert causes[0]["zero_censor_survival"] > 0
     assert causes[2]["zero_censor_survival"] >= causes[0]["zero_censor_survival"]
     assert causes[1]["zero_censor_survival"] == 0
+    assert_single_horizon_bits(cohort, horizons, spec)
+
+
+def test_sweep_shaped_cohort_across_horizons():
+    # scores rounded to 1 decimal, as in a risk-score sweep; horizons out
+    # of order and repeated
+    c = generate_cohort(300, 2718)
+    cohort = CohortSample(c.times, c.status, np.round(c.score1, 1), np.round(c.score2, 1))
+    horizons = [20.0, 5.0, 35.0, 10.0, 30.0, 15.0, 25.0, 10.0, 35.0, 5.0]
+    ranked = _RankedCohort(cohort, horizons, 2)
+    assert ranked.horizons.size == 7
+    # the early horizons fold a strict subset of the fine anchors; the
+    # largest takes them as they are
+    assert ranked.folds[0] is not None and ranked.folds[-1] is None
+    assert ranked.sizes[0] < ranked.fine_sizes[0]
+    spec = BootstrapSpec(replicates=20, seed=2024)
+    assert_horizons_match(cohort, horizons, spec)
     assert_single_horizon_bits(cohort, horizons, spec)
 
 
