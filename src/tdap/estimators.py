@@ -264,13 +264,13 @@ def _point_accuracy(
 
 
 def _estimable_accuracy(
-    cohort: CohortSample, weights: WeightVector, t0: float, score: int = 1
+    cohort: CohortSample, weights: WeightVector, t0: float, score: int, controls: bool
 ) -> tuple[float, float]:
-    """(AP, AUC) from one grouping, raising as ``auc`` does."""
+    """(AP, AUC) from one grouping, raising as ``auc`` does, or only on AP."""
     ap, value = _point_accuracy(cohort, weights, t0, score)
     if np.isnan(ap):
         raise NoEventsBeforeT0Error(t0)
-    if np.isnan(value):
+    if controls and np.isnan(value):
         raise NoControlsAtT0Error(t0)
     return ap, value
 
@@ -285,10 +285,7 @@ def average_precision(
     score.  The result is clipped into [0, 1]; the clip can bind only in
     heavily censored corners where single weights exceed 1.
     """
-    value, _ = _point_accuracy(cohort, weights, t0, score)
-    if np.isnan(value):
-        raise NoEventsBeforeT0Error(t0)
-    return value
+    return _estimable_accuracy(cohort, weights, t0, score, controls=False)[0]
 
 
 def auc(
@@ -299,7 +296,7 @@ def auc(
     Weighted concordance over case/control pairs with half credit for
     tied scores; clipped into [0, 1].
     """
-    return _estimable_accuracy(cohort, weights, t0, score)[1]
+    return _estimable_accuracy(cohort, weights, t0, score, controls=True)[1]
 
 
 def event_rate(cohort: CohortSample, weights: WeightVector, t0: float) -> float:
@@ -367,6 +364,15 @@ def _require_paired(cohort: CohortSample) -> None:
         raise NotPairedError()
 
 
+def _paired_accuracy(
+    cohort: CohortSample, t0: float, weights: WeightVector | None, controls: bool
+) -> list[tuple[float, float]]:
+    """Both scores' (AP, AUC) under one weight vector, score 1 raising first."""
+    if weights is None:
+        weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
+    return [_estimable_accuracy(cohort, weights, t0, s, controls) for s in (1, 2)]
+
+
 def ap_ratio(
     cohort: CohortSample, t0: float, weights: WeightVector | None = None
 ) -> float:
@@ -377,10 +383,7 @@ def ap_ratio(
     0, since no meaningful ratio exists then.
     """
     _require_paired(cohort)
-    if weights is None:
-        weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
-    ap1 = average_precision(cohort, weights, t0, score=1)
-    ap2 = average_precision(cohort, weights, t0, score=2)
+    (ap1, _), (ap2, _) = _paired_accuracy(cohort, t0, weights, controls=False)
     if ap2 <= 0.0:
         raise DivisionByZeroAPError()
     return float(ap1 / ap2)
@@ -391,9 +394,8 @@ def auc_difference(
 ) -> float:
     """Difference of the two scores' AUCs (score 1 minus score 2)."""
     _require_paired(cohort)
-    if weights is None:
-        weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
-    return float(auc(cohort, weights, t0, score=1) - auc(cohort, weights, t0, score=2))
+    (_, auc1), (_, auc2) = _paired_accuracy(cohort, t0, weights, controls=True)
+    return float(auc1 - auc2)
 
 
 def estimate_horizon(
@@ -403,7 +405,7 @@ def estimate_horizon(
     validate_horizon(cohort, t0)
     if weights is None:
         weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
-    ap, value = _estimable_accuracy(cohort, weights, t0)
+    ap, value = _estimable_accuracy(cohort, weights, t0, score=1, controls=True)
     return HorizonEstimates(
         t0=float(t0), event_rate=event_rate(cohort, weights, t0), ap=ap, auc=value
     )
@@ -417,11 +419,7 @@ def compare_horizon(
     validate_horizon(cohort, t0)
     if weights is None:
         weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
-    # one grouping per score; errors keep the order of separate
-    # average_precision and auc calls
-    (ap1, auc1), (ap2, auc2) = (_point_accuracy(cohort, weights, t0, s) for s in (1, 2))
-    if np.isnan(ap1) or np.isnan(ap2):
-        raise NoEventsBeforeT0Error(t0)
+    (ap1, auc1), (ap2, auc2) = _paired_accuracy(cohort, t0, weights, controls=False)
     if ap2 <= 0.0:
         raise DivisionByZeroAPError()
     if np.isnan(auc1) or np.isnan(auc2):

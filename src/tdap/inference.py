@@ -581,7 +581,7 @@ def bootstrap_estimate(
     """
     validate_horizon(cohort, t0)
     weights = _full_weights(cohort, t0, weights)
-    ap, value = _estimable_accuracy(cohort, weights, t0)
+    ap, value = _estimable_accuracy(cohort, weights, t0, score=1, controls=True)
     return _summaries(cohort, t0, spec, {"ap": ap, "auc": value})
 
 

@@ -31,9 +31,9 @@ large uncensored draw.
 Each draw takes the failure variables (U1, U2, the noise) from its
 stream before the censoring variables (A, B).  The oracle needs no
 censoring, so it makes only the failure draw and still sees the T, U1
-and U2 of the full draw.  It sorts each score once and reads AP from
-case-anchored segments (see ``_oracle``), so beyond the draw it holds one
-sorted copy of a score and one case mask per horizon.
+and U2 of the full draw.  It sorts each score in place and reads AP from
+case-anchored segments (see ``_oracle``), so it holds no more than the
+draw's three arrays of n values plus each horizon's case mask and scores.
 """
 
 from __future__ import annotations
@@ -70,6 +70,9 @@ _NOISE_SD = 1.5
 _UNIFORM_HIGH = 50.0
 _GAMMA_SHAPE = 25.0
 _GAMMA_RATE = 0.75
+# values per step of the failure draw: 128 KiB temporaries are reused from
+# the heap, where 512 KiB ones were faulted in afresh at every step
+_DRAW_CHUNK = 16_384
 
 ESTIMANDS = ("AP1", "AP2", "rAP")
 # the same cells as keys of the bootstrap engine's estimand table
@@ -122,10 +125,10 @@ class SimulationConfig:
 def _draw_failure(n: int, rng: np.random.Generator):
     """Draw (T, U1, U2); U1 values of exactly 0 are redrawn.
 
-    ``log T`` is built in place, term by term in the order of the model
-    formula, and the noise is drawn once the U1 and U2 terms are in: it
-    is still the third draw on the stream, and no more than four arrays
-    of n values are alive at any point.
+    ``log T`` is built ``_DRAW_CHUNK`` values at a time, term by term in
+    the order of the model formula and the noise last: the noise is still
+    the third draw on the stream, and no more than three arrays of n
+    values (U1, U2 and T) are alive at any point.
     """
     u1 = rng.standard_normal(n)
     # log(U1^2) needs U1 != 0; probability-zero case redrawn for safety
@@ -135,16 +138,13 @@ def _draw_failure(n: int, rng: np.random.Generator):
             break
         u1[zero] = rng.standard_normal(int(zero.sum()))
     u2 = rng.standard_normal(n)
-    log_t = np.multiply(_COEF_U1, u1)
-    np.subtract(_INTERCEPT, log_t, out=log_t)
-    term = np.multiply(_COEF_U2, u2)
-    log_t -= term
-    np.multiply(u1, u1, out=term)
-    np.log(term, out=term)
-    term *= _COEF_LOG
-    log_t -= term
-    del term
-    log_t += rng.normal(0.0, _NOISE_SD, n)
+    log_t = np.empty(n)
+    for lo in range(0, n, _DRAW_CHUNK):
+        v1, v2 = u1[lo : lo + _DRAW_CHUNK], u2[lo : lo + _DRAW_CHUNK]
+        log_t[lo : lo + _DRAW_CHUNK] = (
+            _INTERCEPT - _COEF_U1 * v1 - _COEF_U2 * v2 - _COEF_LOG * np.log(v1 * v1)
+            + rng.normal(0.0, _NOISE_SD, v1.size)
+        )
     return np.exp(log_t, out=log_t), u1, u2
 
 
@@ -177,11 +177,11 @@ def _oracle(config: SimulationConfig):
     """One large uncensored draw -> (true accuracy cells, event rates).
 
     Only the failure draw is made: with T fully observed every weight is
-    1 and there is no censoring to draw.  Each score is sorted once.  Per
-    horizon, the distinct case scores and their tie counts are placed in
-    the sorted scores by two ``searchsorted`` passes, which gives the
-    case-anchored segments (``estimators._case_segments``) that the
-    AP/AUC kernel reads.  No pass groups the subjects by score.
+    1 and there is no censoring to draw.  T and the case masks are dropped
+    once the case scores are gathered; each score is sorted in place, and
+    per horizon two ``searchsorted`` passes place the distinct case scores
+    and their tie counts in it.  This gives the case-anchored segments
+    (``estimators._case_segments``) that the AP/AUC kernel reads.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, _STREAM_ORACLE))
@@ -190,11 +190,13 @@ def _oracle(config: SimulationConfig):
     is_case = {t0: t < t0 for t0 in config.horizons}
     rates = {t0: float(np.mean(case)) for t0, case in is_case.items()}
     del t
+    case_scores = [{t0: u[case] for t0, case in is_case.items()} for u in (u1, u2)]
+    del is_case
     trues: dict[tuple[float, str], float] = {}
-    for name, score in (("AP1", u1), ("AP2", u2)):
-        ordered = np.sort(score)
-        for t0 in config.horizons:
-            sizes, cases = _case_segments(ordered, score[is_case[t0]])
+    for name, score, cases_at in zip(("AP1", "AP2"), (u1, u2), case_scores):
+        score.sort()
+        for t0 in rates:  # distinct; case scores die before the kernel
+            sizes, cases = _case_segments(score, cases_at.pop(t0))
             trues[(t0, name)] = _accuracy(sizes, cases, sizes - cases)[0]
     for t0 in config.horizons:
         trues[(t0, "rAP")] = trues[(t0, "AP1")] / trues[(t0, "AP2")]

@@ -270,15 +270,7 @@ def test_ap_ratio_zero_denominator_guard(monkeypatch):
     import tdap.estimators as est
 
     coh = CohortSample([1, 5], [1, 1], [2, 1], [1, 2])
-    real = est.average_precision
-    monkeypatch.setattr(
-        est,
-        "average_precision",
-        lambda c, w, t0, score=1: 0.0 if score == 2 else real(c, w, t0, score),
-    )
-    with pytest.raises(DivisionByZeroAPError):
-        est.ap_ratio(coh, 2.0)
-    # compare_horizon groups each score once through _point_accuracy
+    # both group each score once through _point_accuracy
     real_point = est._point_accuracy
     monkeypatch.setattr(
         est,
@@ -288,6 +280,8 @@ def test_ap_ratio_zero_denominator_guard(monkeypatch):
             else real_point(c, w, t0, score)
         ),
     )
+    with pytest.raises(DivisionByZeroAPError):
+        est.ap_ratio(coh, 2.0)
     with pytest.raises(DivisionByZeroAPError):
         est.compare_horizon(coh, 2.0)
 
@@ -326,6 +320,42 @@ def test_point_bundles_keep_error_precedence(
         estimate_horizon(coh, 2.0)
     with pytest.raises(single_error):
         bootstrap_estimate(coh, 2.0, BootstrapSpec(replicates=10))
+
+
+@pytest.mark.parametrize(
+    "acc1, acc2, ratio, difference",
+    [
+        ((NAN, NAN), (0.5, 0.5), NoEventsBeforeT0Error, NoEventsBeforeT0Error),
+        ((0.5, 0.5), (NAN, NAN), NoEventsBeforeT0Error, NoEventsBeforeT0Error),
+        ((0.5, NAN), (NAN, NAN), NoEventsBeforeT0Error, NoControlsAtT0Error),
+        ((0.5, NAN), (0.0, 0.5), DivisionByZeroAPError, NoControlsAtT0Error),
+        ((0.5, 0.5), (0.0, NAN), DivisionByZeroAPError, NoControlsAtT0Error),
+        ((0.5, 0.25), (0.0, 0.75), DivisionByZeroAPError, 0.25 - 0.75),
+        ((0.4, NAN), (0.5, NAN), 0.4 / 0.5, NoControlsAtT0Error),
+    ],
+)
+def test_ratio_and_difference_raise_score_by_score(
+    monkeypatch, acc1, acc2, ratio, difference
+):
+    # ap_ratio raises as two average_precision calls and then on a zero
+    # score-2 AP; auc_difference raises as two auc calls, so score 1's
+    # missing controls come before score 2's missing events.  Neither
+    # validates the horizon: t0 = 9 is beyond the follow-up.
+    import tdap.estimators as est
+
+    coh = CohortSample([1, 5], [1, 1], [2, 1], [1, 2])
+    w = WeightVector(t0=9.0, weights=np.ones(2))
+    monkeypatch.setattr(
+        est, "_point_accuracy", lambda c, w, t0, score: acc1 if score == 1 else acc2
+    )
+    for fn, want in ((ap_ratio, ratio), (auc_difference, difference)):
+        if isinstance(want, float):
+            assert fn(coh, 9.0, w) == want
+        else:
+            with pytest.raises(want):
+                fn(coh, 9.0, w)
+        with pytest.raises(NotPairedError):
+            fn(CohortSample([1, 5], [1, 1], [2, 1]), 9.0, w)
 
 
 def test_point_bundles_equal_separate_estimators():

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from tdap import (
     true_values,
 )
 from tdap.estimators import _accuracy
-from tdap.simulation import _STREAM_ORACLE, _draw_failure, _draw_latent
+from tdap.simulation import (
+    _DRAW_CHUNK,
+    _STREAM_ORACLE,
+    _draw_failure,
+    _draw_latent,
+    _oracle,
+)
 
 
 def tiny_config(**kw):
@@ -111,6 +118,29 @@ def test_true_values_equal_unique_grouping_oracle(seed):
     assert true_values(cfg) == expected
 
 
+def test_repeated_horizons_equal_unique_grouping_oracle():
+    # SimulationConfig keeps repeated horizons, and the oracle takes each
+    # horizon's case scores once
+    cfg = tiny_config(horizons=(36.0, 8.0, 8.0, 0.5))
+    t, _, u1, u2 = reference.draw_latent_unsplit(cfg.oracle_size, oracle_rng(cfg))
+    expected = reference.unique_oracle(t, u1, u2, cfg.horizons, _accuracy)
+    assert true_values(cfg) == expected
+
+
+def test_oracle_holds_no_more_than_the_draw():
+    # U1, U2 and T make 3 arrays of n; the case masks, the case scores and
+    # the kernel's temporaries must fit in half an array more
+    cfg = tiny_config(horizons=(0.5, 8.0, 36.0), oracle_size=1_000_000)
+    true_values(tiny_config())  # lazy imports on first use are not the oracle's
+    tracemalloc.start()
+    try:
+        _oracle(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * cfg.oracle_size
+
+
 def test_true_values_are_nan_below_every_oracle_event():
     cfg = tiny_config(horizons=(1e-4, 8.0))
     t, _, _ = _draw_failure(cfg.oracle_size, oracle_rng(cfg))
@@ -120,7 +150,9 @@ def test_true_values_are_nan_below_every_oracle_event():
     assert not any(np.isnan(tv[(8.0, e)]) for e in ESTIMANDS)
 
 
-@pytest.mark.parametrize("n, seed", [(2, 0), (1000, 42), (100_000, 7)])
+@pytest.mark.parametrize(
+    "n, seed", [(2, 0), (1000, 42), (100_000, 7), (3 * _DRAW_CHUNK + 17, 13)]
+)
 def test_draws_are_bit_identical_to_unsplit_draw(n, seed):
     t, c, u1, u2 = reference.draw_latent_unsplit(n, np.random.default_rng(seed))
     latent = _draw_latent(n, np.random.default_rng(seed))
