@@ -21,6 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._csvtext import write_rows
 from .errors import (
     EmptyCohortError,
     InvalidStatusError,
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 # rows formatted and written per block by the CSV writer
-_CSV_BLOCK_ROWS = 2048
+_CSV_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -410,36 +411,16 @@ def read_cohort_csv(source, columns: ColumnMap | None = None) -> CohortSample:
     return _read_rows(text, columns)
 
 
-def _cells(block) -> list[str]:
-    """The CSV text of each cell of ``block``: ``repr`` of a float.
-
-    In a float block with many repeats (curve coordinates), ``repr``
-    runs once per run of equal bits, so -0.0 and 0.0 stay apart.  On
-    2048-row blocks the run path takes 0.59x the plain path's time when
-    half the values start a run and breaks even at about 90% (1.08x with
-    no repeats), so blocks with more than half run heads go the plain way.
-    """
-    if not isinstance(block, np.ndarray):
-        return list(map(str, block))  # a float's str is its repr
-    if block.dtype != np.float64:
-        return list(map(str, block.tolist()))
-    bits = block.view(np.int64)
-    head = np.empty(block.size, dtype=bool)
-    head[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=head[1:])
-    if 2 * np.count_nonzero(head) > block.size:
-        return list(map(repr, block.tolist()))
-    texts = [repr(v) for v in block[head].tolist()]
-    return [texts[i] for i in (np.cumsum(head) - 1).tolist()]
-
-
 def _write_csv(destination, header: Sequence[str], columns: Sequence) -> None:
     """Write equal-length columns as CSV to a path or a text stream.
 
-    Rows end in \\r\\n, as ``csv.writer`` ends them.  Cells are written
-    verbatim, so they must never need CSV quoting: numbers and fixed
-    labels only.  Rows are formatted and written in blocks of
-    ``_CSV_BLOCK_ROWS``, so memory does not grow with the row count.
+    Rows end in \\r\\n, as ``csv.writer`` ends them.  Float64 and int64
+    array cells read as ``repr`` and ``str`` of each value, formatted a
+    block at a time without a call per value (``_csvtext``); other
+    columns go through ``str``.  Cells are written verbatim, so they must
+    never need CSV quoting: numbers and fixed labels only.  Rows are
+    formatted and written in blocks of ``_CSV_BLOCK_ROWS`` in reused
+    buffers, so memory does not grow with the row count.
     """
     with (
         open(destination, "w", newline="", encoding="utf-8")
@@ -447,10 +428,7 @@ def _write_csv(destination, header: Sequence[str], columns: Sequence) -> None:
         else contextlib.nullcontext(destination)
     ) as stream:
         stream.write(",".join(header) + "\r\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            stop = start + _CSV_BLOCK_ROWS
-            cells = [_cells(column[start:stop]) for column in columns]
-            stream.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        write_rows(stream, columns, _CSV_BLOCK_ROWS)
 
 
 def write_cohort_csv(cohort: CohortSample, destination) -> None:

@@ -1,5 +1,6 @@
 import csv
 import io
+import sys
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference
+import tdap._csvtext as csvtext
 import tdap.cohort as cohort_module
 from tdap import (
     CohortSample,
@@ -427,29 +429,122 @@ def test_cohort_writer_matches_row_writer(coh):
     assert back == coh
 
 
+# where repr changes layout: positional vs exponent, the fast path's range
+_SWITCH_POINTS = [
+    1e-4,
+    1e-5,
+    9999999999999998.0,
+    1e16,
+    1e22,
+    2.0**50,
+    float(np.nextafter(2.0**50, 0)),
+    float(np.nextafter(2.0**50, np.inf)),
+    5e-324,
+    2.2250738585072014e-308,
+]
+_WRITER_POOL = [0.0, -0.0, 1.0, 0.1, 5e-324, float("inf"), float("nan")] + [
+    -1.0, -0.1, -2.5, float("-inf"), 123.456, -9.87654321e-7,
+] + _SWITCH_POINTS + [-v for v in _SWITCH_POINTS]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     values=st.lists(
-        st.sampled_from([0.0, -0.0, 1.0, 0.1, 5e-324, float("inf"), float("nan")]),
+        st.sampled_from(_WRITER_POOL),
         min_size=0,
+        max_size=60,
+    ),
+    ints=st.lists(
+        st.one_of(st.integers(-1000, 1000), st.integers(-(2**63), 2**63 - 1)),
+        min_size=60,
         max_size=60,
     ),
     block=st.integers(1, 7),
 )
-def test_column_writer_matches_csv_writer(values, block):
+def test_column_writer_matches_csv_writer(values, ints, block):
     # runs of equal values across small blocks; 0.0 and -0.0 must stay apart
+    ints = ints[: len(values)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cohort_module, "_CSV_BLOCK_ROWS", block)
         arr = np.array(values, dtype=float)
         labels = [f"r{i}" for i in range(len(values))]
         ours = io.StringIO()
-        cohort_module._write_csv(ours, ("x", "label", "y"), (arr, labels, arr[::-1].copy()))
+        cohort_module._write_csv(
+            ours,
+            ("x", "label", "y", "k"),
+            (arr, labels, arr[::-1].copy(), np.array(ints, dtype=np.int64)),
+        )
     theirs = io.StringIO()
     writer = csv.writer(theirs)
-    writer.writerow(["x", "label", "y"])
-    for x, label, y in zip(values, labels, values[::-1]):
-        writer.writerow([repr(x), label, repr(y)])
+    writer.writerow(["x", "label", "y", "k"])
+    for x, label, y, k in zip(values, labels, values[::-1], ints):
+        writer.writerow([repr(x), label, repr(y), str(k)])
     assert ours.getvalue() == theirs.getvalue()
+
+
+def _written(values) -> list[str]:
+    """The cells of one float64 column as the CSV writer writes them."""
+    buf = io.StringIO()
+    cohort_module._write_csv(buf, ("x",), (np.asarray(values, dtype=np.float64),))
+    return buf.getvalue().split("\r\n")[1:-1]
+
+
+def test_float_text_matches_repr():
+    rng = np.random.default_rng(20181)
+    # random bit patterns: 96 per biased exponent, either sign
+    exponents = np.repeat(np.arange(2048, dtype=np.uint64), 96)
+    mantissas = rng.integers(0, 2**52, exponents.size, dtype=np.uint64)
+    signs = rng.integers(0, 2, exponents.size, dtype=np.uint64)
+    bits = (signs << np.uint64(63)) | (exponents << np.uint64(52)) | mantissas
+    powers = np.array([2.0**k for k in range(-1074, 1024)] + [10.0**k for k in range(-323, 309)])
+    pool = np.concatenate(
+        [
+            bits.view(np.float64),
+            powers,
+            np.nextafter(powers, 0.0),
+            np.nextafter(powers, np.inf),
+            -powers,
+            _SWITCH_POINTS,
+            np.nextafter(_SWITCH_POINTS, 0.0),
+            np.nextafter(_SWITCH_POINTS, np.inf),
+            rng.standard_normal(4000) * np.exp(rng.uniform(-30, 30, 4000)),
+            np.round(rng.standard_normal(4000), 3),
+        ]
+    )
+    assert pool.size >= 200_000
+    assert _written(pool) == [repr(v) for v in pool.tolist()]
+
+
+def test_float_text_calls_repr_only_off_the_fast_path(monkeypatch):
+    handed = []
+    text_cells = csvtext._text_cells
+
+    def counted(words, rows, *args):
+        handed.append(rows.size)
+        text_cells(words, rows, *args)
+
+    monkeypatch.setattr(csvtext, "_text_cells", counted)
+    values = np.random.default_rng(7).standard_normal(3000)
+    assert _written(values) == [repr(v) for v in values.tolist()]
+    assert sum(handed) == 0
+    # subnormals, inf, nan, dyadic fractions and large values go to repr;
+    # whole values below 1e16, zeros included, do not
+    _written([0.0, -0.0, 5e-324, np.inf, np.nan, 0.5, 2.0**60 + 2**9, 3.0, 1e15])
+    assert sum(handed) == 5
+
+
+def test_writer_without_short_repr_uses_repr_alone(monkeypatch):
+    values = np.array(_WRITER_POOL * 3)
+    expected = [repr(v) for v in values.tolist()]
+    assert _written(values) == expected
+
+    def unused(*args):
+        raise AssertionError("the float kernel ran")
+
+    monkeypatch.setattr(sys, "float_repr_style", "legacy")
+    monkeypatch.setattr(csvtext, "_shortest", unused)
+    monkeypatch.setattr(csvtext, "_layout", unused)
+    assert _written(values) == expected
 
 
 def test_curve_writer_matches_row_writer(tmp_path):
