@@ -22,18 +22,11 @@ import numpy as np
 from .censoring import fit_censoring_km, ipcw_weights
 from .cohort import ColumnMap, _write_csv, read_cohort_csv, validate_horizon
 from .errors import TdapError
-from .estimators import (  # bench/spans.py wraps the two *_curve names here
-    _curves,
-    compare_horizon,
-    estimate_horizon,
-    pr_curve,
-    roc_curve,
-)
+from .estimators import _curves, pr_curve, roc_curve  # bench/spans.py wraps *_curve
 from .inference import (  # bench/spans.py wraps the two bootstrap_* names here
     DEFAULT_SEED,
     BootstrapSpec,
     _bootstrap_horizons,
-    _paired_points,
     bootstrap_compare,
     bootstrap_summary,
 )
@@ -88,6 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_boot_flags(est, 1000)
     est.add_argument("--curves", help="write PR/ROC curve CSV here (single --t0 only)")
     est.add_argument("--json", help="write summary JSON here")
+    est.set_defaults(sweep=None, csv=None)
 
     cmp_ = sub.add_parser("compare", help="paired comparison of two scores")
     _add_io_flags(cmp_)
@@ -101,6 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_boot_flags(cmp_, 1000)
     cmp_.add_argument("--csv", help="write sweep results CSV here")
     cmp_.add_argument("--json", help="write summary JSON here")
+    cmp_.set_defaults(curves=None)
 
     sim = sub.add_parser("simulate", help="Monte-Carlo study of the estimators")
     sim.add_argument("--n", type=int, default=2000, help="cohort size")
@@ -143,73 +138,26 @@ def _flat(prefix: str, s) -> dict:
     }
 
 
-def _write_curves(path: str, cohort, weights, t0: float) -> None:
+def _write_curves(path: str, cohort, t0: float) -> None:
+    weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
     pr, roc = _curves(cohort, weights, t0, 1, ("pr", "roc"))
     _write_csv(
         path, ("threshold", "tpf", "ppv", "fpf"), (pr.thresholds, pr.xs, pr.ys, roc.xs)
     )
 
 
-def _horizon_points(cohort, horizons, estimate):
-    """Weights and point estimates per horizon, in order, up to the first error.
-
-    Returns the list of ``(t0, weights, estimates)`` and the error of the
-    first horizon that fails (None when none does).  The commands print
-    the horizons before it and then raise it, as a horizon-by-horizon
-    loop would.
-    """
-    censor_survival = fit_censoring_km(cohort)
-    points = []
-    for t0 in horizons:
-        try:
-            validate_horizon(cohort, t0)
-            weights = ipcw_weights(cohort, censor_survival, t0)
-            points.append((t0, weights, estimate(cohort, t0, weights)))
-        except (TdapError, ValueError) as err:
-            return points, err
-    return points, None
-
-
-def _cmd_estimate(args) -> int:
-    cohort = read_cohort_csv(args.input, _column_map(args))
-    horizons = list(args.t0)
-    if args.curves and len(horizons) != 1:
-        raise ValueError("--curves requires exactly one --t0")
-    spec = BootstrapSpec(replicates=args.boot, level=args.level, seed=args.seed)
-    results = []
-    print(f"cohort: n={cohort.n} ({'paired' if cohort.paired else 'single score'})")
-    points, error = _horizon_points(cohort, horizons, estimate_horizon)
-    summaries = _bootstrap_horizons(
-        cohort, spec, [(t0, {"ap": p.ap, "auc": p.auc}) for t0, _, p in points]
-    )
-    for (t0, weights, point), both in zip(points, summaries):
-        ap_s, auc_s = both["ap"], both["auc"]
-        rate = point.event_rate
-        print(f"t0={t0:.6g}  event_rate={rate:.6g}")
-        print(_summary_block("AP", ap_s, spec.level))
-        print(_summary_block("AUC", auc_s, spec.level))
-        results.append(
-            {"t0": t0, "event_rate": rate, **_flat("ap", ap_s), **_flat("auc", auc_s)}
-        )
-        if args.curves:
-            _write_curves(args.curves, cohort, weights, t0)
-    if error is not None:
-        raise error
-    if args.json:
-        payload = {"n": cohort.n, "level": spec.level, "results": results}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(payload))
-    return 0
-
-
-_COMPARE_LABELS = (
-    ("ap", "AP1"),
-    ("ap2", "AP2"),
-    ("rap", "rAP"),
-    ("auc", "AUC1"),
-    ("auc2", "AUC2"),
-    ("dauc", "dAUC"),
-)
+# per command: each estimand and its printed label, in printed order
+_LABELS = {
+    "estimate": (("ap", "AP"), ("auc", "AUC")),
+    "compare": (
+        ("ap", "AP1"),
+        ("ap2", "AP2"),
+        ("rap", "rAP"),
+        ("auc", "AUC1"),
+        ("auc2", "AUC2"),
+        ("dauc", "dAUC"),
+    ),
+}
 
 
 # sweep CSV column -> key of a result row
@@ -249,27 +197,43 @@ def _parse_sweep(text: str) -> Iterable[float]:
     return (float(start + step * k) for k in range(count))
 
 
-def _cmd_compare(args) -> int:
+def _cmd_horizons(args) -> int:
+    """``estimate`` and ``compare``: every estimand of ``_LABELS`` per horizon.
+
+    Points, CIs and SEs come from one bootstrap pass over the valid
+    horizons; its full-cohort row gives the points.
+    """
+    # ``estimate`` requires --t0 and has no --sweep, so only compare trips this
     if bool(args.t0) == bool(args.sweep):
         raise ValueError("compare needs exactly one of --t0 or --sweep")
     cohort = read_cohort_csv(args.input, _column_map(args))
     horizons = _parse_sweep(args.sweep) if args.sweep else list(args.t0)
+    if args.curves and len(horizons) != 1:
+        raise ValueError("--curves requires exactly one --t0")
     spec = BootstrapSpec(replicates=args.boot, level=args.level, seed=args.seed)
+    labels = _LABELS[args.command]
     results = []
     print(f"cohort: n={cohort.n} ({'paired' if cohort.paired else 'single score'})")
-    points, error = _horizon_points(cohort, horizons, compare_horizon)
-    estimates = [(t0, _paired_points(p)) for t0, _, p in points]
-    for (t0, _, point), summaries in zip(
-        points, _bootstrap_horizons(cohort, spec, estimates)
-    ):
-        rate = point.event_rate
+    # the horizons before the first that fails validation: they are
+    # printed, then its error is raised, as a horizon-by-horizon loop would
+    valid, error = [], None
+    for t0 in horizons:
+        try:
+            validate_horizon(cohort, t0)
+        except (TdapError, ValueError) as err:
+            error = err
+            break
+        valid.append(t0)
+    summaries = _bootstrap_horizons(cohort, spec, valid, tuple(k for k, _ in labels))
+    for t0, (rate, summary) in zip(valid, summaries):
         print(f"t0={t0:.6g}  event_rate={rate:.6g}")
-        for key, label in _COMPARE_LABELS:
-            print(_summary_block(label, summaries[key], spec.level))
         row = {"t0": t0, "event_rate": rate}
-        for key, _ in _COMPARE_LABELS:
-            row.update(_flat(key, summaries[key]))
+        for key, label in labels:
+            print(_summary_block(label, summary[key], spec.level))
+            row.update(_flat(key, summary[key]))
         results.append(row)
+        if args.curves:
+            _write_curves(args.curves, cohort, t0)
     if error is not None:
         raise error
     if args.csv:
@@ -305,8 +269,8 @@ def _cmd_simulate(args) -> int:
 
 
 _HANDLERS = {
-    "estimate": _cmd_estimate,
-    "compare": _cmd_compare,
+    "estimate": _cmd_horizons,
+    "compare": _cmd_horizons,
     "simulate": _cmd_simulate,
 }
 

@@ -384,8 +384,8 @@ def read_cohort_csv(source, columns: ColumnMap | None = None) -> CohortSample:
     A path or binary stream is read once as bytes.  Unless the bytes
     hold a quote or a NUL, they are parsed column-wise in one pass;
     quoted files, and any input that pass cannot accept, go through the
-    row reader, which alone raises the errors below.  A text stream is
-    always read row by row.
+    row reader, which alone raises the errors below.  A text stream, any
+    stream whose ``read()`` returns ``str``, is always read row by row.
 
     Raises
     ------
@@ -400,6 +400,8 @@ def read_cohort_csv(source, columns: ColumnMap | None = None) -> CohortSample:
             data = fh.read()
     elif hasattr(source, "read"):
         data = source.read()
+        if isinstance(data, str):  # a text stream outside the io hierarchy
+            return _read_rows(io.StringIO(data, newline=""), columns)
     else:
         raise TypeError(f"cannot read cohort from {type(source).__name__}")
     # quotes need the csv module; so does NUL, which csv rejects on Python 3.10

@@ -10,6 +10,9 @@ observed.
 Ties in the scores get half credit everywhere: a subject's own score
 contributes half of itself to the precision at that score, and tied
 case/control pairs count 1/2 toward concordance.
+
+Every public function that takes a ``WeightVector`` raises
+``ValueError`` when it was built for another horizon or cohort.
 """
 
 from __future__ import annotations
@@ -101,8 +104,19 @@ class PairedEstimates:
     dauc: float
 
 
+def _check_weights(cohort: CohortSample, weights: WeightVector, t0: float) -> None:
+    """Raise ``ValueError`` unless ``weights`` were built for ``t0`` and this cohort."""
+    if weights.t0 != float(t0) or weights.n != cohort.n:
+        raise ValueError(
+            f"weights were built for t0={weights.t0!r} and {weights.n} subjects, "
+            f"not t0={float(t0)!r} and {cohort.n}"
+        )
+
+
 def _case_mass(cohort: CohortSample, weights: WeightVector, t0: float) -> np.ndarray:
-    # I(X < t0) * w; already 0 for subjects censored before t0
+    # I(X < t0) * w; already 0 for subjects censored before t0.  Every
+    # public function that takes weights reads them here, so all check them.
+    _check_weights(cohort, weights, t0)
     return weights.weights * (cohort.times < t0)
 
 
@@ -132,11 +146,11 @@ def ppv_at(
     denominator is the plain count of subjects screened positive (score
     observation is never censored, so it needs no reweighting).
     """
+    case_w = _case_mass(cohort, weights, t0)
     positive = cohort.score1 >= threshold
     n_pos = int(np.count_nonzero(positive))
     if n_pos == 0:
         raise EmptyThresholdSetError(threshold)
-    case_w = _case_mass(cohort, weights, t0)
     return float(case_w[positive].sum() / n_pos)
 
 

@@ -12,7 +12,9 @@ are accepted for compatibility and never change a result.
 
 The engine never materialises a resample, and one pass serves every
 horizon of a command.  The cohort is ranked once and a replicate is its
-multiplicity vector: how often each subject was drawn.  Each replicate
+multiplicity vector: how often each subject was drawn.  The full cohort
+is the replicate that draws each subject once; the pass runs it first
+and the command line reads its point estimates from that row.  Each replicate
 is drawn once, and its reverse Kaplan-Meier curve fitted once, for all
 horizons; resample validity, G(t0) and the segmented case, control and
 count masses are ``bincount``/``cumsum`` passes over fixed ranks.  The
@@ -39,7 +41,7 @@ a fixed byte budget, so memory does not grow with the replicate count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,6 +51,7 @@ from .errors import TooManyFailedReplicatesError
 from .estimators import (
     _accuracy,
     _case_segments,
+    _check_weights,
     _estimable_accuracy,
     _ratio,
     auc,
@@ -379,16 +382,21 @@ def _replicate_matrices(
     horizons,
     spec: BootstrapSpec,
     estimands: tuple[str, ...],
-) -> list[tuple[np.ndarray, dict[str, int]]]:
-    """Run every replicate once for all ``horizons``.
+) -> list[tuple[np.ndarray, float, np.ndarray, dict[str, int]]]:
+    """Run the full cohort and every replicate once for all ``horizons``.
 
     Returns, per horizon in the given order (repeats included), the
-    usable rows and the failure count of each cause in
-    ``_FAILURE_CAUSES``: no case before t0; the censoring survival
-    reaching 0 below t0 (which leaves nobody at t0 as well); nobody
-    followed up to t0; an estimand undefined on a usable resample (rAP
-    when the score-2 AP is not positive).  Columns follow ``estimands``
-    (keys of the estimand table).
+    point row, the event rate, the usable rows and the failure count of
+    each cause in ``_FAILURE_CAUSES``: no case before t0; the censoring
+    survival reaching 0 below t0 (which leaves nobody at t0 as well);
+    nobody followed up to t0; an estimand undefined on a usable resample
+    (rAP when the score-2 AP is not positive).  Columns follow
+    ``estimands`` (keys of the estimand table).
+
+    The point row draws each subject once and runs as a block of its
+    own, so its AP, AP2 and rAP are bit for bit ``compare_horizon``'s;
+    it is never NaN at a horizon that passes ``validate_horizon``.  The
+    event rate is its case mass before t0 over n, clipped into [0, 1].
 
     Replicate b draws ``default_rng(SeedSequence(spec.seed).spawn(B)[b])
     .integers(0, n, size=n)``, so the resamples are those of a plain
@@ -403,11 +411,31 @@ def _replicate_matrices(
     n_scores = 2 if _NEEDS_SCORE2.intersection(estimands) else 1
     ranked = _RankedCohort(cohort, horizons, n_scores)
     n, n_reps, n_horizons = cohort.n, spec.replicates, ranked.horizons.size
-    values = np.empty((n_horizons, n_reps, len(table)))
-    stats = np.empty((n_reps, 3, n_horizons))
     rows = max(1, _BLOCK_BYTES // (8 * (ranked.mass_width + ranked.case_width)))
     mass = np.empty((rows, ranked.mass_width))
     case = np.empty((rows, ranked.case_width))
+
+    def run_block(stats, out):
+        """Fill ``out`` with the estimands of the block rows behind ``stats``."""
+        block = len(stats)
+        per_horizon, stats[:, 1] = ranked.accuracy(
+            mass[:block], case[:block], stats[:, 2]
+        )
+        for k, acc in enumerate(per_horizon):
+            for e, stat in enumerate(table):
+                out[k, :, e] = stat(acc)
+
+    points = np.empty((n_horizons, 1, len(table)))
+    point_stats = np.empty((1, 3, n_horizons))
+    ranked.replicate(np.ones(n), mass[0], case[0], point_stats[0])
+    run_block(point_stats, points)
+    case_mass = np.bincount(
+        ranked.case_slot, weights=ranked.case_weights[0], minlength=n_horizons + 1
+    )
+    rates = np.clip(np.cumsum(case_mass)[:n_horizons] / n, 0.0, 1.0)
+
+    values = np.empty((n_horizons, n_reps, len(table)))
+    stats = np.empty((n_reps, 3, n_horizons))
     children = np.random.SeedSequence(spec.seed).spawn(n_reps)
     for start in range(0, n_reps, rows):
         block = children[start : start + rows]
@@ -417,12 +445,7 @@ def _replicate_matrices(
                 np.bincount(idx, minlength=n), mass[r], case[r], stats[start + r]
             )
         stop = start + len(block)
-        per_horizon, stats[start:stop, 1] = ranked.accuracy(
-            mass[: len(block)], case[: len(block)], stats[start:stop, 2]
-        )
-        for k, acc in enumerate(per_horizon):
-            for e, stat in enumerate(table):
-                values[k, start:stop, e] = stat(acc)
+        run_block(stats[start:stop], values[:, start:stop])
 
     cases, at_t0, g_t0 = stats[:, 0], stats[:, 1], stats[:, 2]
     no_case = cases == 0.0
@@ -434,7 +457,8 @@ def _replicate_matrices(
         defined = ~np.isnan(values[k]).any(axis=1)
         counts = (no_case[:, k], zero_g[:, k], nobody[:, k], usable[:, k] & ~defined)
         causes = dict(zip(_FAILURE_CAUSES, (int(c.sum()) for c in counts)))
-        results.append((values[k][usable[:, k] & defined], causes))
+        rows_k = values[k][usable[:, k] & defined]
+        results.append((points[k, 0], float(rates[k]), rows_k, causes))
     slots = np.searchsorted(ranked.horizons, np.asarray(horizons, dtype=float))
     return [results[k] for k in slots]
 
@@ -459,8 +483,8 @@ def _replicate_matrix(
     replicate fails when its resample cannot be estimated or an
     estimand is undefined on it; failed rows are dropped.
     """
-    (result,) = _replicate_matrices(cohort, (t0,), spec, estimands)
-    return _usable(*result, spec.replicates)
+    ((_, _, values, causes),) = _replicate_matrices(cohort, (t0,), spec, estimands)
+    return _usable(values, causes, spec.replicates)
 
 
 def _single_estimand(estimand: str, score: int) -> str:
@@ -478,11 +502,7 @@ def _full_weights(
 ) -> WeightVector:
     if weights is None:
         return ipcw_weights(cohort, fit_censoring_km(cohort), t0)
-    if weights.t0 != float(t0) or weights.n != cohort.n:
-        raise ValueError(
-            f"weights were built for t0={weights.t0!r} and {weights.n} subjects, "
-            f"not t0={float(t0)!r} and {cohort.n}"
-        )
+    _check_weights(cohort, weights, t0)
     return weights
 
 
@@ -506,43 +526,44 @@ def bootstrap_values(
     return values[:, 0], failed
 
 
-def _summary(estimand, t0, point, values, failed, level) -> AccuracySummary:
+def _summary_map(t0, points, values, failed, level) -> dict[str, AccuracySummary]:
+    """Percentile CI and SE per ``(estimand, point)`` pair, from column k for pair k."""
     alpha = 1.0 - level
-    lower, upper = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return AccuracySummary(
-        estimand=estimand,
-        t0=float(t0),
-        point=float(point),
-        lower=float(lower),
-        upper=float(upper),
-        se=float(np.std(values, ddof=1)),
-        replicates_used=int(values.shape[0]),
-        replicates_failed=int(failed),
-    )
+    out = {}
+    for k, (name, point) in enumerate(points):
+        lower, upper = np.quantile(values[:, k], [alpha / 2.0, 1.0 - alpha / 2.0])
+        out[name] = AccuracySummary(
+            estimand=name,
+            t0=float(t0),
+            point=float(point),
+            lower=float(lower),
+            upper=float(upper),
+            se=float(np.std(values[:, k], ddof=1)),
+            replicates_used=int(values.shape[0]),
+            replicates_failed=int(failed),
+        )
+    return out
 
 
-def _bootstrap_horizons(cohort, spec, points: list[tuple[float, dict]]):
-    """Summaries per horizon from one joint bootstrap of every horizon.
+def _bootstrap_horizons(cohort, spec, horizons, estimands):
+    """Event rate and summaries per horizon from one pass of every horizon.
 
-    ``points`` pairs each horizon with its point estimates, keyed by
-    estimand (the same keys at every horizon).  Yields one dict of
-    summaries per horizon, in order; a horizon with too many failed
-    replicates raises ``TooManyFailedReplicatesError`` once the horizons
-    before it have been yielded.
+    The points are the pass's own full-cohort row.  Yields one
+    ``(event_rate, summaries)`` pair per horizon, in order, summaries
+    keyed by estimand; a horizon with too many failed replicates raises
+    ``TooManyFailedReplicatesError`` once the horizons before it have
+    been yielded.  Every horizon must pass ``validate_horizon``.
     """
-    estimands = tuple(points[0][1]) if points else ()
-    results = _replicate_matrices(cohort, [t0 for t0, _ in points], spec, estimands)
-    for (t0, point), result in zip(points, results):
-        values, failed = _usable(*result, spec.replicates)
-        yield {
-            name: _summary(name, t0, value, values[:, k], failed, spec.level)
-            for k, (name, value) in enumerate(point.items())
-        }
+    results = _replicate_matrices(cohort, horizons, spec, estimands)
+    for t0, (point, rate, values, causes) in zip(horizons, results):
+        values, failed = _usable(values, causes, spec.replicates)
+        yield rate, _summary_map(t0, zip(estimands, point), values, failed, spec.level)
 
 
 def _summaries(cohort, t0, spec, points: dict) -> dict[str, AccuracySummary]:
-    """One joint bootstrap of every estimand named in ``points``."""
-    return next(_bootstrap_horizons(cohort, spec, [(t0, points)]))
+    """One joint bootstrap of every estimand named in ``points``, at those points."""
+    values, failed = _replicate_matrix(cohort, t0, spec, tuple(points))
+    return _summary_map(t0, points.items(), values, failed, spec.level)
 
 
 def bootstrap_summary(
@@ -555,15 +576,16 @@ def bootstrap_summary(
 ) -> AccuracySummary:
     """Point estimate on the original cohort plus percentile CI and SE.
 
-    ``threads`` is accepted for compatibility; runs are single-threaded.
+    The summary is labelled ``estimand`` ("ap" or "auc") for either
+    score.  ``threads`` is accepted for compatibility; runs are
+    single-threaded.
     """
     name = _single_estimand(estimand, score)
     validate_horizon(cohort, t0)
-    weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
     estimator = average_precision if estimand == "ap" else auc
-    point = estimator(cohort, weights, t0, score=score)
-    values, failed = _replicate_matrix(cohort, t0, spec, (name,))
-    return _summary(estimand, t0, point, values[:, 0], failed, spec.level)
+    point = estimator(cohort, _full_weights(cohort, t0, None), t0, score=score)
+    summary = _summaries(cohort, t0, spec, {name: point})[name]
+    return replace(summary, estimand=estimand)
 
 
 def bootstrap_estimate(
@@ -601,17 +623,13 @@ def bootstrap_compare(
     ``rap``, ``auc``, ``auc2``, ``dauc``.
     """
     validate_horizon(cohort, t0)
-    point = compare_horizon(cohort, t0, _full_weights(cohort, t0, weights))
-    return _summaries(cohort, t0, spec, _paired_points(point))
-
-
-def _paired_points(point) -> dict[str, float]:
-    """``compare_horizon``'s estimates keyed as in the estimand table."""
-    return {
-        "ap": point.ap1,
-        "ap2": point.ap2,
-        "rap": point.rap,
-        "auc": point.auc1,
-        "auc2": point.auc2,
-        "dauc": point.dauc,
+    p = compare_horizon(cohort, t0, _full_weights(cohort, t0, weights))
+    points = {
+        "ap": p.ap1,
+        "ap2": p.ap2,
+        "rap": p.rap,
+        "auc": p.auc1,
+        "auc2": p.auc2,
+        "dauc": p.dauc,
     }
+    return _summaries(cohort, t0, spec, points)

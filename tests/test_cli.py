@@ -167,6 +167,24 @@ def test_compare_requires_pairs(fixture_csv, capsys):
     assert "NotPairedError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "horizons, error",
+    [
+        # the first horizon is valid: the bootstrap pass asks for score 2
+        (["2.5", "0.5"], "NotPairedError: cohort has no second score column"),
+        # the first horizon fails validation before any pass runs
+        (["0.5", "2.5"], "NoEventsBeforeT0Error: no observed events before t0=0.5"),
+        (["9", "2.5"], "T0BeyondSupportError: t0=9.0 exceeds the largest observed time 6.0"),
+    ],
+)
+def test_compare_on_a_single_score_cohort(fixture_csv, capsys, horizons, error):
+    argv = ["compare", "--input", fixture_csv, "--boot", "20"]
+    for t0 in horizons:
+        argv += ["--t0", t0]
+    code, out, err = run_captured(argv, capsys)
+    assert (code, out, err) == (2, "cohort: n=4 (single score)\n", f"error: {error}\n")
+
+
 def test_compare_needs_t0_or_sweep(paired_csv, capsys):
     assert run(["compare", "--input", paired_csv]) == 2
     assert (

@@ -1,6 +1,7 @@
 import csv
 import io
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -127,6 +128,22 @@ def test_empty_inputs():
 def test_blank_lines_skipped():
     coh = read_cohort_csv(io.StringIO("time,status,score1\n1,1,4\n\n2,0,3\n"))
     assert coh.n == 2
+
+
+def test_text_stream_outside_the_io_hierarchy():
+    # SpooledTemporaryFile is no io.TextIOBase, but its read() gives str
+    quoted = 'time,status,score1\r\n"1",1,4\r\n5,1,3\r\n'
+    for text in (PAIRED, quoted):
+        with tempfile.SpooledTemporaryFile(mode="w+") as fh:
+            fh.write(text)
+            fh.seek(0)
+            coh = read_cohort_csv(fh)
+        assert coh == read_cohort_csv(io.StringIO(text))
+    with tempfile.SpooledTemporaryFile(mode="w+") as fh:
+        fh.write("time,status,score1\n1,1,oops\n")
+        fh.seek(0)
+        with pytest.raises(NonNumericCellError):
+            read_cohort_csv(fh)
 
 
 def test_path_round_trip(tmp_path):
@@ -554,7 +571,7 @@ def test_curve_writer_matches_row_writer(tmp_path):
             coh = CohortSample(coh.times, coh.status, np.round(coh.score1, digits))
         w = ipcw_weights(coh, fit_censoring_km(coh), t0)
         path = tmp_path / "curves.csv"
-        _write_curves(str(path), coh, w, t0)
+        _write_curves(str(path), coh, t0)
         theirs = io.StringIO()
         reference.write_curve_rows(pr_curve(coh, w, t0), roc_curve(coh, w, t0), theirs)
         assert path.read_bytes() == theirs.getvalue().encode()

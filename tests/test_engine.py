@@ -41,6 +41,8 @@ from tdap import (
     average_precision,
     bootstrap_estimate,
     bootstrap_summary,
+    compare_horizon,
+    estimate_horizon,
     fit_censoring_km,
     generate_cohort,
     ipcw_weights,
@@ -348,6 +350,43 @@ def test_fold_maps_fine_segments_onto_each_horizons_own(case, extra):
         assert np.array_equal(np.bincount(fold, weights=fine, minlength=size), own)
 
 
+@settings(SETTINGS, max_examples=100)
+@given(
+    adversarial_cohorts(),
+    st.lists(st.sampled_from([1.5, 2.0, 3.0, 4.0, 5.0]), min_size=0, max_size=4),
+    st.booleans(),
+)
+def test_point_row_matches_the_point_estimators(case, extra, at_top):
+    # the horizons that pass validation, unsorted and repeated, with the
+    # largest time among them when `at_top` is set
+    cohort, t0 = case
+    top = float(cohort.times.max())
+    horizons = [*extra, t0, *([top] if at_top else []), *extra[:1]]
+    valid = []
+    for h in horizons:
+        try:
+            validate_horizon(cohort, h)
+        except TdapError:
+            continue
+        valid.append(h)
+    spec = BootstrapSpec(replicates=2, seed=0)
+    paired = _replicate_matrices(cohort, valid, spec, _PAIRED_ESTIMANDS)
+    single = _replicate_matrices(cohort, valid, spec, ("ap", "auc"))
+    for h, (point, rate, _, _), (point1, rate1, _, _) in zip(valid, paired, single):
+        assert not np.isnan(point).any() and not np.isnan(point1).any()
+        want = compare_horizon(cohort, h)
+        got = dict(zip(_PAIRED_ESTIMANDS, point.tolist()))
+        assert (got["ap"], got["ap2"], got["rap"]) == (want.ap1, want.ap2, want.rap)
+        for key, value in (("auc", want.auc1), ("auc2", want.auc2), ("dauc", want.dauc)):
+            assert got[key] == pytest.approx(value, rel=0.0, abs=1e-12)
+        one = estimate_horizon(cohort, h)
+        assert point1[0] == one.ap
+        assert point1[1] == pytest.approx(one.auc, rel=0.0, abs=1e-12)
+        for r in (rate, rate1):
+            assert r == pytest.approx(one.event_rate, rel=0.0, abs=1e-12)
+            assert r == pytest.approx(want.event_rate, rel=0.0, abs=1e-12)
+
+
 def loop_causes(cohort, t0, spec):
     """Failure count per cause, from materialised resamples.
 
@@ -377,7 +416,7 @@ def assert_horizons_match(cohort, horizons, spec, estimand_sets=ESTIMAND_SETS):
     for estimands in estimand_sets:
         multi = _replicate_matrices(cohort, horizons, spec, estimands)
         assert len(multi) == len(horizons)
-        for t0, (values, causes) in zip(horizons, multi):
+        for t0, (_, _, values, causes) in zip(horizons, multi):
             assert causes == expected_causes[t0]  # rAP's AP2 is never 0 here
             failed = sum(causes.values())
             expected, loop_failed = loop_replicates(stats[t0], estimands)
@@ -393,7 +432,7 @@ def assert_horizons_match(cohort, horizons, spec, estimand_sets=ESTIMAND_SETS):
             single, single_failed = _replicate_matrix(cohort, t0, spec, estimands)
             assert single_failed == failed
             np.testing.assert_allclose(values, single, rtol=0.0, atol=1e-12)
-    return [causes for _, causes in multi]
+    return [causes for *_, causes in multi]
 
 
 @settings(SETTINGS, max_examples=60)
@@ -432,8 +471,12 @@ def assert_single_horizon_bits(cohort, horizons, spec, estimands=_PAIRED_ESTIMAN
         row_bytes = 8 * (ranked.mass_width + ranked.case_width)
         assert inference._BLOCK_BYTES // row_bytes >= spec.replicates
     shared = _replicate_matrices(cohort, horizons, spec, estimands)
-    for t0, (values, causes) in zip(horizons, shared):
-        ((single, single_causes),) = _replicate_matrices(cohort, (t0,), spec, estimands)
+    for t0, (point, rate, values, causes) in zip(horizons, shared):
+        ((single_point, single_rate, single, single_causes),) = _replicate_matrices(
+            cohort, (t0,), spec, estimands
+        )
+        assert point.tobytes() == single_point.tobytes()
+        assert rate == pytest.approx(single_rate, rel=0.0, abs=1e-12)
         assert causes == single_causes
         assert values.shape == single.shape and values.tobytes() == single.tobytes()
         if sum(causes.values()) <= 0.1 * spec.replicates:
@@ -518,7 +561,7 @@ def test_rap_fails_where_the_score2_ap_is_zero(monkeypatch):
     spec = BootstrapSpec(replicates=40, seed=5)
     horizons = (8.0, 36.0)
     base = _replicate_matrices(cohort, horizons, spec, ("ap", "ap2", "rap"))
-    cut = {t0: np.median(values[:, 0]) for t0, (values, _) in zip(horizons, base)}
+    cut = {t0: np.median(values[:, 0]) for t0, (_, _, values, _) in zip(horizons, base)}
     kernel, calls = inference._accuracy, []
 
     def stub(counts, case, ctrl):
@@ -531,7 +574,7 @@ def test_rap_fails_where_the_score2_ap_is_zero(monkeypatch):
 
     monkeypatch.setattr(inference, "_accuracy", stub)
     got = _replicate_matrices(cohort, horizons, spec, ("ap", "ap2", "rap"))
-    for t0, (values, causes), (base_values, base_causes) in zip(horizons, got, base):
+    for t0, (*_, values, causes), (*_, base_values, base_causes) in zip(horizons, got, base):
         keep = base_values[:, 0] <= cut[t0]
         np.testing.assert_array_equal(values, base_values[keep])
         assert causes == {**base_causes, "zero_ap2": int((~keep).sum())}
@@ -539,7 +582,7 @@ def test_rap_fails_where_the_score2_ap_is_zero(monkeypatch):
     # without rAP, an AP2 of 0 is a value and no replicate fails for it
     calls.clear()
     got = _replicate_matrices(cohort, horizons, spec, ("ap", "ap2"))
-    for t0, (values, causes), (base_values, base_causes) in zip(horizons, got, base):
+    for t0, (*_, values, causes), (*_, base_values, base_causes) in zip(horizons, got, base):
         np.testing.assert_array_equal(values[:, 0], base_values[:, 0])
         assert (values[base_values[:, 0] > cut[t0], 1] == 0.0).all()
         assert causes == base_causes

@@ -3,6 +3,7 @@ import pytest
 
 import reference
 from tdap import (
+    BootstrapSpec,
     CohortSample,
     DivisionByZeroAPError,
     EmptyThresholdSetError,
@@ -14,10 +15,13 @@ from tdap import (
     auc,
     auc_difference,
     average_precision,
+    bootstrap_compare,
+    bootstrap_estimate,
     compare_horizon,
     estimate_horizon,
     event_rate,
     fit_censoring_km,
+    generate_cohort,
     ipcw_weights,
     ppv_at,
     ppv_tie_corrected,
@@ -421,3 +425,46 @@ def test_curve_thresholds_strictly_decreasing():
     trace = pr_curve(coh, w, 4.0)
     assert np.all(np.diff(trace.thresholds) < 0)
     assert len(trace) == np.unique(coh.score1).size
+
+
+# every public function that takes a weight vector, called with weights
+# built for another horizon or cohort
+WEIGHTED_CALLS = {
+    "ppv_at": lambda c, w, t0: ppv_at(c, w, 0.0, t0),
+    "tpf_at": lambda c, w, t0: tpf_at(c, w, 0.0, t0),
+    "ppv_tie_corrected": lambda c, w, t0: ppv_tie_corrected(c, w, 0, t0),
+    "average_precision": average_precision,
+    "auc": auc,
+    "event_rate": event_rate,
+    "pr_curve": pr_curve,
+    "roc_curve": roc_curve,
+    "ap_ratio": lambda c, w, t0: ap_ratio(c, t0, w),
+    "auc_difference": lambda c, w, t0: auc_difference(c, t0, w),
+    "estimate_horizon": lambda c, w, t0: estimate_horizon(c, t0, w),
+    "compare_horizon": lambda c, w, t0: compare_horizon(c, t0, w),
+    "bootstrap_estimate": lambda c, w, t0: bootstrap_estimate(
+        c, t0, BootstrapSpec(replicates=10), weights=w
+    ),
+    "bootstrap_compare": lambda c, w, t0: bootstrap_compare(
+        c, t0, BootstrapSpec(replicates=10), weights=w
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_CALLS))
+def test_weights_for_another_horizon_or_cohort_are_rejected(name):
+    call = WEIGHTED_CALLS[name]
+    coh = generate_cohort(2000, 3)
+    km = fit_censoring_km(coh)
+    call(coh, ipcw_weights(coh, km, 36.0), 36.0)  # the right weights pass
+    with pytest.raises(ValueError) as err:
+        call(coh, ipcw_weights(coh, km, 8.0), 36.0)
+    assert str(err.value) == (
+        "weights were built for t0=8.0 and 2000 subjects, not t0=36.0 and 2000"
+    )
+    other = generate_cohort(1999, 3)
+    with pytest.raises(ValueError) as err:
+        call(coh, ipcw_weights(other, fit_censoring_km(other), 36.0), 36.0)
+    assert str(err.value) == (
+        "weights were built for t0=36.0 and 1999 subjects, not t0=36.0 and 2000"
+    )
