@@ -6,7 +6,12 @@ headline summary is the average positive predictive value (the area
 under the horizon-specific precision-recall curve), with the
 horizon-specific AUC alongside; censoring is handled by inverse
 probability weighting and uncertainty by a percentile bootstrap.
+
+The package logs to the ``tdap`` logger, which is silent unless the
+application configures logging.
 """
+
+import logging as _logging
 
 from .cohort import (
     CohortSample,
@@ -131,3 +136,5 @@ __all__ = [
     "write_cohort_csv",
     "__version__",
 ]
+
+_logging.getLogger(__name__).addHandler(_logging.NullHandler())

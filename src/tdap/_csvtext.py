@@ -1,4 +1,5 @@
-"""CSV text of whole columns, byte for byte what ``repr`` and ``str`` give.
+"""CSV text of whole columns, both ways: written byte for byte as ``repr``
+and ``str`` give it, and read back bit for bit as ``float`` reads it.
 
 ``write_rows(stream, columns, block_rows)`` writes equal-length columns
 as CSV rows: cells joined by commas, every row ended by ``\\r\\n``.  A
@@ -21,15 +22,23 @@ A cell is four 64-bit words of text, little-endian, with NUL in every
 unused byte: the separator, sign, a "0.000" prefix and the first digit;
 the next 16 digits; then the digit pushed out by the decimal point and
 the exponent.  One ``bytes.translate`` drops the NULs of a whole block.
+
+``read_columns(data, start, ncols, cols, block_bytes)`` reads float64
+columns from unquoted CSV bytes, a block of lines at a time, with no
+call per cell: the bytes that are not digits are found once, each cell's
+digits are packed eight to a 64-bit word (SWAR), and Clinger's fast
+path or Eisel-Lemire turns digits and exponent into ``float``'s bits.
+Both directions share the limb helpers, the power tables and ``_Scratch``.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 
 import numpy as np
 
-__all__ = ["write_rows"]
+__all__ = ["Unparsed", "read_columns", "write_rows"]
 
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
@@ -45,6 +54,20 @@ _ROW_END = 0x0A0D  # "\r\n"
 # position + _DEC_OFF; positions of the fast path lie in [-307, 17]
 _DEC_OFF = 320
 _DEC_SIZE = 340
+
+
+def _top_bits(x: int, bits: int) -> int:
+    """``x`` shifted so that its highest set bit is bit ``bits - 1``;
+    bits shifted out are dropped."""
+    shift = x.bit_length() - bits
+    return x >> shift if shift >= 0 else x << -shift
+
+
+def _limbs(values, count: int) -> np.ndarray:
+    """Whole numbers as ``count`` rows of 32-bit limbs, least first."""
+    return np.array(
+        [[(x >> (32 * k)) & 0xFFFFFFFF for x in values] for k in range(count)], dtype=np.uint64
+    )
 
 
 def _ryu_tables():
@@ -66,11 +89,7 @@ def _ryu_tables():
     q = ((e * 732923) >> 20) - 1
     i = e - q
     j = q - (((i * 1217359) >> 19) + 1) + 125
-    pow5 = [5**k for k in range(i.max() + 1)]
-    p = [x >> (x.bit_length() - 125) if x.bit_length() >= 125 else x << (125 - x.bit_length())
-         for x in pow5]
-    limbs = np.array([[(x >> (32 * k)) & 0xFFFFFFFF for x in p] for k in range(4)],
-                     dtype=np.uint64)[:, i]
+    limbs = _limbs([_top_bits(5**k, 125) for k in range(i.max() + 1)], 4)[:, i]
     shifts = np.array([j - 96, 128 - j, 160 - j], dtype=np.uint64)
     qmask = np.where(q < 63, (1 << np.minimum(q, 63).astype(np.uint64)) - _U(1), _U(_ALL))
     qmask[~valid] = 0
@@ -149,7 +168,8 @@ class _Scratch:
     """Named buffers for blocks of up to ``n`` values.
 
     They are kept from block to block: fresh temporaries of a block's
-    size cost page faults on nearly every numpy call.
+    size cost page faults on nearly every numpy call.  A block of more
+    than ``n`` rows grows the buffers it asks for.
     """
 
     def __init__(self, n: int):
@@ -161,8 +181,9 @@ class _Scratch:
         views = []
         for name in names.split():
             buf = self._buffers.get((name, width))
-            if buf is None:
-                shape = self.n if width is None else (self.n, width)
+            if buf is None or len(buf) < m:
+                rows = max(m, self.n)
+                shape = rows if width is None else (rows, width)
                 buf = self._buffers[name, width] = np.empty(shape, dtype=dtype)
             views.append(buf[:m])
         return views
@@ -471,3 +492,449 @@ def write_rows(stream, columns, block_rows: int) -> None:
     for start in range(0, n, block_rows):
         stop = start + block_rows
         stream.write(_rows([column[start:stop] for column in columns], s).decode())
+
+
+# ---------------------------------------------------------------- parsing
+#
+# The other direction: float64 columns from unquoted CSV bytes, each cell
+# bit for bit what ``float`` gives for its text.
+
+
+class Unparsed(Exception):
+    """Bytes the column parse does not take; the message says what."""
+
+
+# bytes of mantissa text that a cell's three words hold
+_REG = 24
+# decimal exponents Eisel-Lemire covers with 5**q tabled at 128 bits
+_Q_MIN, _Q_MAX = -342, 308
+# a block is copied behind this many "0" bytes: a cell's words reach
+# back 24 bytes from where its mantissa ends
+_PAD = 32
+_COMMA, _CR, _LF, _DOT, _MINUS, _PLUS = (np.uint8(ord(c)) for c in ",\r\n.-+")
+
+
+def _digit_masks() -> np.ndarray:
+    """Per count k of the top bytes of a 24-byte register and point
+    position f (row 25k + f), the low nibbles of those bytes as three
+    words (least first), less byte 23 - f, the point, for f < 24 (f = 24:
+    no point)."""
+    byte = np.arange(_REG)
+    k = np.arange(_REG + 1)[:, None, None]
+    f = np.arange(_REG + 1)[None, :, None]
+    keep = (byte >= _REG - k) & (byte != _REG - 1 - f)
+    return (keep * np.uint8(0x0F)).astype(np.uint8).view(_TEXT).reshape(-1, 3)
+
+
+def _lemire_table() -> np.ndarray:
+    """5**q for q in [-342, 308] at 128 bits, as 32-bit limbs.
+
+    For q >= 0 it is 5**q truncated.  For q < 0 it is the reciprocal
+    2**b // 5**-q + 1, with b = z + 127 for q >= -27 and b = 2z + 128
+    below, z the bit length of 5**-q, truncated to 128 bits: the table
+    of Lemire's "Number parsing at a gigabyte per second" (2021).
+    """
+    values = []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        if q >= 0:
+            values.append(_top_bits(5**q, 128))
+            continue
+        p = 5**-q
+        z = p.bit_length()
+        c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // p + 1
+        values.append(c >> max(c.bit_length() - 128, 0))
+    return _limbs(values, 4)
+
+
+_DIGITS = _digit_masks()
+# the last word's masks, by 25 times the digit count: no point
+_WORD_DIGITS = np.roll(_DIGITS[:, 2], -_REG)
+# 9 * 10**(k - 1), to take a point's zero digit back out
+_NINES = np.array([0] + [9 * 10**k for k in range(19)], dtype=np.uint64)
+_LEMIRE = _lemire_table()
+# Clinger's fast path divides by 10**-q or multiplies by 10**q, both
+# exact doubles for |q| <= 22; indexed by q + 22
+_CLINGER_DIV = np.array([10.0 ** max(-q, 0) for q in range(-22, 23)])
+_CLINGER_MUL = np.array([10.0 ** max(q, 0) for q in range(-22, 23)])
+# a line end's last byte, then the next line's first
+_LINE_CUT = re.compile(rb"[\r\n][^\r\n]")
+# per byte value: a line end; an exponent mark
+_IS_END = np.zeros(256, dtype=bool)
+_IS_END[list(b"\r\n")] = True
+_IS_EXP = np.zeros(256, dtype=bool)
+_IS_EXP[list(b"eE")] = True
+
+
+def _mul64(a, bh, bl):
+    """High and low words of the 128-bit product of ``a`` and the 64-bit
+    number with 32-bit limbs ``bh``, ``bl`` (``bl`` is overwritten)."""
+    al = a & _M32
+    ah = a >> _U(32)
+    lo = al * bl
+    mid = al * bh
+    hi = ah * bh
+    bl *= ah
+    hi += mid >> _U(32)
+    hi += bl >> _U(32)
+    mid &= _M32
+    bl &= _M32
+    mid += bl
+    mid += lo >> _U(32)
+    hi += mid >> _U(32)
+    lo &= _M32
+    mid <<= _U(32)
+    lo |= mid
+    return hi, lo
+
+
+def _lemire(w, q):
+    """Float64 bits nearest ``w * 10**q`` for 0 < w < 2**64 and q in
+    [-342, 308] by Eisel-Lemire, and the rows left unresolved.
+
+    The steps and constants follow fast_float's ``compute_float``.
+    Lemire's 2021 paper leaves a product whose low word is all ones to a
+    fallback when q is outside [-27, 55]; those rows are the unresolved.
+    ``w`` is overwritten.
+    """
+    # leading zeros: the float's exponent is log2(w), or one above it
+    # where the conversion rounded up to a power of two
+    lz = w.astype(np.float64).view(np.uint64)
+    lz >>= _U(52)
+    np.minimum(lz, _U(1023 + 63), out=lz)
+    lz -= _U(1023)
+    lz -= (w >> lz) == _U(0)
+    np.subtract(_U(63), lz, out=lz)
+    w <<= lz
+    at = q - _Q_MIN
+    hi, lo = _mul64(w, np.take(_LEMIRE[3], at), np.take(_LEMIRE[2], at))
+    # the second product only where the first leaves the low 9 bits of
+    # hi all ones
+    rows = np.flatnonzero((hi & _U(0x1FF)) == _U(0x1FF))
+    if rows.size:
+        at = at[rows]
+        more, _ = _mul64(w[rows], _LEMIRE[1][at], _LEMIRE[0][at])
+        low = lo[rows] + more
+        lo[rows] = low
+        hi[rows] += low < more
+    rows = np.flatnonzero(lo == _U(_ALL))
+    unresolved = rows[(q[rows] < -27) | (q[rows] > 55)]
+    upper = hi >> _U(63)
+    power = q * 217706
+    power >>= 16
+    power += 63 + 1023
+    power += upper.view(np.intp)
+    power -= lz.view(np.intp)
+    upper += _U(9)
+    mant = hi >> upper
+    # subnormal and infinite results are rare: found in one pass
+    (odd,) = np.nonzero((power - 1).view(np.uint64) >= _U(0x7FE - 1))
+    sub = odd[power[odd] <= 0]
+    tiny = mant[sub] >> np.minimum(1 - power[sub], 63).astype(np.uint64)
+    # exactly halfway between two floats: round to even
+    rows = np.flatnonzero(lo <= _U(1))
+    if rows.size:
+        qr, m = q[rows], mant[rows]
+        half = (qr >= -4) & (qr <= 23) & ((m & _U(3)) == _U(1))
+        half &= (m << upper[rows]) == hi[rows]
+        mant[rows[half]] -= _U(1)
+    mant += mant & _U(1)
+    mant >>= _U(1)
+    carry = mant >> _U(53)
+    mant >>= carry
+    power += carry.view(np.intp)
+    # power 0x7FE may round up to 0x7FF: infinity
+    over = odd[power[odd] >= 0x7FF]
+    mant &= _U((1 << 52) - 1)
+    power <<= 52
+    mant |= power.view(np.uint64)
+    if odd.size:
+        mant[over] = _U(0x7FF << 52)
+        # subnormals: a mantissa that rounds up to 2**52 is the least normal
+        tiny += tiny & _U(1)
+        mant[sub] = tiny >> _U(1)
+    return mant, unresolved
+
+
+def _eight_digits(x) -> None:
+    """Turn words of eight digit values, the first in the lowest byte,
+    into their numbers, in place."""
+    x *= _U(2561)
+    x >>= _U(8)
+    x &= _U(0x00FF00FF00FF00FF)
+    x *= _U(6553601)
+    x >>= _U(16)
+    x &= _U(0x0000FFFF0000FFFF)
+    x *= _U(42949672960001)
+    x >>= _U(32)
+
+
+def _whole(text, tokens, before, after, out) -> bool:
+    """Parse a column of whole numbers of one to eight digits (a status
+    column, say) into the float64 array ``out``.  False, with ``out``
+    unwritten, where some cell is anything else."""
+    pos, key = tokens
+    # most other columns show it in their first cell
+    first = int(key[before[0] + 1])
+    if not (before[0] + 1 == after[0] or first & 0xFF in b"\r\n") or not 0 < first >> 8 <= 8:
+        return False
+    t = before + 1
+    k = key[t]
+    # nothing but one to eight digits before the delimiter or line end
+    digits = k >> 8
+    whole = _IS_END[k & 0xFF]
+    whole |= t == after
+    whole &= (digits - 1).view(np.uint64) < _U(8)
+    if not whole.all():
+        return False
+    words = np.ndarray((text.size - 7,), dtype="V8", buffer=text, strides=(1,))
+    x = words[pos[t] - 8].view(_TEXT)
+    digits *= _REG + 1
+    x &= np.take(_WORD_DIGITS, digits)
+    _eight_digits(x)
+    np.copyto(out, x, casting="unsafe")
+    return True
+
+
+def _cells(text, tokens, before, after, out, s: _Scratch) -> int:
+    """Parse cells of a block into the float64 array ``out``.
+
+    ``tokens`` are the positions of the block's bytes that are not
+    digits, and a key per such byte: the byte, plus 256 times the number
+    of digits just before it.  ``before`` and ``after`` index each cell's
+    delimiters among them.  Returns how many cells went to ``float``.
+    """
+    pos, key = tokens
+    m = before.size
+    t, k, nd, frac, end, q, at = s(m, "t k nd frac end q at", np.intp)
+    neg, dot, bad, slow, flag = s(m, "neg dot bad slow flag", bool)
+    mant, part = s(m, "mant part")
+    (mask,) = s(m, "mask", width=3)
+    # the 24 bytes before each offset, as three little-endian words
+    registers = np.ndarray((text.size - _REG + 1,), dtype=f"V{_REG}", buffer=text, strides=(1,))
+    np.add(before, 1, out=t)
+    np.take(key, t, out=k)
+    # a sign opens the cell when no digit comes before it
+    np.equal(k, _MINUS, out=neg)
+    np.equal(k, _PLUS, out=flag)
+    flag |= neg
+    t += flag
+    np.take(key, t, out=k)
+    np.right_shift(k, 8, out=nd)
+    k &= 0xFF
+    np.equal(k, _DOT, out=dot)
+    t += dot
+    np.take(key, t, out=k)
+    np.right_shift(k, 8, out=frac)
+    frac *= dot
+    nd += frac
+    np.take(pos, t, out=end)
+    np.negative(frac, out=q)
+    k &= 0xFF
+    # the mantissa ends the cell (at its delimiter or line end), or an
+    # exponent follows
+    np.not_equal(t, after, out=bad)
+    np.take(_IS_END, k, out=flag)
+    np.invert(flag, out=flag)
+    bad &= flag
+    np.add(nd, dot, out=at)  # the mantissa's span of text
+    np.greater(at, _REG, out=slow)
+    np.take(_IS_EXP, k, out=flag)
+    rows = np.flatnonzero(flag)
+    if rows.size:
+        # a sign, then one to eight digits (more go to float)
+        te = t[rows] + 1
+        ke = key[te]
+        eneg = ke == _MINUS
+        te += eneg | (ke == _PLUS)
+        ke = key[te]
+        length = ke >> 8
+        bad[rows] = ((te != after[rows]) & ~_IS_END[ke & 0xFF]) | (length == 0)
+        slow[rows] |= length > 8
+        value = registers[pos[te] - _REG].view(_TEXT)[2::3].copy()
+        value &= np.take(_WORD_DIGITS, np.minimum(length, 8) * (_REG + 1))
+        _eight_digits(value)
+        value = value.view(np.intp)
+        q[rows] += np.where(eneg, -value, value)
+    np.equal(nd, 0, out=flag)
+    flag |= bad
+    if flag.any():
+        raise Unparsed("a cell that is not a decimal number")
+    # the mantissa's text is the register's top nd + dot bytes; with the
+    # point read as a 0 digit, the digits give v = a * 10**(f + 1) + b for
+    # a point after a and before the f digits of b, and w = v - 9a * 10**f
+    # the mask row: span * 25 + f, with f = 24 for no point (a longer
+    # span goes to float, and take clips its row into the table)
+    at *= _REG + 1
+    at += frac
+    at += _REG
+    np.multiply(dot, _REG, out=k)
+    at -= k
+    np.take(_DIGITS, at, axis=0, mode="clip", out=mask)
+    np.subtract(end, _REG, out=k)
+    reg = registers[k].view(_TEXT)
+    reg &= mask.reshape(-1)
+    _eight_digits(reg)
+    reg = reg.reshape(-1, 3)
+    np.greater(reg[:, 0], _U(1843), out=flag)  # v may reach 2**64
+    slow |= flag
+    np.multiply(reg[:, 0], _U(10**16), out=mant)
+    np.multiply(reg[:, 1], _U(10**8), out=part)
+    mant += part
+    mant += reg[:, 2]
+    if dot.any():
+        # row 0 (divide by 1, take back 0) where there is no point, or 19
+        # or more digits follow it, which leaves a = 0 as v < 10**20
+        np.add(frac, 1, out=at)
+        at *= dot
+        np.greater(at, 19, out=flag)
+        np.copyto(at, 0, where=flag)
+        np.take(_P10, at, out=part)
+        np.floor_divide(mant, part, out=part)
+        np.take(_NINES, at, out=mask[:, 0])
+        part *= mask[:, 0]
+        mant -= part
+    # Clinger: w <= 2**53 and |q| <= 22 take one correctly rounded divide
+    # or multiply; zero needs no more
+    np.copyto(out, mant, casting="unsafe")
+    np.add(q, 22, out=at)
+    scale = part.view(np.float64)
+    if q.min() < 0:
+        np.take(_CLINGER_DIV, at, mode="clip", out=scale)
+        out /= scale
+    if q.max() > 0:
+        np.take(_CLINGER_MUL, at, mode="clip", out=scale)
+        out *= scale
+    bits = out.view(np.uint64)
+    fast = bad  # no longer needed
+    np.less_equal(at.view(np.uint64), _U(44), out=fast)
+    np.less_equal(mant, _U(1 << 53), out=flag)
+    fast &= flag
+    np.equal(mant, _U(0), out=flag)
+    fast |= flag
+    fast |= slow
+    np.invert(fast, out=fast)
+    rows = np.flatnonzero(fast)
+    if rows.size:
+        qr = q[rows]
+        if qr.min() < _Q_MIN or qr.max() > _Q_MAX:
+            # exponents outside the tables go to float
+            far = (qr < _Q_MIN) | (qr > _Q_MAX)
+            slow[rows[far]] = True
+            rows, qr = rows[~far], qr[~far]
+        bits[rows], unresolved = _lemire(mant[rows], qr)
+        slow[rows[unresolved]] = True
+    np.multiply(neg, _U(1 << 63), out=part)
+    bits |= part
+    rows = np.flatnonzero(slow)
+    for r in rows.tolist():
+        out[r] = float(text[pos[before[r]] + 1:pos[after[r]]].tobytes().strip())
+    return rows.size
+
+
+def _lines(block, ncols: int, s: _Scratch):
+    """Split ``block``, which starts at a line end's last byte, into lines
+    of ``ncols`` fields: its padded text, the positions and keys of its
+    bytes that are not digits, each field's delimiter among them, and the
+    line count."""
+    size = block.size + _PAD + 8
+    text, digit = s(size, "text digit", np.uint8)
+    (flag,) = s(size, "flag", bool)
+    text[:_PAD] = 0x30
+    text[_PAD:_PAD + block.size] = block
+    text[_PAD + block.size] = 0x0A  # ends the last line
+    text[_PAD + block.size + 1:] = 0x30
+    np.subtract(text, np.uint8(0x30), out=digit)
+    np.greater(digit, np.uint8(9), out=flag)
+    pos = np.flatnonzero(flag)
+    n = pos.size
+    (char,) = s(n, "char", np.uint8)
+    (key,) = s(n, "key", np.intp)
+    last, other = s(n, "last other", bool)
+    np.take(text, pos, out=char)
+    key[0] = 0
+    np.subtract(pos[1:], pos[:-1], out=key[1:])
+    key[1:] -= 1
+    # as in csv.reader, a run of \r and \n ends one line (empty lines are
+    # skipped); the run's last byte is the delimiter
+    np.equal(char, _CR, out=last)
+    np.equal(char, _LF, out=other)
+    last |= other
+    np.not_equal(key[1:], 0, out=other[:-1])
+    other[:-1] |= ~last[1:]
+    last[:-1] &= other[:-1]
+    key <<= 8
+    key |= char
+    np.equal(char, _COMMA, out=other)
+    other |= last
+    delim = np.flatnonzero(other)
+    cells = delim.size - 1
+    rows = cells // ncols
+    if (
+        rows * ncols != cells
+        or np.count_nonzero(last) != rows + 1
+        or not last[delim[ncols::ncols]].all()
+    ):
+        raise Unparsed("a line whose field count is not the header's")
+    return text, (pos, key), delim, rows
+
+
+def _fields(text, tokens, delim, ncols: int, cols, out, s: _Scratch) -> int:
+    """Parse the fields ``cols`` of each line into the rows of ``out``;
+    return how many cells went to ``float``."""
+    cells = delim.size - 1
+    # each mapped column's cells, by the delimiters before and after them
+    spans = [(delim[col:cells:ncols], delim[col + 1::ncols]) for col in cols]
+    rest = [j for j, (b, a) in enumerate(spans) if not _whole(text, tokens, b, a, out[j])]
+    if not rest:
+        return 0
+    rows = out.shape[1]
+    before, after = s(rows * len(rest), "before after", np.intp)
+    np.concatenate([spans[j][0] for j in rest], out=before)
+    np.concatenate([spans[j][1] for j in rest], out=after)
+    (values,) = s(before.size, "values", np.float64)
+    slow = _cells(text, tokens, before, after, values, s)
+    for k, j in enumerate(rest):
+        out[j] = values[k * rows:(k + 1) * rows]
+    return slow
+
+
+def read_columns(data: bytes, start: int, ncols: int, cols, block_bytes: int):
+    """Float64 columns ``cols`` of the unquoted CSV body after a header
+    of ``ncols`` fields, whose line end's last byte is ``data[start]``;
+    and how many cells went to ``float``.
+
+    Lines split as ``csv.reader`` splits them: at \\r, \\n or \\r\\n, with
+    empty lines skipped.  Every line must hold ``ncols`` fields, and every
+    cell of ``cols`` a decimal number: a sign, digits with at most one
+    point, and an exponent.  Anything else raises Unparsed.
+
+    Each cell's digits are packed eight to a word (SWAR).  Clinger's fast
+    path (PLDI 1990) or Eisel-Lemire (Lemire, Software: Practice and
+    Experience 2021) then gives ``float``'s bits with integer arithmetic.
+    A point is read as a 0 digit and taken back out, so a mantissa whose
+    digits read that way reach 1844 * 10**16, just below 2**64 (more than
+    19 digits, or 19 and a point), goes to ``float`` itself; so do an
+    exponent of more than 8 digits or outside the tables, and an
+    unresolved product.  The body is parsed ``block_bytes`` at a time,
+    cut at line ends, in reused buffers.
+    """
+    s = _Scratch(0)
+    table = np.empty((len(cols), 0))
+    rows = slow = 0
+    first = start
+    while start < len(data):
+        found = _LINE_CUT.search(data, start + block_bytes)
+        stop = len(data) if found is None else found.start()
+        block = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+        text, tokens, delim, lines = _lines(block, ncols, s)
+        end = rows + lines
+        if end > table.shape[1]:
+            # room for the rows that the bytes read so far suggest, and 5%
+            # more: numpy backs large arrays with huge pages, so a loose
+            # bound would cost memory
+            room = end * (len(data) - first) // (stop - first) * 21 // 20 + 64
+            table = np.concatenate([table[:, :rows], np.empty((len(cols), room - rows))], axis=1)
+        slow += _fields(text, tokens, delim, ncols, cols, table[:, rows:end], s)
+        rows = end
+        start = stop
+    return list(table[:, :rows]), slow

@@ -9,19 +9,22 @@ accuracy comparisons.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import io
+import itertools
+import logging
 import math
 import numbers
+import os
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._csvtext import write_rows
+from ._csvtext import Unparsed, read_columns, write_rows
 from .errors import (
     EmptyCohortError,
     InvalidStatusError,
@@ -44,8 +47,15 @@ __all__ = [
     "validate_horizon",
 ]
 
+_log = logging.getLogger(__name__)
+
 # rows formatted and written per block by the CSV writer
 _CSV_BLOCK_ROWS = 8192
+# bytes of CSV parsed per block by the column reader
+_READ_BLOCK_BYTES = 1 << 18
+_BOM = codecs.BOM_UTF8
+# the header line, then the first byte of a later non-empty line
+_HEADER = re.compile(rb"([^\r\n]*)[\r\n]+[^\r\n]")
 
 
 @dataclass(frozen=True)
@@ -257,8 +267,13 @@ def _header_positions(
 
 
 def _csv_rows(stream) -> Iterator[list[str]]:
-    """``csv.reader`` rows; malformed CSV raises MalformedCsvError."""
-    reader = csv.reader(stream)
+    """``csv.reader`` rows, less one byte-order mark ahead of the header;
+    malformed CSV raises MalformedCsvError."""
+    lines = iter(stream)
+    first = next(lines, None)
+    if first is None:
+        return
+    reader = csv.reader(itertools.chain([first.removeprefix("\ufeff")], lines))
     try:
         yield from reader
     except csv.Error as err:
@@ -335,57 +350,88 @@ def _may_hold_long_line(data: bytes, limit: int) -> bool:
     )
 
 
-def _read_columns(data: bytes, columns: ColumnMap) -> CohortSample | None:
-    """Parse unquoted CSV bytes in one vectorised pass.
+def _is_utf8(data: bytes) -> bool:
+    """True if ``data`` decodes as UTF-8; checked a megabyte at a time."""
+    if data.isascii():
+        return True
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    view = memoryview(data)
+    try:
+        for start in range(0, len(data), 1 << 20):
+            decoder.decode(view[start:start + (1 << 20)])
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        return False
+    return True
 
-    Returns None where the row reader must decide: a cell that might
-    exceed ``csv.field_size_limit()``, a missing column, a cell that does
-    not parse, a failed check, no subject rows, or bytes that are not
-    UTF-8.  Lines are split as ``csv.reader`` splits them (a text wrapper
-    with ``newline=""``), so a cohort returned here equals the row
-    reader's.
+
+def _hand_over(reason: str) -> None:
+    _log.debug("cohort CSV goes to the row reader: %s", reason)
+
+
+def _read_columns(data: bytes, columns: ColumnMap) -> CohortSample | None:
+    """Parse unquoted CSV bytes column-wise (``_csvtext.read_columns``).
+
+    Returns None, and logs why, where the row reader must decide: a line
+    that might exceed ``csv.field_size_limit()``, a missing column, a
+    cell that is not a plain decimal number, a line of another field
+    count, a failed check, no subject rows, or bytes that are not UTF-8.
+    Lines are split as ``csv.reader`` splits them, and each cell is
+    ``float``'s value for its text, so a cohort returned here equals the
+    row reader's.
     """
     if _may_hold_long_line(data, csv.field_size_limit()):
+        _hand_over("a line may exceed csv.field_size_limit()")
         return None
-    # the header line, then the first byte of a later non-empty line;
-    # without one, loadtxt would warn "input contained no data"
-    found = re.match(rb"([^\r\n]*)[\r\n]+[^\r\n]", data)
+    found = _HEADER.match(data, len(_BOM) if data.startswith(_BOM) else 0)
     if found is None:
+        _hand_over("no data line follows the header")
         return None
     try:
         line = found[1].decode("utf-8")
         # csv.reader gives [] for an empty line and splits at every comma
         header = [h.strip() for h in line.split(",")] if line else []
         positions, score2_name = _header_positions(header, columns)
-        names = [columns.time, columns.status, columns.score1]
-        if score2_name is not None:
-            names.append(score2_name)
-        table = np.loadtxt(
-            io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""),
-            delimiter=",",
-            comments=None,
-            quotechar=None,
-            skiprows=1,
-            usecols=[positions[name] for name in names],
-            ndmin=2,
-        )
-        return CohortSample(*table.T)
-    except (TdapError, ValueError):
+    except (UnicodeDecodeError, MissingColumnError) as err:
+        _hand_over(f"the header ({err})")
         return None
+    if not _is_utf8(data):
+        _hand_over("bytes that are not UTF-8")
+        return None
+    names = [columns.time, columns.status, columns.score1]
+    if score2_name is not None:
+        names.append(score2_name)
+    try:
+        table, slow = read_columns(
+            data, found.end() - 2, len(header), [positions[name] for name in names],
+            _READ_BLOCK_BYTES,
+        )
+        cohort = CohortSample(*table)
+    except Unparsed as err:
+        _hand_over(str(err))
+        return None
+    except TdapError as err:
+        _hand_over(f"a failed check ({type(err).__name__})")
+        return None
+    _log.debug("cohort CSV read by columns: %d rows, %d cells by float()", cohort.n, slow)
+    return cohort
 
 
 def read_cohort_csv(source, columns: ColumnMap | None = None) -> CohortSample:
     """Parse a CSV file (path or stream) into a CohortSample.
 
-    The header row must name every mapped column.  Cell errors report the
-    1-based file line (header is line 1).  Parsing is lossless: values
-    round-trip through ``write_cohort_csv`` bit for bit.
+    The header row must name every mapped column; one UTF-8 byte-order
+    mark ahead of it is dropped.  Cell errors report the 1-based file
+    line (header is line 1).  Parsing is lossless: values round-trip
+    through ``write_cohort_csv`` bit for bit.
 
-    A path or binary stream is read once as bytes.  Unless the bytes
-    hold a quote or a NUL, they are parsed column-wise in one pass;
-    quoted files, and any input that pass cannot accept, go through the
-    row reader, which alone raises the errors below.  A text stream, any
-    stream whose ``read()`` returns ``str``, is always read row by row.
+    A path (any ``os.PathLike``) or binary stream is read once as bytes.
+    Unless the bytes hold a quote or a NUL, they are parsed column-wise,
+    a block at a time; quoted files, and any input that pass cannot
+    accept, go through the row reader, which alone raises the errors
+    below.  A text stream, any stream whose ``read()`` returns ``str``,
+    is always read row by row.  The ``tdap`` logger says at DEBUG level
+    which path read the input, and why the row reader took it.
 
     Raises
     ------
@@ -394,18 +440,22 @@ def read_cohort_csv(source, columns: ColumnMap | None = None) -> CohortSample:
     """
     columns = columns or ColumnMap()
     if isinstance(source, io.TextIOBase):
+        _log.debug("cohort CSV read by rows: a text stream")
         return _read_rows(source, columns)
-    if isinstance(source, (str, Path)):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             data = fh.read()
     elif hasattr(source, "read"):
         data = source.read()
         if isinstance(data, str):  # a text stream outside the io hierarchy
+            _log.debug("cohort CSV read by rows: a text stream")
             return _read_rows(io.StringIO(data, newline=""), columns)
     else:
         raise TypeError(f"cannot read cohort from {type(source).__name__}")
     # quotes need the csv module; so does NUL, which csv rejects on Python 3.10
-    if b'"' not in data and b"\0" not in data:
+    if b'"' in data or b"\0" in data:
+        _hand_over("a quote or NUL")
+    else:
         cohort = _read_columns(data, columns)
         if cohort is not None:
             return cohort
@@ -414,7 +464,8 @@ def read_cohort_csv(source, columns: ColumnMap | None = None) -> CohortSample:
 
 
 def _write_csv(destination, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length columns as CSV to a path or a text stream.
+    """Write equal-length columns as CSV to a path (any ``os.PathLike``)
+    or a text stream.
 
     Rows end in \\r\\n, as ``csv.writer`` ends them.  Float64 and int64
     array cells read as ``repr`` and ``str`` of each value, formatted a
@@ -426,7 +477,7 @@ def _write_csv(destination, header: Sequence[str], columns: Sequence) -> None:
     """
     with (
         open(destination, "w", newline="", encoding="utf-8")
-        if isinstance(destination, (str, Path))
+        if isinstance(destination, (str, os.PathLike))
         else contextlib.nullcontext(destination)
     ) as stream:
         stream.write(",".join(header) + "\r\n")

@@ -262,17 +262,46 @@ def test_overlong_cell_raises_malformed_csv(tmp_path):
         assert "field larger than field limit" in str(err.value)
 
 
+def _odd_cohort(n: int) -> CohortSample:
+    """A generated paired cohort with 17-digit, exponent, subnormal and
+    signed-zero cells among its scores and times."""
+    coh = generate_cohort(n, 11)
+    times, s1, s2 = coh.times.copy(), coh.score1.copy(), coh.score2.copy()
+    times[:6] = [1e-7, 3.5e-5, 1e22, 2.0**53 + 2, 7.0, 123456789.0]
+    s1[:8] = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+              -1e-300, 0.1 + 0.2, 9007199254740993.0]
+    s2[:4] = [1e16, -1.2345678901234567e-5, 4.9406564584124654e-320, 1e23]
+    return CohortSample(times, coh.status, s1, s2)
+
+
 def test_columnar_path_reads_clean_files(tmp_path, monkeypatch):
-    # an unquoted, valid file never reaches the row reader
+    # an unquoted, valid file never reaches the row reader: a silent
+    # fallback would cost the column parse its speed
     def refuse(stream, columns):
         raise AssertionError("row reader used")
 
     p = tmp_path / "paired.csv"
     p.write_text(PAIRED)
     expected = read_cohort_csv(io.StringIO(PAIRED))
+    coh = _odd_cohort(3000)
+    buf = io.StringIO()
+    write_cohort_csv(coh, buf)
+    written = buf.getvalue()
+    assert "e-" in written and "-0.0" in written and "5e-324" in written
     monkeypatch.setattr(cohort_module, "_read_rows", refuse)
+    # small blocks, so that files span many of them
+    monkeypatch.setattr(cohort_module, "_READ_BLOCK_BYTES", 4096)
     assert read_cohort_csv(p) == expected
     assert read_cohort_csv(io.BytesIO(PAIRED.encode())) == expected
+    for end in ("\r\n", "\n", "\r"):
+        data = written.replace("\r\n", end).encode()
+        for tail in (b"", end.encode() * 2):
+            back = read_cohort_csv(io.BytesIO(data.rstrip(b"\r\n") + tail))
+            for ours, theirs in zip(
+                (back.times, back.status, back.score1, back.score2),
+                (coh.times, coh.status, coh.score1, coh.score2),
+            ):
+                assert ours.tobytes() == theirs.tobytes()
 
 
 def test_header_only_input_warns_nothing():
@@ -575,3 +604,179 @@ def test_curve_writer_matches_row_writer(tmp_path):
         theirs = io.StringIO()
         reference.write_curve_rows(pr_curve(coh, w, t0), roc_curve(coh, w, t0), theirs)
         assert path.read_bytes() == theirs.getvalue().encode()
+
+
+# ---------------------------------------------------------------- column parse
+
+
+def _parsed(texts, block_bytes=1 << 16):
+    """Each text's float64 as the column parse reads it, and how many
+    cells it handed to ``float``."""
+    data = ("x\n" + "\n".join(texts) + "\n").encode()
+    (column,), slow = csvtext.read_columns(data, 1, 1, [0], block_bytes)
+    return column, slow
+
+
+def _halfway_texts(rng) -> list[str]:
+    """Decimal texts of values exactly halfway between two doubles, and
+    one unit in the last digit either side of each."""
+    texts = []
+    # between doubles with 53-bit mantissa m at scale 2**e: (2m + 1) 2**(e - 1)
+    for e in range(-3, 12):
+        for m in rng.integers(2**52, 2**53, 300).tolist():
+            odd = 2 * m + 1
+            digits, exp = (odd << (e - 1), 0) if e >= 1 else (odd * 5 ** (1 - e), e - 1)
+            texts += [f"{d}e{exp}" for d in (digits - 1, digits, digits + 1) if d < 10**19]
+    # halfway cases with q > 0: an odd 54-bit multiple of 5**q, times 2**j
+    for q in range(1, 24):
+        low, high = 2**53 // 5**q + 1, 2**54 // 5**q + 1
+        for r in range(low, high) if high - low < 50 else rng.integers(low, high, 50).tolist():
+            if (r * 5**q) % 2 == 1 and (r * 5**q).bit_length() == 54:
+                for j in range(3):
+                    w = r << j
+                    texts += [f"{d}e{q}" for d in (w - 1, w, w + 1) if d < 10**19]
+    return texts
+
+
+def test_column_parse_matches_float_bit_for_bit():
+    rng = np.random.default_rng(1990)
+    # random bit patterns: 200 per finite biased exponent, either sign
+    exponents = np.repeat(np.arange(2047, dtype=np.uint64), 200)
+    mantissas = rng.integers(0, 2**52, exponents.size, dtype=np.uint64)
+    signs = rng.integers(0, 2, exponents.size, dtype=np.uint64)
+    bits = (signs << np.uint64(63)) | (exponents << np.uint64(52)) | mantissas
+    texts = list(map(repr, bits.view(np.float64).tolist()))
+    # short decimals
+    whole = rng.integers(0, 10**6, 100_000).tolist()
+    frac = rng.integers(0, 10**4, 100_000).tolist()
+    texts += [f"{a}.{b}" for a, b in zip(whole, frac)] + [str(a) for a in whole[:20_000]]
+    # 17 to 19 digits, positional and with exponents
+    for digits in (17, 18, 19):
+        for w in rng.integers(10 ** (digits - 1), 10**digits - 1, 50_000, dtype=np.uint64).tolist():
+            q = int(rng.integers(-340, 300))
+            point = int(rng.integers(0, digits + 1))
+            text = str(w)
+            texts += [f"{w}e{q}", f"-{text[:point]}.{text[point:]}", f"0.000{text}"]
+    # Clinger's bounds: 2**53 and its neighbours, |q| = 22 and 23
+    for w in (2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2, 1, 3, 10**15 + 1):
+        for q in (0, 1, -1, 21, 22, 23, -21, -22, -23, 308, -308, -324, -342, -343, 309):
+            texts += [f"{w}e{q}", f"{w}E{q:+d}", f"-{w}.0e{q}"]
+    texts += _halfway_texts(rng)
+    # the writer's own text
+    values = rng.standard_normal(100_000) * np.exp(rng.uniform(-700, 700, 100_000))
+    buf = io.StringIO()
+    cohort_module._write_csv(buf, ("x",), (values,))
+    texts += buf.getvalue().split("\r\n")[1:-1]
+    texts += ["0", "-0", "+0.0", "00.00e0", ".5", "5.", "+.5e-3", "-7.e+2", "1e0000005"]
+    # the largest double and the overflow past it; the normal/subnormal
+    # seam; the least subnormal and half of it
+    texts += ["1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+              "2.2250738585072011e-308", "2.2250738585072012e-308", "4.9406564584124654e-324",
+              "2.4703282292062327e-324", "2.4703282292062328e-324"]
+    assert len(texts) >= 1_000_000
+    column, slow = _parsed(texts)
+    expected = np.array([float(t) for t in texts])
+    assert column.tobytes() == expected.tobytes()
+    assert slow == sum(map(_for_float, texts))
+
+
+def _for_float(text: str) -> bool:
+    """Whether the column parse hands ``text`` to ``float``: digits that
+    reach 1844 * 10**16 (just below 2**64) with a point read as a 0
+    digit, an exponent of more than 8 digits, or a decimal exponent
+    outside [-342, 308]."""
+    mantissa, _, exponent = text.lstrip("+-").lower().partition("e")
+    if int(mantissa.replace(".", "0") or 0) >= 1844 * 10**16 or len(exponent.lstrip("+-")) > 8:
+        return True
+    q = int(exponent or 0) - len(mantissa.partition(".")[2])
+    return int(mantissa.replace(".", "") or 0) != 0 and not -342 <= q <= 308
+
+
+def test_column_parse_hands_long_cells_to_float():
+    texts = ["1" * 20, "0." + "3" * 30, "1e123456789", "12345678901234567890123e-3",
+             "1.5", "2e-400", "-3e400", "18000000000000000000", "0.18000000000000000000",
+             "1.234567890123456789", "18439999999999999999e-3", "0.0001843999999999999999"]
+    column, slow = _parsed(texts)
+    assert column.tobytes() == np.array([float(t) for t in texts]).tobytes()
+    assert slow == 5 == sum(map(_for_float, texts))
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0", "nan", "inf", " 1", "1 ", "--1", "1e", "1.2.3", "e5", ".", "+", "1e+",
+             "0x10", "\u0661", "1\t"]
+)
+def test_column_parse_rejects_other_cells(text):
+    with pytest.raises(csvtext.Unparsed):
+        _parsed(["1.5", text, "2"])
+
+
+def test_utf8_byte_order_mark_is_dropped(tmp_path):
+    text = "\ufefftime,status,score1\r\n1.5,1,4\r\n2,0,3\r\n"
+    expected = read_cohort_csv(io.StringIO(text[1:]))
+    p = tmp_path / "excel.csv"
+    p.write_bytes(text.encode("utf-8"))
+    for source in (p, io.BytesIO(text.encode("utf-8")), io.StringIO(text)):
+        assert read_cohort_csv(source) == expected
+    # the row reader's line numbers stay as they were
+    bad = "\ufefftime,status,score1\n1,1,4\n2,0,x\n"
+    for source in (io.BytesIO(bad.encode("utf-8")), io.StringIO(bad)):
+        with pytest.raises(NonNumericCellError) as err:
+            read_cohort_csv(source)
+        assert err.value.row == 3
+
+
+class _PathLike:
+    def __init__(self, path):
+        self.path = path
+
+    def __fspath__(self):
+        return str(self.path)
+
+
+def test_path_like_sources_and_destinations(tmp_path):
+    import os
+
+    from tdap import ReportRow, SimulationConfig, SimulationReport
+
+    coh = read_cohort_csv(io.StringIO(PAIRED))
+    write_cohort_csv(coh, _PathLike(tmp_path / "written.csv"))
+    assert read_cohort_csv(_PathLike(tmp_path / "written.csv")) == coh
+    (entry,) = [e for e in os.scandir(tmp_path) if e.name == "written.csv"]
+    assert read_cohort_csv(entry) == coh
+    row = ReportRow(8.0, 0.1, "ap", 0.5, 0.0, 0.1, 0.1, 95.0)
+    report = SimulationReport(SimulationConfig(), (row,), 0.3, 0)
+    report.to_csv(_PathLike(tmp_path / "study.csv"))
+    theirs = io.StringIO()
+    report.to_csv(theirs)
+    assert (tmp_path / "study.csv").read_bytes() == theirs.getvalue().encode()
+
+
+def test_reader_logs_its_path(caplog, tmp_path):
+    caplog.set_level("DEBUG", logger="tdap")
+    cases = [
+        (PAIRED.encode(), "read by columns: 4 rows, 0 cells by float()"),
+        (b"time,status,score1\n" + b"1" * 25 + b",1,4\n", "read by columns: 1 rows, 1 cells by float()"),
+        (b'time,status,score1\n"1",1,4\n', "row reader: a quote or NUL"),
+        (b"time,status\n1,1\n", "row reader: the header"),
+        (b"time,status,score1\n1, 1,4\n", "row reader: a cell that is not a decimal number"),
+        (b"time,status,score1\n1,1\n", "row reader: a line whose field count"),
+        (b"time,status,score1\n1,2,4\n", "row reader: a failed check (InvalidStatusError)"),
+        (b"time,status,score1,note\n1,1,4,\xff\n", "row reader: bytes that are not UTF-8"),
+    ]
+    for data, message in cases:
+        caplog.clear()
+        try:
+            read_cohort_csv(io.BytesIO(data))
+        except Exception:
+            pass
+        assert [r.name for r in caplog.records] == ["tdap.cohort"]
+        assert message in caplog.records[0].getMessage()
+    caplog.clear()
+    read_cohort_csv(io.StringIO(PAIRED))
+    assert "read by rows: a text stream" in caplog.text
+
+
+def test_logger_is_silent_by_default():
+    import logging
+
+    assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("tdap").handlers)
