@@ -192,7 +192,10 @@ def _accuracy(counts, case_mass, ctrl_mass):
     may be empty (count and masses 0).  AP is NaN without case mass; AUC
     is NaN without case or control mass.  Both are clipped into [0, 1];
     the clip can bind only in heavily censored corners where single
-    weights exceed 1.
+    weights exceed 1.  ``counts`` must be whole numbers.  AP never reads
+    the control masses, and a weight common to every control cancels in
+    AUC up to rounding, so a caller whose controls share one weight may
+    pass their counts.
 
     One set of groups (1-d arrays) gives two floats.  A table of rows
     (2-d arrays, one row per bootstrap replicate) gives one AP array and
@@ -213,13 +216,20 @@ def _accuracy(counts, case_mass, ctrl_mass):
     total_case = case.sum(axis=1)
     with_case = total_case > 0.0
     # tie-corrected precision at each case group's score: half of the
-    # tied group's own mass counts as "above"
+    # tied group's own mass counts as "above".  Both sides are doubled:
+    # the counts are whole numbers, so twice the screened count is exact,
+    # made in place over every group and gathered once
+    screened = np.cumsum(counts, axis=1)
+    screened *= 2
+    screened -= counts
+    screened = screened[:, hit]
     ppv = np.divide(
-        np.cumsum(case, axis=1) - 0.5 * case,
-        np.cumsum(counts, axis=1)[:, hit] - 0.5 * counts[:, hit],
+        2.0 * np.cumsum(case, axis=1) - case,
+        screened,
         out=np.zeros(case.shape),
         where=case > 0.0,
     )
+    del screened  # not held through the control sums over every group
     ap = _ratio(np.einsum("bi,bi->b", case, ppv), total_case, with_case)
     total_ctrl = ctrl_mass.sum(axis=1)
     ctrl_below = total_ctrl[:, None] - np.cumsum(ctrl_mass, axis=1)[:, hit]

@@ -23,20 +23,25 @@ reverse Kaplan-Meier fit runs in place on its two ``bincount`` tables
 taken only at the cases' own times.
 
 A segment is a score group holding a case of the full cohort, or one run
-of caseless groups between two such groups, so a horizon has 2h + 1
-bins per score for h distinct case scores rather than one per distinct
+of caseless groups between two such groups, so there are 2h + 1 bins
+per score for h distinct case scores rather than one per distinct
 score.  Each subject is keyed once per score: its fine segment, anchored
 at every case before the largest horizon, and its horizon slot, the
-number of horizons at or below its time.  A replicate's subject masses
-fill one slot-by-segment table per score, and its case weights each
-(horizon, score) pair's own segments.  Replicates fill these tables
-block by block.  Per block, running sums over the slot axis give every
-horizon's mass at or beyond t0, a fixed map per pair folds the fine
-segments into the horizon's own (its anchors are a subset of the fine
-ones), and the same AP/AUC kernel as the point estimators turns the
-block into AP and AUC columns, one call per horizon and score.  The
-masses are whole numbers, so every fold is exact.  A block is sized by
-a fixed byte budget, so memory does not grow with the replicate count.
+number of horizons at or below its time.  A replicate's subject counts
+fill one slot-by-segment table per score, and its case weights fill, per
+(horizon, score) pair, the score's fine segments plus a spare bin for
+the cases at or beyond t0.  Replicates fill these tables block by block.
+Per block, running sums over the slot axis give every horizon's count at
+or beyond t0, and the same AP/AUC kernel as the point estimators turns
+the block into AP and AUC columns, one call per horizon and score, on
+the fine segments.  Every control at t0 weighs 1/G(t0): AP never reads
+the controls and the weight cancels in AUC, so the kernel reads the
+whole-number counts.  A horizon's own segments are contiguous unions of
+the fine ones, and prefix sums of whole numbers are exact, so AP is bit
+for bit what the horizon's own segments give and AUC moves only by
+rounding.  A block is sized by a fixed byte budget and spawns its
+replicates' seeds as it starts, so memory does not grow with the
+replicate count.
 """
 
 from __future__ import annotations
@@ -158,13 +163,14 @@ class _RankedCohort:
     every replicate), and its table crosses them with the horizon slots:
     a subject's slot is the number of horizons at or below its time, so
     it is followed less than horizon k exactly when its slot is at most
-    k.  A horizon's own case-anchored segments have a subset of those
-    anchors; each (horizon, score) pair keeps the map that folds the fine
-    segments into its own (None where they are the same), and its case
-    keys: case weights into its own segments plus one spare bin that
-    takes the cases at or beyond t0.  One replicate is two ``bincount``
-    passes over fixed keys, with weights copied into buffers allocated
-    here.
+    k.  Every (horizon, score) pair reads the score's fine segments: its
+    case keys are a case's fine segment (a tie bin) before t0 and one
+    spare bin, last, at or beyond it.  A horizon's own segments are
+    contiguous unions of the fine ones, and a fine tie bin whose anchor
+    has no case before t0 holds no case mass there, so the kernel reads
+    the same case columns and, the counts being whole numbers, the same
+    prefix sums.  One replicate is two ``bincount`` passes over fixed
+    keys, with weights copied into buffers allocated here.
 
     The reverse KM runs in place on the two ``bincount`` tables (censored
     count and at-risk count per jump): ``cumsum``, ``n - ``, a floor of 1,
@@ -199,49 +205,29 @@ class _RankedCohort:
         slot = np.searchsorted(self.horizons, times, side="right")
         self.case_slot = slot[self.case_subjects]
 
-        # per score, its fine segment count and the subject -> (slot, fine
-        # segment) keys; per (horizon, score) pair, horizon-major, its own
-        # segment count, its fold map and its case keys
-        self.n_scores = n_scores
+        # per score, its fine segment count, the subject -> (slot, fine
+        # segment) keys and the cases' fine segments
         n_slots = self.horizons.size + 1
-        self.fine_sizes, self.sizes, self.folds = [], [], []
+        self.fine_sizes = []
         mass_keys = np.empty((n_scores, self.n), dtype=np.intp)
         mass_width = 0
-        anchored = []  # per score: the cases' fine segments, anchor times
+        case_groups = []
         for s in range(n_scores):
             score = cohort.scores(s + 1)
             order = np.argsort(score)
-            case_scores = score[self.case_subjects]
-            sizes, _ = _case_segments(score[order], case_scores)
+            sizes, _ = _case_segments(score[order], score[self.case_subjects])
             group = np.empty(self.n, dtype=np.intp)
             group[order[::-1]] = np.repeat(np.arange(sizes.size), sizes)
             mass_keys[s] = mass_width + slot * sizes.size + group
             self.fine_sizes.append(sizes.size)
             mass_width += n_slots * sizes.size
-            # an anchor is one of a horizon's own when a case with its
-            # score comes before t0: its earliest case time, highest first
-            anchors, anchor_of = np.unique(case_scores, return_inverse=True)
-            first = np.full(anchors.size, np.inf)
-            np.minimum.at(first, anchor_of, case_times)
-            anchored.append((group[self.case_subjects], first[::-1]))
+            case_groups.append(group[self.case_subjects])
+        # per (horizon, score) pair, horizon-major, its case keys
         case_keys, case_width = [], 0
-        for t0 in self.horizons:
-            case_in = case_times < t0
-            for case_group, first in anchored:
-                is_own = first < t0
-                # fine segments: gap i (between anchors i - 1 and i), tie i,
-                # ..., tail; own anchors above each, then a fine tie's own
-                # segment is a tie if its anchor is own and a gap if not
-                above = np.concatenate(([0], np.cumsum(is_own)))
-                fold = np.empty(2 * first.size + 1, dtype=np.intp)
-                fold[0::2] = 2 * above
-                fold[1::2] = 2 * above[:-1] + is_own
-                size = 2 * int(above[-1]) + 1
-                case_keys.append(
-                    case_width + np.where(case_in, fold[case_group], size)
-                )
-                self.sizes.append(size)
-                self.folds.append(None if is_own.all() else fold)
+        for k in range(self.horizons.size):
+            case_in = self.case_slot <= k
+            for case_group, size in zip(case_groups, self.fine_sizes):
+                case_keys.append(case_width + np.where(case_in, case_group, size))
                 case_width += size + 1
         self.mass_keys = mass_keys.ravel()
         self.case_keys = np.concatenate(case_keys)
@@ -249,15 +235,15 @@ class _RankedCohort:
         # weight buffers: every score's keys take the masses, every pair's
         # the case weights
         self.masses = np.empty((n_scores, self.n))
-        self.case_weights = np.empty((len(self.sizes), self.case_subjects.size))
+        self.case_weights = np.empty((len(case_keys), self.case_subjects.size))
 
     def replicate(self, m, mass_out, case_out, stats_out) -> None:
         """Write the resample with multiplicities ``m`` into row buffers.
 
-        ``mass_out`` receives the slot-by-fine-segment masses of each
-        score and ``case_out`` the case weights in each pair's own
-        segments.  Rows 0 and 2 of ``stats_out`` receive, per horizon, the
-        case count before t0 and G(t0); ``accuracy`` gives the count
+        ``mass_out`` receives the slot-by-fine-segment subject counts of
+        each score and ``case_out`` the case weights in each pair's fine
+        segments.  Rows 0 and 2 of ``stats_out`` receive, per horizon,
+        the case count before t0 and G(t0); ``accuracy`` gives the count
         followed up to t0 from ``mass_out``.
 
         Every value is bit for bit what a masked hazard divide and 1/G
@@ -306,24 +292,21 @@ class _RankedCohort:
         )[:k]
         stats_out[2] = g[self.horizon_jumps]
 
-    def accuracy(self, mass, case, g_t0):
+    def accuracy(self, mass, case):
         """Per horizon, (AP, AUC) columns per score for a block of rows.
 
-        ``mass`` and ``case`` are block tables written by ``replicate``
-        and ``g_t0`` the block's (rows x horizons) G(t0).  Also returns
-        the (rows x horizons) count followed up to each t0.
+        ``mass`` and ``case`` are block tables written by ``replicate``.
+        Also returns the (rows x horizons) count followed up to each t0.
 
-        Per score, the mass of every subject and of those at or beyond t0
-        are running sums over the slot axis of its table; each pair's map
-        folds both into the horizon's own segments (``_fold``).  The
-        masses are whole numbers, so every sum is exact and the kernel's
-        inputs are those of a table keyed per pair.  Folding one table at
-        a time keeps the block step's temporaries to one table's size.
+        Per score, the count of every subject and of those at or beyond
+        t0 are running sums over the slot axis of its table, exact in
+        whole numbers.  The kernel reads the latter as the control masses:
+        every control's weight is 1/G(t0), which AP never reads and which
+        cancels in AUC up to rounding.
         """
-        rows, k_count = g_t0.shape
-        ctrl_w = np.divide(1.0, g_t0, out=np.zeros(g_t0.shape), where=g_t0 > 0.0)
-        # per score: its (rows, slots, fine segments) table, the mass of
-        # every subject and the mass at or beyond t0, running down from it
+        rows, k_count = mass.shape[0], self.horizons.size
+        # per score: its (rows, slots, fine segments) table, the count of
+        # every subject and the count at or beyond t0, running down from it
         tables, mass_at = [], 0
         for size in self.fine_sizes:
             width = (k_count + 1) * size
@@ -333,40 +316,17 @@ class _RankedCohort:
             mass_at += width
         followed = np.empty((rows, k_count))
         out = []
-        pair = case_at = 0
+        case_at = 0
         for k in range(k_count):
             acc = []
             for table, total, beyond in tables:
                 np.subtract(beyond, table[:, k], out=beyond)
-                size, fold = self.sizes[pair], self.folds[pair]
-                ctrl, counts = beyond, total
-                if fold is not None:
-                    ctrl, counts = _fold(beyond, fold, size), _fold(total, fold, size)
-                if pair % self.n_scores == 0:
-                    followed[:, k] = ctrl.sum(axis=1)
-                acc.append(
-                    _accuracy(
-                        counts,
-                        case[:, case_at : case_at + size],
-                        ctrl * ctrl_w[:, k, None],
-                    )
-                )
-                pair += 1
+                size = total.shape[1]
+                acc.append(_accuracy(total, case[:, case_at : case_at + size], beyond))
                 case_at += size + 1
+            followed[:, k] = beyond.sum(axis=1)  # the same for every score
             out.append(acc)
         return out, followed
-
-
-def _fold(table, fold, size):
-    """Sum each row's columns into ``size`` columns, column j into ``fold[j]``.
-
-    One ``bincount`` over row-offset keys serves every row.
-    """
-    rows = table.shape[0]
-    keys = np.add.outer(np.arange(0, rows * size, size), fold)
-    return np.bincount(
-        keys.ravel(), weights=table.ravel(), minlength=rows * size
-    ).reshape(rows, size)
 
 
 # bytes of segment-mass tables per block of replicates: the AP/AUC kernel
@@ -403,7 +363,9 @@ def _replicate_matrices(
     per-replicate loop over ``CohortSample.take``, the same for every
     horizon.  Replicates run in blocks whose segment-mass tables fit in
     ``_BLOCK_BYTES``; the AP/AUC kernel runs once per block, horizon and
-    score.
+    score.  Each block spawns its children as it starts: a
+    ``SeedSequence`` numbers its children on from its last ``spawn``, so
+    they are the same children, and seeds are held one block at a time.
     """
     if len(horizons) == 0:
         return []
@@ -418,9 +380,7 @@ def _replicate_matrices(
     def run_block(stats, out):
         """Fill ``out`` with the estimands of the block rows behind ``stats``."""
         block = len(stats)
-        per_horizon, stats[:, 1] = ranked.accuracy(
-            mass[:block], case[:block], stats[:, 2]
-        )
+        per_horizon, stats[:, 1] = ranked.accuracy(mass[:block], case[:block])
         for k, acc in enumerate(per_horizon):
             for e, stat in enumerate(table):
                 out[k, :, e] = stat(acc)
@@ -436,9 +396,9 @@ def _replicate_matrices(
 
     values = np.empty((n_horizons, n_reps, len(table)))
     stats = np.empty((n_reps, 3, n_horizons))
-    children = np.random.SeedSequence(spec.seed).spawn(n_reps)
+    seeds = np.random.SeedSequence(spec.seed)
     for start in range(0, n_reps, rows):
-        block = children[start : start + rows]
+        block = seeds.spawn(min(rows, n_reps - start))
         for r, child in enumerate(block):
             idx = np.random.default_rng(child).integers(0, n, size=n)
             ranked.replicate(

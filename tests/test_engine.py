@@ -21,9 +21,14 @@ The engine and the study oracle bin scores into case-anchored segments
 (``estimators._case_segments``); the kernel must read the same AP and
 AUC from them as from one group per distinct score.  The engine keys
 each subject once per score, at segments anchored at every case before
-the largest horizon, and folds those into each horizon's own: the fold
-must give exactly that horizon's segments.
+the largest horizon, and reads every horizon from those fine segments
+with whole-number control counts: at each horizon the kernel must give
+the bits it gives on that horizon's own segments, and a common control
+weight may move AUC only by rounding.  Seeds are spawned one block at a
+time, so the engine's memory per replicate holds no seed.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,29 +298,31 @@ def test_ranked_cohort_bins_are_case_anchored(decimals, t0):
         fine_groups.append(group)
         mass_at += n_slots * fine
     assert mass_at == ranked.mass_width
-    case_at = 0
     pairs = [(h, s) for h in ranked.horizons for s in (1, 2)]
-    assert len(ranked.sizes) == len(ranked.folds) == len(pairs)
-    for p, ((h, s), size, fold) in enumerate(zip(pairs, ranked.sizes, ranked.folds)):
-        is_case = (cohort.times < h) & (cohort.status == 1.0)
-        assert size == 2 * np.unique(cohort.scores(s)[is_case]).size + 1
-        fine = ranked.fine_sizes[s - 1]
-        assert (fold is None) == (size == fine)  # the largest horizon's own are the fine
-        fold = np.arange(fine) if fold is None else fold
-        group = fold[fine_groups[s - 1]]
-        assert 0 <= group.min() and group.max() < size
-        # through the map, the subjects fill the horizon's own segments
-        own_sizes, _ = _case_segments(np.sort(cohort.scores(s)), cohort.scores(s)[is_case])
-        assert np.array_equal(np.bincount(group, minlength=size), own_sizes)
+    # every pair's case keys span its score's fine segments and a spare bin
+    assert ranked.case_keys.size == len(pairs) * cases.size
+    assert ranked.case_width == ranked.horizons.size * sum(f + 1 for f in ranked.fine_sizes)
+    case_at = 0
+    for p, (h, s) in enumerate(pairs):
+        fine, group = ranked.fine_sizes[s - 1], fine_groups[s - 1]
         # a higher score never sits in a later segment
         order = np.argsort(-cohort.scores(s), kind="stable")
         assert (np.diff(group[order]) >= 0).all()
         case_keys = ranked.case_keys[p * cases.size : (p + 1) * cases.size] - case_at
         in_horizon = cohort.times[cases] < h
         assert np.array_equal(case_keys[in_horizon], group[cases[in_horizon]])
-        assert (case_keys[~in_horizon] == size).all()  # the spare bin
         assert (case_keys[in_horizon] % 2 == 1).all()  # every case sits in a tie bin
-        case_at += size + 1
+        assert (case_keys[~in_horizon] == fine).all()  # the spare bin, last
+        # the tie bins hit are the horizon's own anchors, and its own
+        # segments are the runs of fine ones between them
+        is_case = (cohort.times < h) & (cohort.status == 1.0)
+        own_sizes, _ = _case_segments(np.sort(cohort.scores(s)), cohort.scores(s)[is_case])
+        ties = np.unique(case_keys[in_horizon])
+        assert 2 * ties.size + 1 == own_sizes.size
+        edges = np.concatenate(([0], np.column_stack([ties, ties + 1]).ravel(), [fine]))
+        below = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=fine))))
+        assert np.array_equal(np.diff(below[edges]), own_sizes)
+        case_at += fine + 1
     assert case_at == ranked.case_width
 
 
@@ -327,27 +334,51 @@ def test_subject_keys_do_not_grow_with_the_horizons(n_horizons):
     for n_scores in (1, 2):
         ranked = _RankedCohort(cohort, horizons, n_scores)
         assert ranked.mass_keys.size == n_scores * cohort.n
-        assert len(ranked.sizes) == n_horizons * n_scores
+        assert len(ranked.fine_sizes) == n_scores
+        # case keys: one per case and (horizon, score) pair
+        assert ranked.case_keys.size == n_horizons * n_scores * ranked.case_subjects.size
+        assert ranked.case_width == n_horizons * sum(f + 1 for f in ranked.fine_sizes)
+
+
+def segment_masses(score, case_scores, case_mass, ctrl_mass):
+    """Subject count, case mass and control mass per ``_case_segments`` bin."""
+    order = np.argsort(score)
+    sizes, _ = _case_segments(score[order], case_scores)
+    group = np.empty(score.size, dtype=np.intp)
+    group[order[::-1]] = np.repeat(np.arange(sizes.size), sizes)
+    return sizes, *(
+        np.bincount(group, weights=m, minlength=sizes.size) for m in (case_mass, ctrl_mass)
+    )
 
 
 @settings(SETTINGS, max_examples=100)
 @given(
     adversarial_cohorts(),
     st.lists(st.sampled_from([1.5, 2.0, 3.0, 4.0, 5.0]), min_size=1, max_size=4),
+    st.floats(1.0, 40.0),
 )
-def test_fold_maps_fine_segments_onto_each_horizons_own(case, extra):
+def test_fine_segments_give_each_horizons_own_accuracy(case, extra, ctrl_w):
+    # the engine reads every horizon on segments anchored at every case
+    # before the largest, with whole-number control counts
     cohort, t0 = case
-    ranked = _RankedCohort(cohort, [*extra, t0], 2)
-    pairs = [(h, s) for h in ranked.horizons for s in (1, 2)]
-    for (h, s), size, fold in zip(pairs, ranked.sizes, ranked.folds):
-        score = cohort.scores(s)
-        ascending = np.sort(score)
-        fine, _ = _case_segments(ascending, score[ranked.case_subjects])
-        is_case = (cohort.times < h) & (cohort.status == 1.0)
-        own, _ = _case_segments(ascending, score[is_case])
-        fold = np.arange(fine.size) if fold is None else fold
-        assert fold.size == fine.size and size == own.size
-        assert np.array_equal(np.bincount(fold, weights=fine, minlength=size), own)
+    horizons = [*extra, t0]
+    fit = fit_censoring_km(cohort)
+    early_case = (cohort.status == 1.0) & (cohort.times < max(horizons))
+    for h in horizons:
+        case_mass = ipcw_weights(cohort, fit, h).weights * (cohort.times < h)
+        followed = (cohort.times >= h).astype(float)
+        for score in (cohort.score1, cohort.score2):
+            fine, own = (
+                segment_masses(score, score[anchored], case_mass, followed)
+                for anchored in (early_case, early_case & (cohort.times < h))
+            )
+            ap, value = _accuracy(*fine)
+            assert np.array([ap, value]).tobytes() == np.array(_accuracy(*own)).tobytes()
+            # AP never reads a weight common to every control; AUC cancels it
+            sizes, cases, ctrl = fine
+            ap_w, value_w = _accuracy(sizes, cases, ctrl_w * ctrl)
+            assert np.array(ap_w).tobytes() == np.array(ap).tobytes()
+            np.testing.assert_allclose(value_w, value, rtol=0.0, atol=1e-12)
 
 
 @settings(SETTINGS, max_examples=100)
@@ -523,10 +554,14 @@ def test_sweep_shaped_cohort_across_horizons():
     horizons = [20.0, 5.0, 35.0, 10.0, 30.0, 15.0, 25.0, 10.0, 35.0, 5.0]
     ranked = _RankedCohort(cohort, horizons, 2)
     assert ranked.horizons.size == 7
-    # the early horizons fold a strict subset of the fine anchors; the
-    # largest takes them as they are
-    assert ranked.folds[0] is not None and ranked.folds[-1] is None
-    assert ranked.sizes[0] < ranked.fine_sizes[0]
+    # score 1's cases hit a strict subset of the fine anchors' tie bins at
+    # the earliest horizon, and every one at the largest
+    n_cases, fine = ranked.case_subjects.size, ranked.fine_sizes[0]
+    last_at = ranked.case_width - sum(f + 1 for f in ranked.fine_sizes)
+    first = ranked.case_keys[:n_cases]
+    last = ranked.case_keys[-2 * n_cases : -n_cases] - last_at
+    hit_first, hit_last = (np.unique(k[k < fine]).size for k in (first, last))
+    assert 0 < hit_first < hit_last == (fine - 1) // 2
     spec = BootstrapSpec(replicates=20, seed=2024)
     assert_horizons_match(cohort, horizons, spec)
     assert_single_horizon_bits(cohort, horizons, spec)
@@ -552,6 +587,26 @@ def test_block_edges(monkeypatch, rows):
         monkeypatch.setattr(inference, "_BLOCK_BYTES", budget)
     # 30 replicates: not a multiple of 7, and below one default block
     assert_horizons_match(cohort, horizons, BootstrapSpec(replicates=30, seed=12))
+
+
+def test_engine_memory_per_replicate_holds_no_seed(monkeypatch):
+    # a SeedSequence child takes about 368 B, so seeds spawned all at once
+    # would hold about 368 MB at a million replicates; per block, the
+    # output rows are what grows
+    cohort = generate_cohort(30, 3)
+    ranked = _RankedCohort(cohort, (8.0,), 1)
+    row_bytes = 8 * (ranked.mass_width + ranked.case_width)
+    monkeypatch.setattr(inference, "_BLOCK_BYTES", 64 * row_bytes)
+
+    def peak(replicates):
+        tracemalloc.start()
+        try:
+            _replicate_matrices(cohort, (8.0,), BootstrapSpec(replicates, seed=9), ("ap",))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(1200) - peak(200)) / 1000 < 100
 
 
 def test_rap_fails_where_the_score2_ap_is_zero(monkeypatch):
