@@ -933,7 +933,9 @@ def read_columns(data: bytes, start: int, ncols: int, cols, block_bytes: int):
             # more: numpy backs large arrays with huge pages, so a loose
             # bound would cost memory
             room = end * (len(data) - first) // (stop - first) * 21 // 20 + 64
-            table = np.concatenate([table[:, :rows], np.empty((len(cols), room - rows))], axis=1)
+            grown = np.empty((len(cols), room))
+            grown[:, :rows] = table[:, :rows]
+            table = grown
         slow += _fields(text, tokens, delim, ncols, cols, table[:, rows:end], s)
         rows = end
         start = stop

@@ -107,17 +107,20 @@ class CohortSample:
         Second score for paired cohorts.
 
     All arrays are validated (finite, times > 0, status in {0, 1}) and
-    stored as read-only float64 arrays.
+    stored as read-only float64 copies.
     """
 
     __slots__ = ("times", "status", "score1", "score2")
 
-    def __init__(self, times, status, score1, score2=None, _rows=None):
-        # copy so freezing the arrays never mutates caller-owned buffers
-        times = np.array(times, dtype=float)
-        status_arr = np.array(status, dtype=float)
-        score1 = np.array(score1, dtype=float)
-        score2 = None if score2 is None else np.array(score2, dtype=float)
+    def __init__(self, times, status, score1, score2=None, _rows=None, _owned=False):
+        # copy so freezing the arrays never mutates caller-owned buffers;
+        # tdap's own readers and generator hand over float64 arrays that
+        # nobody else holds (_owned), and those are frozen as they are
+        column = np.asarray if _owned else np.array
+        times = column(times, dtype=float)
+        status_arr = column(status, dtype=float)
+        score1 = column(score1, dtype=float)
+        score2 = None if score2 is None else column(score2, dtype=float)
         if times.size == 0:
             raise EmptyCohortError()
         n = times.size
@@ -406,7 +409,7 @@ def _read_columns(data: bytes, columns: ColumnMap) -> CohortSample | None:
             data, found.end() - 2, len(header), [positions[name] for name in names],
             _READ_BLOCK_BYTES,
         )
-        cohort = CohortSample(*table)
+        cohort = CohortSample(*table, _owned=True)
     except Unparsed as err:
         _hand_over(str(err))
         return None

@@ -259,17 +259,29 @@ def _case_segments(sorted_scores: np.ndarray, case_scores: np.ndarray):
     k - 1 and anchor k.
 
     ``sorted_scores`` is every subject's score in ascending order and
-    ``case_scores`` the cases' scores, in any order.  Returns the subject
-    count and the case count of each bin; with no case there is one bin,
-    holding everybody, and the kernel gives NaN.
+    ``case_scores`` the cases' scores, in any order; the cases must be
+    among the subjects.  Returns the subject count and the case count of
+    each bin; with no case there is one bin, holding everybody, and the
+    kernel gives NaN.
+
+    Only the left edges of the tie bins are searched.  An anchor's cases
+    are among the subjects tied at it, so its tie bin ends at its left
+    edge plus its case count, unless the next sorted score still equals
+    the anchor: only such anchors, whose ties hold subjects that are not
+    cases, are searched for their right edge too.
     """
     anchors, ties = np.unique(case_scores, return_counts=True)
     h = anchors.size
     # bin edges in ascending score order: [0, left_0, right_0, ..., n]
     edges = np.empty(2 * h + 2, dtype=np.intp)
     edges[0], edges[-1] = 0, sorted_scores.size
-    edges[1:-1:2] = np.searchsorted(sorted_scores, anchors, side="left")
-    edges[2:-1:2] = np.searchsorted(sorted_scores, anchors, side="right")
+    left, right = edges[1:-1:2], edges[2:-1:2]
+    left[:] = np.searchsorted(sorted_scores, anchors, side="left")
+    np.add(left, ties, out=right)
+    # a right edge of n reads the last score, equal to its anchor: that
+    # anchor is searched again, and the search gives n
+    longer = np.flatnonzero(sorted_scores.take(right, mode="clip") == anchors)
+    right[longer] = np.searchsorted(sorted_scores, anchors[longer], side="right")
     sizes = np.diff(edges)[::-1]
     cases = np.zeros(2 * h + 1)
     cases[1::2] = ties[::-1]

@@ -31,9 +31,12 @@ large uncensored draw.
 Each draw takes the failure variables (U1, U2, the noise) from its
 stream before the censoring variables (A, B).  The oracle needs no
 censoring, so it makes only the failure draw and still sees the T, U1
-and U2 of the full draw.  It sorts each score in place and reads AP from
-case-anchored segments (see ``_oracle``), so it holds no more than the
-draw's three arrays of n values plus each horizon's case mask and scores.
+and U2 of the full draw.  It never holds T, only each subject's horizon
+slot, and it holds one score at a time: U2 is drawn again from its saved
+generator state once U1's cells are done.  Each score is sorted in place
+and AP is read from case-anchored segments (see ``_oracle``), so the
+oracle holds about two arrays of n values (U1 and U2, during the draw)
+plus the cases' scores and one horizon's bins.
 """
 
 from __future__ import annotations
@@ -122,14 +125,8 @@ class SimulationConfig:
             object.__setattr__(self, name, int(getattr(self, name)))
 
 
-def _draw_failure(n: int, rng: np.random.Generator):
-    """Draw (T, U1, U2); U1 values of exactly 0 are redrawn.
-
-    ``log T`` is built ``_DRAW_CHUNK`` values at a time, term by term in
-    the order of the model formula and the noise last: the noise is still
-    the third draw on the stream, and no more than three arrays of n
-    values (U1, U2 and T) are alive at any point.
-    """
+def _draw_u1(n: int, rng: np.random.Generator) -> np.ndarray:
+    """U1, the first draw on the stream; values of exactly 0 are redrawn."""
     u1 = rng.standard_normal(n)
     # log(U1^2) needs U1 != 0; probability-zero case redrawn for safety
     while True:
@@ -137,15 +134,38 @@ def _draw_failure(n: int, rng: np.random.Generator):
         if not zero.any():
             break
         u1[zero] = rng.standard_normal(int(zero.sum()))
-    u2 = rng.standard_normal(n)
-    log_t = np.empty(n)
-    for lo in range(0, n, _DRAW_CHUNK):
+    return u1
+
+
+def _failure_steps(u1: np.ndarray, u2: np.ndarray, rng: np.random.Generator):
+    """Yield ``(start, T[start : start + step])`` for each step of the failure draw.
+
+    ``log T`` is built ``_DRAW_CHUNK`` values at a time, term by term in
+    the order of the model formula and each step's noise last, so the
+    noise is still the third draw on the stream.  Each step's T is a new
+    array, which the caller may keep or drop.
+    """
+    for lo in range(0, u1.size, _DRAW_CHUNK):
         v1, v2 = u1[lo : lo + _DRAW_CHUNK], u2[lo : lo + _DRAW_CHUNK]
-        log_t[lo : lo + _DRAW_CHUNK] = (
+        log_t = (
             _INTERCEPT - _COEF_U1 * v1 - _COEF_U2 * v2 - _COEF_LOG * np.log(v1 * v1)
             + rng.normal(0.0, _NOISE_SD, v1.size)
         )
-    return np.exp(log_t, out=log_t), u1, u2
+        yield lo, np.exp(log_t, out=log_t)
+
+
+def _draw_failure(n: int, rng: np.random.Generator):
+    """Draw (T, U1, U2); U1 values of exactly 0 are redrawn.
+
+    No more than three arrays of n values (U1, U2 and T) are alive at any
+    point: T is filled one ``_failure_steps`` step at a time.
+    """
+    u1 = _draw_u1(n, rng)
+    u2 = rng.standard_normal(n)
+    t = np.empty(n)
+    for lo, step in _failure_steps(u1, u2, rng):
+        t[lo : lo + step.size] = step
+    return t, u1, u2
 
 
 def _draw_latent(n: int, rng: np.random.Generator):
@@ -170,37 +190,71 @@ def generate_cohort(n: int, seed) -> CohortSample:
     t, c, u1, u2 = _draw_latent(n, rng)
     times = np.minimum(t, c)
     status = (t <= c).astype(float)
-    return CohortSample(times, status, u1, u2)
+    return CohortSample(times, status, u1, u2, _owned=True)
 
 
 def _oracle(config: SimulationConfig):
     """One large uncensored draw -> (true accuracy cells, event rates).
 
     Only the failure draw is made: with T fully observed every weight is
-    1 and there is no censoring to draw.  T and the case masks are dropped
-    once the case scores are gathered; each score is sorted in place, and
-    per horizon two ``searchsorted`` passes place the distinct case scores
-    and their tie counts in it.  This gives the case-anchored segments
-    (``estimators._case_segments``) that the AP/AUC kernel reads.
+    1 and there is no censoring to draw.  T is never held: each step of
+    the draw keeps only each subject's horizon slot, the number of
+    distinct horizons at or below its T, so T < t0_k exactly when the
+    slot is at most k.  One gather at the cases of the largest horizon
+    takes their slots and both scores' case scores; the event rates come
+    from the slot counts.  One score is held at a time: U2 is dropped
+    once its case scores are gathered and drawn again, bit for bit, from
+    the generator state saved before its first draw once U1's cells are
+    done.  Each score is sorted in place, and per horizon
+    ``_case_segments`` gives the bins that the AP/AUC kernel reads.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, _STREAM_ORACLE))
     )
-    t, u1, u2 = _draw_failure(config.oracle_size, rng)
-    is_case = {t0: t < t0 for t0 in config.horizons}
-    rates = {t0: float(np.mean(case)) for t0, case in is_case.items()}
-    del t
-    case_scores = [{t0: u[case] for t0, case in is_case.items()} for u in (u1, u2)]
-    del is_case
+    n = config.oracle_size
+    grid = np.unique(config.horizons)
+    slot_of = {t0: int(np.searchsorted(grid, t0)) for t0 in config.horizons}
+    u1 = _draw_u1(n, rng)
+    u2_state = rng.bit_generator.state
+    u2 = rng.standard_normal(n)
+    # the slot reaches grid.size, so its type grows with the horizon count;
+    # one comparison per horizon costs less than a binary search per value
+    slots = np.zeros(n, dtype=np.min_scalar_type(grid.size))
+    for lo, t in _failure_steps(u1, u2, rng):
+        for t0 in grid:
+            slots[lo : lo + t.size] += t >= t0
+    case = np.flatnonzero(slots < grid.size)
+    case_slot = slots[case]
+    del slots
+    cases1, cases2 = u1[case], u2[case]
+    del u2, case
+    cases_upto = np.cumsum(np.bincount(case_slot, minlength=grid.size))
+    rates = {t0: int(cases_upto[k]) / n for t0, k in slot_of.items()}
+    aps1 = _oracle_aps(u1, cases1, case_slot, slot_of)
+    del u1, cases1
+    rng.bit_generator.state = u2_state
+    aps2 = _oracle_aps(rng.standard_normal(n), cases2, case_slot, slot_of)
     trues: dict[tuple[float, str], float] = {}
-    for name, score, cases_at in zip(("AP1", "AP2"), (u1, u2), case_scores):
-        score.sort()
-        for t0 in rates:  # distinct; case scores die before the kernel
-            sizes, cases = _case_segments(score, cases_at.pop(t0))
-            trues[(t0, name)] = _accuracy(sizes, cases, sizes - cases)[0]
+    for name, aps in (("AP1", aps1), ("AP2", aps2)):
+        trues.update(((t0, name), ap) for t0, ap in aps.items())
     for t0 in config.horizons:
         trues[(t0, "rAP")] = trues[(t0, "AP1")] / trues[(t0, "AP2")]
     return trues, rates
+
+
+def _oracle_aps(score, case_scores, case_slot, slot_of) -> dict[float, float]:
+    """One oracle score's AP at each horizon; ``score`` is sorted in place.
+
+    A case is in horizon k's cases when its slot is at most k.  Each
+    horizon's bins are released before the next horizon's are built.
+    """
+    score.sort()
+    aps = {}
+    for t0, k in slot_of.items():
+        sizes, cases = _case_segments(score, case_scores[case_slot <= k])
+        aps[t0] = _accuracy(sizes, cases, sizes - cases)[0]
+        del sizes, cases
+    return aps
 
 
 def true_values(config: SimulationConfig) -> dict[tuple[float, str], float]:

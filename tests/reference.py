@@ -168,6 +168,25 @@ def unique_grouping(scores, is_case):
     return counts, np.bincount(group, weights=is_case, minlength=counts.size)
 
 
+def case_segments_two_sided(sorted_scores, case_scores):
+    """Case-anchored segments with both edges of every tie bin searched.
+
+    The form ``estimators._case_segments`` had before it searched only the
+    left edges: the same layout, ``[gap_0, tie_0, ..., tie_{h-1}, tail]``
+    from the highest score down, as (subject counts, case counts).
+    """
+    anchors, ties = np.unique(case_scores, return_counts=True)
+    h = anchors.size
+    edges = np.empty(2 * h + 2, dtype=np.intp)
+    edges[0], edges[-1] = 0, sorted_scores.size
+    edges[1:-1:2] = np.searchsorted(sorted_scores, anchors, side="left")
+    edges[2:-1:2] = np.searchsorted(sorted_scores, anchors, side="right")
+    sizes = np.diff(edges)[::-1]
+    cases = np.zeros(2 * h + 1)
+    cases[1::2] = ties[::-1]
+    return sizes, cases
+
+
 def unique_oracle(t, u1, u2, horizons, kernel):
     """Oracle AP cells with one group per distinct score (``np.unique``).
 

@@ -199,6 +199,50 @@ def test_cohort_is_immutable():
         coh.times[0] = 99.0
 
 
+def test_cohort_copies_the_callers_arrays():
+    # freezing a cohort must never touch a caller's buffers
+    mine = [np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 1.0]),
+            np.array([0.3, 0.1, 0.2]), np.array([0.5, 0.4, 0.6])]
+    before = [a.copy() for a in mine]
+    coh = CohortSample(*mine)
+    held = (coh.times, coh.status, coh.score1, coh.score2)
+    for a, was, kept in zip(mine, before, held):
+        assert a.flags.writeable and np.array_equal(a, was)
+        assert not kept.flags.writeable and not np.shares_memory(a, kept)
+        a[0] = 7.0
+        assert kept[0] == was[0]
+
+
+def test_reader_and_generator_hand_their_columns_over(monkeypatch, tmp_path):
+    # the column reader's and the generator's arrays are frozen in place:
+    # a cohort they build holds no second set of columns
+    import tdap.simulation as simulation
+
+    tables, draws = [], []
+
+    def read_spy(*args):
+        tables.append(csvtext.read_columns(*args))
+        return tables[-1]
+
+    def draw_spy(n, rng):
+        draws.append(real_draw(n, rng))
+        return draws[-1]
+
+    real_draw = simulation._draw_latent
+    monkeypatch.setattr(cohort_module, "read_columns", read_spy)
+    monkeypatch.setattr(simulation, "_draw_latent", draw_spy)
+    coh = generate_cohort(1000, 3)
+    _, _, u1, u2 = draws[0]
+    assert np.shares_memory(coh.score1, u1) and np.shares_memory(coh.score2, u2)
+    path = tmp_path / "paired.csv"
+    write_cohort_csv(coh, path)
+    read = read_cohort_csv(path)
+    assert read == coh
+    ((table, _),) = tables
+    for handed, kept in zip(table, (read.times, read.status, read.score1, read.score2)):
+        assert np.shares_memory(handed, kept) and not kept.flags.writeable
+
+
 def test_scores_selector():
     coh = read_cohort_csv(io.StringIO(BASIC))
     assert np.array_equal(coh.scores(1), coh.score1)

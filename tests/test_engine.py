@@ -271,6 +271,33 @@ def test_case_segments_give_per_score_accuracy(case):
     np.testing.assert_allclose(anchored, full, rtol=0.0, atol=1e-12)
 
 
+@st.composite
+def sorted_scores_and_cases(draw):
+    """Sorted scores (rounded to 0-2 decimals, or continuous) and some of them as cases."""
+    n = draw(st.integers(1, 60))
+    scores = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    decimals = draw(st.sampled_from([0, 1, 2, None]))
+    if decimals is not None:
+        scores = np.round(scores, decimals)
+    is_case = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return np.sort(scores), scores[is_case]
+
+
+@settings(SETTINGS, max_examples=300)
+@given(sorted_scores_and_cases())
+@example((np.array([0.0, 1.0, 1.0, 1.0, 2.0]), np.array([1.0])))  # ties beyond the case
+@example((np.array([0.0, 1.0, 2.0]), np.array([2.0, 0.0])))  # anchor at the last position
+@example((np.array([0.0, 2.0, 2.0]), np.array([2.0])))  # a last run holding a non-case
+@example((np.array([-0.0, 0.0, 0.0]), np.array([0.0, -0.0])))  # signed zeros tie
+@example((np.array([0.5, 1.5]), np.array([])))  # no case
+def test_one_sided_case_segments_equal_two_sided(case):
+    sorted_scores, case_scores = case
+    got = _case_segments(sorted_scores, case_scores)
+    want = reference.case_segments_two_sided(sorted_scores, case_scores)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("decimals", [None, 1])
 @pytest.mark.parametrize("t0", [0.5, 8.0, 36.0])
 def test_ranked_cohort_bins_are_case_anchored(decimals, t0):

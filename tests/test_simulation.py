@@ -127,9 +127,19 @@ def test_repeated_horizons_equal_unique_grouping_oracle():
     assert true_values(cfg) == expected
 
 
-def test_oracle_holds_no_more_than_the_draw():
-    # U1, U2 and T make 3 arrays of n; the case masks, the case scores and
-    # the kernel's temporaries must fit in half an array more
+def test_more_horizons_than_a_byte_of_slots_equal_unique_grouping_oracle():
+    # a subject's slot counts the horizons at or below its T, up to 256
+    # here, one more than a uint8 holds
+    cfg = tiny_config(horizons=tuple(np.linspace(0.5, 49.5, 256).tolist()))
+    t, _, u1, u2 = reference.draw_latent_unsplit(cfg.oracle_size, oracle_rng(cfg))
+    expected = reference.unique_oracle(t, u1, u2, cfg.horizons, _accuracy)
+    assert true_values(cfg) == expected
+
+
+def test_oracle_holds_less_than_two_scores_and_a_half():
+    # U1, U2 and one byte of horizon slot per subject make 2.125 arrays of
+    # n, and T is never held; measured at 2.40 arrays, in score 1's kernel
+    # at the largest horizon (U1, both scores' case scores and its bins)
     cfg = tiny_config(horizons=(0.5, 8.0, 36.0), oracle_size=1_000_000)
     true_values(tiny_config())  # lazy imports on first use are not the oracle's
     tracemalloc.start()
@@ -138,7 +148,7 @@ def test_oracle_holds_no_more_than_the_draw():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 8 * cfg.oracle_size
+    assert peak <= 2.5 * 8 * cfg.oracle_size
 
 
 def test_true_values_are_nan_below_every_oracle_event():
