@@ -13,8 +13,9 @@ are accepted for compatibility and never change a result.
 The engine never materialises a resample, and one pass serves every
 horizon of a command.  The cohort is ranked once and a replicate is its
 multiplicity vector: how often each subject was drawn.  The full cohort
-is the replicate that draws each subject once; the pass runs it first
-and the command line reads its point estimates from that row.  Each replicate
+is the replicate that draws each subject once; the pass runs it first,
+and every bootstrap, the command line's and the library's, reads its
+point estimates from that row.  Each replicate
 is drawn once, and its reverse Kaplan-Meier curve fitted once, for all
 horizons; resample validity, G(t0) and the segmented case, control and
 count masses are ``bincount``/``cumsum`` passes over fixed ranks.  The
@@ -50,19 +51,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .censoring import WeightVector, fit_censoring_km, ipcw_weights
+from .censoring import WeightVector
+from .censoring import fit_censoring_km, ipcw_weights  # bench/spans.py wraps both here
 from .cohort import CohortSample, _is_integer, _is_real, validate_horizon
 from .errors import TooManyFailedReplicatesError
-from .estimators import (
-    _accuracy,
-    _case_segments,
-    _check_weights,
-    _estimable_accuracy,
-    _ratio,
-    auc,
-    average_precision,
-    compare_horizon,
-)
+from .estimators import _accuracy, _case_segments, _check_weights, _ratio
+from .estimators import auc, average_precision  # bench/spans.py wraps both here
 
 __all__ = [
     "DEFAULT_SEED",
@@ -457,15 +451,6 @@ def _single_estimand(estimand: str, score: int) -> str:
     return estimand if score == 1 else estimand + "2"
 
 
-def _full_weights(
-    cohort: CohortSample, t0: float, weights: WeightVector | None
-) -> WeightVector:
-    if weights is None:
-        return ipcw_weights(cohort, fit_censoring_km(cohort), t0)
-    _check_weights(cohort, weights, t0)
-    return weights
-
-
 def bootstrap_values(
     cohort: CohortSample,
     t0: float,
@@ -486,25 +471,6 @@ def bootstrap_values(
     return values[:, 0], failed
 
 
-def _summary_map(t0, points, values, failed, level) -> dict[str, AccuracySummary]:
-    """Percentile CI and SE per ``(estimand, point)`` pair, from column k for pair k."""
-    alpha = 1.0 - level
-    out = {}
-    for k, (name, point) in enumerate(points):
-        lower, upper = np.quantile(values[:, k], [alpha / 2.0, 1.0 - alpha / 2.0])
-        out[name] = AccuracySummary(
-            estimand=name,
-            t0=float(t0),
-            point=float(point),
-            lower=float(lower),
-            upper=float(upper),
-            se=float(np.std(values[:, k], ddof=1)),
-            replicates_used=int(values.shape[0]),
-            replicates_failed=int(failed),
-        )
-    return out
-
-
 def _bootstrap_horizons(cohort, spec, horizons, estimands):
     """Event rate and summaries per horizon from one pass of every horizon.
 
@@ -514,16 +480,33 @@ def _bootstrap_horizons(cohort, spec, horizons, estimands):
     ``TooManyFailedReplicatesError`` once the horizons before it have
     been yielded.  Every horizon must pass ``validate_horizon``.
     """
+    alpha = 1.0 - spec.level
     results = _replicate_matrices(cohort, horizons, spec, estimands)
     for t0, (point, rate, values, causes) in zip(horizons, results):
         values, failed = _usable(values, causes, spec.replicates)
-        yield rate, _summary_map(t0, zip(estimands, point), values, failed, spec.level)
+        summaries = {}
+        for k, name in enumerate(estimands):
+            lower, upper = np.quantile(values[:, k], [alpha / 2.0, 1.0 - alpha / 2.0])
+            summaries[name] = AccuracySummary(
+                estimand=name,
+                t0=float(t0),
+                point=float(point[k]),
+                lower=float(lower),
+                upper=float(upper),
+                se=float(np.std(values[:, k], ddof=1)),
+                replicates_used=int(values.shape[0]),
+                replicates_failed=int(failed),
+            )
+        yield rate, summaries
 
 
-def _summaries(cohort, t0, spec, points: dict) -> dict[str, AccuracySummary]:
-    """One joint bootstrap of every estimand named in ``points``, at those points."""
-    values, failed = _replicate_matrix(cohort, t0, spec, tuple(points))
-    return _summary_map(t0, points.items(), values, failed, spec.level)
+def _bootstrap_at(cohort, t0, spec, estimands, weights=None) -> dict[str, AccuracySummary]:
+    """Summaries at one horizon; raises on the horizon, then on ``weights``."""
+    validate_horizon(cohort, t0)
+    if weights is not None:
+        _check_weights(cohort, weights, t0)
+    ((_, summaries),) = _bootstrap_horizons(cohort, spec, [t0], estimands)
+    return summaries
 
 
 def bootstrap_summary(
@@ -541,11 +524,7 @@ def bootstrap_summary(
     single-threaded.
     """
     name = _single_estimand(estimand, score)
-    validate_horizon(cohort, t0)
-    estimator = average_precision if estimand == "ap" else auc
-    point = estimator(cohort, _full_weights(cohort, t0, None), t0, score=score)
-    summary = _summaries(cohort, t0, spec, {name: point})[name]
-    return replace(summary, estimand=estimand)
+    return replace(_bootstrap_at(cohort, t0, spec, (name,))[name], estimand=estimand)
 
 
 def bootstrap_estimate(
@@ -558,13 +537,11 @@ def bootstrap_estimate(
 
     Both estimands are computed on the same resamples, so one pass of
     ``spec.replicates`` gives exactly what two :func:`bootstrap_summary`
-    calls give.  ``weights`` may carry the full-cohort weights at ``t0``
-    when the caller already has them.  Keys: ``ap``, ``auc``.
+    calls give, and exactly what ``tdap estimate`` gives.  ``weights``
+    is accepted and checked; the point is the IPCW estimate that every
+    replicate refits.  Keys: ``ap``, ``auc``.
     """
-    validate_horizon(cohort, t0)
-    weights = _full_weights(cohort, t0, weights)
-    ap, value = _estimable_accuracy(cohort, weights, t0, score=1, controls=True)
-    return _summaries(cohort, t0, spec, {"ap": ap, "auc": value})
+    return _bootstrap_at(cohort, t0, spec, _SINGLE_ESTIMANDS, weights)
 
 
 def bootstrap_compare(
@@ -577,19 +554,10 @@ def bootstrap_compare(
     """Joint bootstrap of both scores' AP, AUC, their ratio and difference.
 
     All six estimands are computed on the same resamples, so the paired
-    quantities stay internally consistent.  ``weights`` may carry the
-    full-cohort weights at ``t0``.  ``threads`` is accepted for
-    compatibility; runs are single-threaded.  Keys: ``ap``, ``ap2``,
-    ``rap``, ``auc``, ``auc2``, ``dauc``.
+    quantities stay internally consistent, and the numbers are exactly
+    what ``tdap compare`` gives.  ``weights`` is accepted and checked;
+    the point is the IPCW estimate that every replicate refits.
+    ``threads`` is accepted for compatibility; runs are single-threaded.
+    Keys: ``ap``, ``ap2``, ``rap``, ``auc``, ``auc2``, ``dauc``.
     """
-    validate_horizon(cohort, t0)
-    p = compare_horizon(cohort, t0, _full_weights(cohort, t0, weights))
-    points = {
-        "ap": p.ap1,
-        "ap2": p.ap2,
-        "rap": p.rap,
-        "auc": p.auc1,
-        "auc2": p.auc2,
-        "dauc": p.dauc,
-    }
-    return _summaries(cohort, t0, spec, points)
+    return _bootstrap_at(cohort, t0, spec, _PAIRED_ESTIMANDS, weights)

@@ -4,9 +4,12 @@
 renamed or moved function would make ``bench/run.py --trace 1`` die with
 ``AttributeError``, so this checks every name it lists, and the
 ``(values, failed)`` contract of the replicate engine that it counts.
-The tracer is loaded from its file and never installed.
+The tracer is loaded from its file and never installed.  A module may
+import a name only for the tracer to wrap there, so the check for stale
+imports lives here too.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -16,7 +19,8 @@ import pytest
 
 from tdap import BootstrapSpec, TooManyFailedReplicatesError, generate_cohort
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -47,3 +51,32 @@ def test_replicate_engine_returns_values_and_failures(spans):
     with pytest.raises(TooManyFailedReplicatesError):
         engine(cohort, 0.01, spec, ("ap",))
     assert tracer.replicates_failed >= 20
+
+
+def test_every_import_is_used_exported_or_wrapped(spans):
+    # no linter runs here or in CI: an imported name that its module never
+    # reads must be in the module's __all__ or wrapped there by the tracer
+    wrapped = {t for wraps in spans.WRAPS.values() for t in wraps}
+    wrapped.update(spans.REPLICATE_ENGINES)
+    for path in sorted((ROOT / "src" / "tdap").glob("*.py")):
+        module = "tdap" if path.stem == "__init__" else f"tdap.{path.stem}"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used, exported = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    imported.add(alias.asname or alias.name.split(".")[0])
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+        stale = {
+            name
+            for name in imported - used - exported
+            if (module, name) not in wrapped
+        }
+        assert not stale, (module, sorted(stale))

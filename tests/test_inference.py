@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from tdap import (
     CohortSample,
     NotPairedError,
     SimulationConfig,
+    T0BeyondSupportError,
     TooManyFailedReplicatesError,
     bootstrap_compare,
     bootstrap_estimate,
@@ -17,7 +21,9 @@ from tdap import (
     generate_cohort,
     ipcw_weights,
     run_study,
+    write_cohort_csv,
 )
+from tdap.cli import main
 
 
 def small_cohort(seed=1, n=120, t0=4.0):
@@ -263,3 +269,67 @@ def test_joint_estimate_uses_supplied_weights_and_checks_them():
         bootstrap_estimate(coh, 4.0, spec, weights=w5)
     with pytest.raises(ValueError):
         bootstrap_compare(coh.take(np.arange(50)), 4.0, spec, weights=w)
+
+
+@pytest.mark.parametrize(
+    "command, bootstrap, labels",
+    [
+        ("estimate", bootstrap_estimate, (("ap", "AP"), ("auc", "AUC"))),
+        (
+            "compare",
+            bootstrap_compare,
+            (
+                ("ap", "AP1"),
+                ("ap2", "AP2"),
+                ("rap", "rAP"),
+                ("auc", "AUC1"),
+                ("auc2", "AUC2"),
+                ("dauc", "dAUC"),
+            ),
+        ),
+    ],
+)
+def test_library_bootstraps_equal_the_command_line(
+    tmp_path, capsys, command, bootstrap, labels
+):
+    # one point path: the library reads its points from the engine's
+    # full-cohort row, as the CLI does, so every number is the same bits
+    cohort = generate_cohort(300, 0)
+    path, out = tmp_path / "cohort.csv", tmp_path / "out.json"
+    write_cohort_csv(cohort, path)
+    argv = [command, "--input", str(path), "--t0", "8", "--t0", "36"]
+    assert main([*argv, "--boot", "20", "--seed", "1", "--json", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    printed = re.findall(r"^  (\S+) .*\((\d+) used, (\d+) failed\)$", stdout, re.M)
+    results = json.loads(out.read_text())["results"]
+    spec = BootstrapSpec(replicates=20, seed=1)
+    want_printed = []
+    for row in results:
+        library = bootstrap(cohort, row["t0"], spec)
+        for key, label in labels:
+            s = library[key]
+            got = (row[key], row[f"{key}_lower"], row[f"{key}_upper"], row[f"{key}_se"])
+            assert got == (s.point, s.lower, s.upper, s.se), (row["t0"], key)
+            want_printed.append((label, str(s.replicates_used), str(s.replicates_failed)))
+    assert [row["t0"] for row in results] == [8.0, 36.0]
+    assert printed == want_printed
+
+
+def test_library_bootstraps_keep_their_error_order():
+    # validation, then weights built for another horizon or cohort, then
+    # a missing second score
+    paired = generate_cohort(300, 0)
+    single = CohortSample(paired.times, paired.status, paired.score1)
+    spec = BootstrapSpec(replicates=10)
+    beyond = float(paired.times.max()) + 1.0
+    stale = ipcw_weights(paired, fit_censoring_km(paired), 8.0)
+    for bootstrap in (bootstrap_estimate, bootstrap_compare):
+        with pytest.raises(T0BeyondSupportError):
+            bootstrap(paired, beyond, spec, weights=stale)
+        with pytest.raises(ValueError, match="weights were built"):
+            bootstrap(paired, 36.0, spec, weights=stale)
+    with pytest.raises(ValueError, match="weights were built"):
+        bootstrap_compare(single, 36.0, spec, weights=stale)
+    own = ipcw_weights(single, fit_censoring_km(single), 36.0)
+    with pytest.raises(NotPairedError):
+        bootstrap_compare(single, 36.0, spec, weights=own)
