@@ -187,8 +187,9 @@ def ppv_tie_corrected(
 def _accuracy(counts, case_mass, ctrl_mass):
     """AP and AUC from per-group masses, groups ordered by descending score.
 
-    This is the one place the two formulas live: the point estimators,
-    the study oracle and every bootstrap replicate read from it.  Groups
+    This is the one place the two formulas live: the point estimators
+    and every bootstrap replicate read from it, and the study oracle
+    reads its AP formula (``_ap``) through ``_edge_ap``.  Groups
     may be empty (count and masses 0).  AP is NaN without case mass; AUC
     is NaN without case or control mass.  Both are clipped into [0, 1];
     the clip can bind only in heavily censored corners where single
@@ -213,37 +214,81 @@ def _accuracy(counts, case_mass, ctrl_mass):
     )
     hit = np.flatnonzero((case_mass > 0.0).any(axis=0))
     case = case_mass[:, hit]
-    total_case = case.sum(axis=1)
-    with_case = total_case > 0.0
-    # tie-corrected precision at each case group's score: half of the
-    # tied group's own mass counts as "above".  Both sides are doubled:
-    # the counts are whole numbers, so twice the screened count is exact,
-    # made in place over every group and gathered once
+    # twice the screened count, made in place over every group and
+    # gathered once; it is not held through the control sums below
     screened = np.cumsum(counts, axis=1)
     screened *= 2
     screened -= counts
-    screened = screened[:, hit]
+    ap, total_case = _ap(case, screened[:, hit])
+    del screened
+    total_ctrl = ctrl_mass.sum(axis=1)
+    ctrl_below = total_ctrl[:, None] - np.cumsum(ctrl_mass, axis=1)[:, hit]
+    conc = np.einsum("bi,bi->b", case, ctrl_below + 0.5 * ctrl_mass[:, hit])
+    defined = (total_case > 0.0) & (total_ctrl > 0.0)
+    auc = np.clip(_ratio(conc, total_case * total_ctrl, defined), 0.0, 1.0)
+    if one_set:
+        return float(ap[0]), float(auc[0])
+    return ap, auc
+
+
+def _ap(case, screened):
+    """AP, and the total case mass, from the case-holding groups alone.
+
+    ``case`` holds each row's case mass at the groups holding case mass
+    in some row, by descending score, and ``screened`` twice the number
+    of subjects screened positive at each of those groups, less the
+    group's own count: the tie-corrected precision at a case group's
+    score counts half of the tied group's own mass as "above", and both
+    of its sides are doubled.  The counts are whole numbers, so the
+    doubled count is exact.  AP is NaN in a row without case mass and is
+    clipped into [0, 1].
+    """
+    total_case = case.sum(axis=1)
     ppv = np.divide(
         2.0 * np.cumsum(case, axis=1) - case,
         screened,
         out=np.zeros(case.shape),
         where=case > 0.0,
     )
-    del screened  # not held through the control sums over every group
-    ap = _ratio(np.einsum("bi,bi->b", case, ppv), total_case, with_case)
-    total_ctrl = ctrl_mass.sum(axis=1)
-    ctrl_below = total_ctrl[:, None] - np.cumsum(ctrl_mass, axis=1)[:, hit]
-    conc = np.einsum("bi,bi->b", case, ctrl_below + 0.5 * ctrl_mass[:, hit])
-    auc = _ratio(conc, total_case * total_ctrl, with_case & (total_ctrl > 0.0))
-    ap, auc = np.clip(ap, 0.0, 1.0), np.clip(auc, 0.0, 1.0)
-    if one_set:
-        return float(ap[0]), float(auc[0])
-    return ap, auc
+    ap = _ratio(np.einsum("bi,bi->b", case, ppv), total_case, total_case > 0.0)
+    return np.clip(ap, 0.0, 1.0), total_case
 
 
 def _ratio(num, den, defined):
     """``num / den`` where ``defined`` holds, NaN elsewhere."""
     return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=defined)
+
+
+def _tie_edges(sorted_scores: np.ndarray, case_scores: np.ndarray):
+    """Where each distinct case score's tie run sits in ``sorted_scores``.
+
+    ``sorted_scores`` is every subject's score in ascending order and
+    ``case_scores`` the cases' scores, in any order; the cases must be
+    among the subjects.  Returns, for each distinct case score (an
+    anchor) in ascending order, its case count and the left and right
+    edges of the subjects tied at it: ``sorted_scores[left:right]``.
+
+    Only the left edges are searched.  An anchor's cases are among the
+    subjects tied at it, so its run ends at its left edge plus its case
+    count, unless the next sorted score still equals the anchor: only
+    such anchors, whose ties hold subjects that are not cases, are
+    searched for their right edge too.
+    """
+    anchors, ties = np.unique(case_scores, return_counts=True)
+    # the right edges come first, as if every run ended with its cases,
+    # and the left edges after the anchors are dropped: no more than four
+    # arrays of the anchor count are held at once
+    right = np.searchsorted(sorted_scores, anchors, side="left")
+    right += ties
+    # a right edge of n reads the last score, equal to its anchor: that
+    # anchor is searched again, and the search gives n
+    longer = np.flatnonzero(sorted_scores.take(right, mode="clip") == anchors)
+    left_of_longer = right[longer] - ties[longer]
+    right[longer] = np.searchsorted(sorted_scores, anchors[longer], side="right")
+    del anchors
+    left = right - ties
+    left[longer] = left_of_longer
+    return ties, left, right
 
 
 def _case_segments(sorted_scores: np.ndarray, case_scores: np.ndarray):
@@ -258,34 +303,42 @@ def _case_segments(sorted_scores: np.ndarray, case_scores: np.ndarray):
     subjects tied at anchor k and ``gap_k`` those strictly between anchor
     k - 1 and anchor k.
 
-    ``sorted_scores`` is every subject's score in ascending order and
-    ``case_scores`` the cases' scores, in any order; the cases must be
-    among the subjects.  Returns the subject count and the case count of
-    each bin; with no case there is one bin, holding everybody, and the
-    kernel gives NaN.
-
-    Only the left edges of the tie bins are searched.  An anchor's cases
-    are among the subjects tied at it, so its tie bin ends at its left
-    edge plus its case count, unless the next sorted score still equals
-    the anchor: only such anchors, whose ties hold subjects that are not
-    cases, are searched for their right edge too.
+    The arguments are those of ``_tie_edges``, which finds the tie bins.
+    Returns the subject count and the case count of each bin; with no
+    case there is one bin, holding everybody, and the kernel gives NaN.
     """
-    anchors, ties = np.unique(case_scores, return_counts=True)
-    h = anchors.size
+    ties, left, right = _tie_edges(sorted_scores, case_scores)
+    h = ties.size
     # bin edges in ascending score order: [0, left_0, right_0, ..., n]
     edges = np.empty(2 * h + 2, dtype=np.intp)
     edges[0], edges[-1] = 0, sorted_scores.size
-    left, right = edges[1:-1:2], edges[2:-1:2]
-    left[:] = np.searchsorted(sorted_scores, anchors, side="left")
-    np.add(left, ties, out=right)
-    # a right edge of n reads the last score, equal to its anchor: that
-    # anchor is searched again, and the search gives n
-    longer = np.flatnonzero(sorted_scores.take(right, mode="clip") == anchors)
-    right[longer] = np.searchsorted(sorted_scores, anchors[longer], side="right")
+    edges[1:-1:2], edges[2:-1:2] = left, right
     sizes = np.diff(edges)[::-1]
     cases = np.zeros(2 * h + 1)
     cases[1::2] = ties[::-1]
     return sizes, cases
+
+
+def _edge_ap(sorted_scores: np.ndarray, case_scores: np.ndarray) -> float:
+    """AP with unit weights, read from the tie edges alone.
+
+    Takes the arguments of ``_tie_edges``.  Every case weighs 1, so the
+    case-holding groups are the tie bins, and the doubled screened count
+    at anchor k is ``2 n - left_k - right_k``: the subjects above the
+    run twice, plus the run once.  AP equals ``_accuracy`` over
+    ``_case_segments``'s bins bit for bit, with no bin, control mass or
+    AUC built; NaN without a case.
+    """
+    ties, left, right = _tie_edges(sorted_scores, case_scores)
+    # made in place and each input dropped once read, so that no more
+    # than four arrays of the anchor count are held at once here too
+    left += right
+    del right
+    screened = np.subtract(2 * sorted_scores.size, left, out=left)[None, ::-1]
+    case = ties[None, ::-1].astype(float)
+    del ties
+    ap, _ = _ap(case, screened)
+    return float(ap[0])
 
 
 def _point_accuracy(

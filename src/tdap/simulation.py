@@ -31,16 +31,18 @@ large uncensored draw.
 Each draw takes the failure variables (U1, U2, the noise) from its
 stream before the censoring variables (A, B).  The oracle needs no
 censoring, so it makes only the failure draw and still sees the T, U1
-and U2 of the full draw.  It never holds T, only each subject's horizon
-slot, and it holds one score at a time: U2 is drawn again from its saved
-generator state once U1's cells are done.  Each score is sorted in place
-and AP is read from case-anchored segments (see ``_oracle``), so the
-oracle holds about two arrays of n values (U1 and U2, during the draw)
-plus the cases' scores and one horizon's bins.
+and U2 of the full draw.  It never holds T or a per-subject slot, and
+U2 is streamed beside the noise, so it holds one score at a time: U1
+through the draw and its own cells, then U2, drawn again whole from its
+saved generator state.  Each score is sorted in place and AP is read
+from each case score's tie edges in it (see ``_oracle``), so the oracle
+holds about one array of n values plus the cases (both scores and a
+horizon slot each) and one horizon's edges.
 """
 
 from __future__ import annotations
 
+import copy
 import io
 from dataclasses import dataclass, field, replace
 
@@ -48,8 +50,8 @@ import numpy as np
 
 from .censoring import fit_censoring_km, ipcw_weights
 from .cohort import CohortSample, _is_integer, _write_csv, validate_horizon
-from .errors import TdapError
-from .estimators import _accuracy, _case_segments, average_precision
+from .errors import NoEventsBeforeT0Error, TdapError
+from .estimators import _edge_ap, average_precision
 from .inference import BootstrapSpec, _replicate_matrix
 
 __all__ = [
@@ -137,21 +139,33 @@ def _draw_u1(n: int, rng: np.random.Generator) -> np.ndarray:
     return u1
 
 
-def _failure_steps(u1: np.ndarray, u2: np.ndarray, rng: np.random.Generator):
-    """Yield ``(start, T[start : start + step])`` for each step of the failure draw.
+def _normal_steps(n: int, rng: np.random.Generator):
+    """Yield n standard-normal values ``_DRAW_CHUNK`` at a time.
 
-    ``log T`` is built ``_DRAW_CHUNK`` values at a time, term by term in
-    the order of the model formula and each step's noise last, so the
-    noise is still the third draw on the stream.  Each step's T is a new
-    array, which the caller may keep or drop.
+    The steps consume the stream as one draw of n does and give its
+    values, in order.
     """
-    for lo in range(0, u1.size, _DRAW_CHUNK):
-        v1, v2 = u1[lo : lo + _DRAW_CHUNK], u2[lo : lo + _DRAW_CHUNK]
+    for lo in range(0, n, _DRAW_CHUNK):
+        yield rng.standard_normal(min(_DRAW_CHUNK, n - lo))
+
+
+def _failure_steps(u1: np.ndarray, u2_steps, rng: np.random.Generator):
+    """Yield ``(start, U2 step, T step)`` for each step of the failure draw.
+
+    ``u2_steps`` gives U2 ``_DRAW_CHUNK`` values at a time, and ``log T``
+    is built from each step of U1 and U2, term by term in the order of
+    the model formula with the step's noise last.  The noise is drawn
+    from ``rng``, which must stand at the noise's start: after U1 and
+    U2 on the stream.  Each step's T is a new array, which the caller
+    may keep or drop.
+    """
+    for lo, v2 in zip(range(0, u1.size, _DRAW_CHUNK), u2_steps):
+        v1 = u1[lo : lo + v2.size]
         log_t = (
             _INTERCEPT - _COEF_U1 * v1 - _COEF_U2 * v2 - _COEF_LOG * np.log(v1 * v1)
             + rng.normal(0.0, _NOISE_SD, v1.size)
         )
-        yield lo, np.exp(log_t, out=log_t)
+        yield lo, v2, np.exp(log_t, out=log_t)
 
 
 def _draw_failure(n: int, rng: np.random.Generator):
@@ -163,7 +177,8 @@ def _draw_failure(n: int, rng: np.random.Generator):
     u1 = _draw_u1(n, rng)
     u2 = rng.standard_normal(n)
     t = np.empty(n)
-    for lo, step in _failure_steps(u1, u2, rng):
+    u2_steps = (u2[lo : lo + _DRAW_CHUNK] for lo in range(0, n, _DRAW_CHUNK))
+    for lo, _, step in _failure_steps(u1, u2_steps, rng):
         t[lo : lo + step.size] = step
     return t, u1, u2
 
@@ -197,16 +212,17 @@ def _oracle(config: SimulationConfig):
     """One large uncensored draw -> (true accuracy cells, event rates).
 
     Only the failure draw is made: with T fully observed every weight is
-    1 and there is no censoring to draw.  T is never held: each step of
-    the draw keeps only each subject's horizon slot, the number of
-    distinct horizons at or below its T, so T < t0_k exactly when the
-    slot is at most k.  One gather at the cases of the largest horizon
-    takes their slots and both scores' case scores; the event rates come
-    from the slot counts.  One score is held at a time: U2 is dropped
-    once its case scores are gathered and drawn again, bit for bit, from
-    the generator state saved before its first draw once U1's cells are
-    done.  Each score is sorted in place, and per horizon
-    ``_case_segments`` gives the bins that the AP/AUC kernel reads.
+    1 and there is no censoring to draw.  No step holds two arrays of n
+    values.  U1 is drawn whole; U2 is skipped, one ``_DRAW_CHUNK`` step
+    at a time with its values dropped, so that the stream stands at the
+    noise.  One lockstep pass then takes each step's U2 from a copy of
+    the generator at U2's start and its noise from the stream, builds
+    that step's T (``_failure_steps``) and keeps only the step's cases
+    at the largest horizon: their U1, their U2 and their horizon slot,
+    the number of distinct horizons at or below T, so T < t0_k exactly
+    when the slot is at most k.  The event rates come from the slot
+    counts.  U1 is then sorted in place for its cells and dropped, and
+    U2 is drawn again whole, bit for bit, from its start for its own.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, _STREAM_ORACLE))
@@ -215,25 +231,27 @@ def _oracle(config: SimulationConfig):
     grid = np.unique(config.horizons)
     slot_of = {t0: int(np.searchsorted(grid, t0)) for t0 in config.horizons}
     u1 = _draw_u1(n, rng)
-    u2_state = rng.bit_generator.state
-    u2 = rng.standard_normal(n)
+    u2_start = copy.deepcopy(rng)
+    for _ in _normal_steps(n, rng):  # skip U2: the noise follows it
+        pass
     # the slot reaches grid.size, so its type grows with the horizon count;
     # one comparison per horizon costs less than a binary search per value
-    slots = np.zeros(n, dtype=np.min_scalar_type(grid.size))
-    for lo, t in _failure_steps(u1, u2, rng):
+    slot_type = np.min_scalar_type(grid.size)
+    kept = []
+    u2_steps = _normal_steps(n, copy.deepcopy(u2_start))
+    for lo, v2, t in _failure_steps(u1, u2_steps, rng):
+        slots = np.zeros(t.size, dtype=slot_type)
         for t0 in grid:
-            slots[lo : lo + t.size] += t >= t0
-    case = np.flatnonzero(slots < grid.size)
-    case_slot = slots[case]
-    del slots
-    cases1, cases2 = u1[case], u2[case]
-    del u2, case
+            slots += t >= t0
+        case = np.flatnonzero(slots < grid.size)
+        kept.append((u1[lo + case], v2[case], slots[case]))
+    cases1, cases2, case_slot = (np.concatenate(col) for col in zip(*kept))
+    del kept
     cases_upto = np.cumsum(np.bincount(case_slot, minlength=grid.size))
     rates = {t0: int(cases_upto[k]) / n for t0, k in slot_of.items()}
     aps1 = _oracle_aps(u1, cases1, case_slot, slot_of)
     del u1, cases1
-    rng.bit_generator.state = u2_state
-    aps2 = _oracle_aps(rng.standard_normal(n), cases2, case_slot, slot_of)
+    aps2 = _oracle_aps(u2_start.standard_normal(n), cases2, case_slot, slot_of)
     trues: dict[tuple[float, str], float] = {}
     for name, aps in (("AP1", aps1), ("AP2", aps2)):
         trues.update(((t0, name), ap) for t0, ap in aps.items())
@@ -245,16 +263,14 @@ def _oracle(config: SimulationConfig):
 def _oracle_aps(score, case_scores, case_slot, slot_of) -> dict[float, float]:
     """One oracle score's AP at each horizon; ``score`` is sorted in place.
 
-    A case is in horizon k's cases when its slot is at most k.  Each
-    horizon's bins are released before the next horizon's are built.
+    A case is in horizon k's cases when its slot is at most k.  AP is
+    read from each anchor's tie edges (``_edge_ap``), one horizon at a
+    time.
     """
     score.sort()
-    aps = {}
-    for t0, k in slot_of.items():
-        sizes, cases = _case_segments(score, case_scores[case_slot <= k])
-        aps[t0] = _accuracy(sizes, cases, sizes - cases)[0]
-        del sizes, cases
-    return aps
+    return {
+        t0: _edge_ap(score, case_scores[case_slot <= k]) for t0, k in slot_of.items()
+    }
 
 
 def true_values(config: SimulationConfig) -> dict[tuple[float, str], float]:
@@ -409,9 +425,15 @@ def run_study(config: SimulationConfig, threads: int = 1) -> SimulationReport:
     number.  ``threads`` is accepted for compatibility; runs are
     single-threaded, so it never changes the report.  A drawn
     cohort failing horizon validation is replaced using that
-    replication's next stream and counted in ``regenerated``.
+    replication's next stream and counted in ``regenerated``.  The
+    first horizon, in config order, at which the oracle has no event
+    raises ``NoEventsBeforeT0Error`` before any cohort is drawn: it has
+    no true value to cover.
     """
     trues, event_rates = _oracle(config)
+    for t0 in config.horizons:
+        if event_rates[t0] == 0.0:
+            raise NoEventsBeforeT0Error(t0)
 
     reps = config.replications
     results = [_one_replication(config, r) for r in range(reps)]

@@ -368,14 +368,14 @@ def test_cli_entry_point_installed():
 
 
 def test_simulate_horizon_below_every_oracle_event_exits_2(capsys):
-    # the oracle has no case at this horizon (its cells are NaN); the
-    # drawn cohorts do, but too rarely for the bootstrap
+    # the oracle has no case at this horizon, so there is no true value
+    # to cover: the study stops before drawing a cohort
     code = run(
         ["simulate", "--n", "200", "--reps", "1", "--boot", "10",
          "--oracle", "100000", "--t0", "0.0001"]
     )
     assert code == 2
-    assert "TooManyFailedReplicatesError" in capsys.readouterr().err
+    assert "NoEventsBeforeT0Error" in capsys.readouterr().err
 
 
 # A multi-horizon command validates and estimates its horizons in order,

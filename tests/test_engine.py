@@ -17,9 +17,11 @@ holds every replicate, the two passes agree bit for bit, as they must on
 a cohort with no censoring below the largest horizon and on one whose
 censoring survival reaches 0 between two horizons.
 
-The engine and the study oracle bin scores into case-anchored segments
+The engine bins scores into case-anchored segments
 (``estimators._case_segments``); the kernel must read the same AP and
-AUC from them as from one group per distinct score.  The engine keys
+AUC from them as from one group per distinct score.  The study oracle
+reads AP from the segments' tie edges alone (``estimators._edge_ap``),
+bit for bit as the kernel reads it from the segments.  The engine keys
 each subject once per score, at segments anchored at every case before
 the largest horizon, and reads every horizon from those fine segments
 with whole-number control counts: at each horizon the kernel must give
@@ -53,7 +55,7 @@ from tdap import (
     ipcw_weights,
     validate_horizon,
 )
-from tdap.estimators import _accuracy, _case_segments
+from tdap.estimators import _accuracy, _case_segments, _edge_ap
 from tdap.cli import main
 from tdap.inference import (
     _FAILURE_CAUSES,
@@ -296,6 +298,22 @@ def test_one_sided_case_segments_equal_two_sided(case):
     want = reference.case_segments_two_sided(sorted_scores, case_scores)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@settings(SETTINGS, max_examples=300)
+@given(sorted_scores_and_cases())
+@example((np.array([0.0, 1.0, 1.0, 1.0, 2.0]), np.array([1.0])))  # ties beyond the case
+@example((np.array([0.0, 1.0, 2.0]), np.array([2.0, 0.0])))  # anchor at the last position
+@example((np.array([0.0, 2.0, 2.0]), np.array([2.0])))  # a last run holding a non-case
+@example((np.array([-0.0, 0.0, 0.0]), np.array([0.0, -0.0])))  # signed zeros tie
+@example((np.array([0.5, 1.5]), np.array([])))  # no case: NaN
+def test_edge_ap_equals_kernel_over_case_segments(case):
+    # the study oracle's AP, read from the tie edges with no bins built
+    sorted_scores, case_scores = case
+    sizes, cases = _case_segments(sorted_scores, case_scores)
+    want = _accuracy(sizes, cases, sizes - cases)[0]
+    got = _edge_ap(sorted_scores, case_scores)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("decimals", [None, 1])

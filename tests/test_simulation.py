@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import reference
+import tdap.simulation as simulation
 from tdap import (
     BootstrapSpec,
     ESTIMANDS,
+    NoEventsBeforeT0Error,
     SimulationConfig,
     generate_cohort,
     run_study,
@@ -110,9 +112,14 @@ def oracle_rng(config):
     return np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_ORACLE)))
 
 
-@pytest.mark.parametrize("seed", [3, 5, 11, 2024])
-def test_true_values_equal_unique_grouping_oracle(seed):
-    cfg = tiny_config(horizons=(0.5, 8.0, 36.0), seed=seed)
+@pytest.mark.parametrize(
+    "seed, oracle_size",
+    [pytest.param(seed, 100_000, id=str(seed)) for seed in (3, 5, 11, 2024)]
+    # a whole last step in the lockstep pass and the skip over U2
+    + [pytest.param(5, 7 * _DRAW_CHUNK, id="5-whole-steps")],
+)
+def test_true_values_equal_unique_grouping_oracle(seed, oracle_size):
+    cfg = tiny_config(horizons=(0.5, 8.0, 36.0), seed=seed, oracle_size=oracle_size)
     t, _, u1, u2 = reference.draw_latent_unsplit(cfg.oracle_size, oracle_rng(cfg))
     expected = reference.unique_oracle(t, u1, u2, cfg.horizons, _accuracy)
     assert true_values(cfg) == expected
@@ -136,10 +143,11 @@ def test_more_horizons_than_a_byte_of_slots_equal_unique_grouping_oracle():
     assert true_values(cfg) == expected
 
 
-def test_oracle_holds_less_than_two_scores_and_a_half():
-    # U1, U2 and one byte of horizon slot per subject make 2.125 arrays of
-    # n, and T is never held; measured at 2.40 arrays, in score 1's kernel
-    # at the largest horizon (U1, both scores' case scores and its bins)
+def test_oracle_holds_less_than_one_score_and_three_quarters():
+    # no step holds two arrays of n: T and U2 are streamed, and the peak,
+    # measured at 1.73 arrays of n, is in score 1's AP at the largest
+    # horizon: U1, the cases (both scores and one byte of horizon slot
+    # each, about 0.21 arrays of n) and that horizon's edges
     cfg = tiny_config(horizons=(0.5, 8.0, 36.0), oracle_size=1_000_000)
     true_values(tiny_config())  # lazy imports on first use are not the oracle's
     tracemalloc.start()
@@ -148,7 +156,7 @@ def test_oracle_holds_less_than_two_scores_and_a_half():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 8 * cfg.oracle_size
+    assert peak <= 1.75 * 8 * cfg.oracle_size
 
 
 def test_true_values_are_nan_below_every_oracle_event():
@@ -158,6 +166,19 @@ def test_true_values_are_nan_below_every_oracle_event():
     tv = true_values(cfg)
     assert all(np.isnan(tv[(1e-4, e)]) for e in ESTIMANDS)
     assert not any(np.isnan(tv[(8.0, e)]) for e in ESTIMANDS)
+
+
+def test_run_study_names_the_first_horizon_without_oracle_events(monkeypatch):
+    # no oracle event at 1e-4 or 2e-4 (see above); the error names the
+    # first such horizon in config order, before any cohort is drawn
+    def no_cohort(*args):
+        raise AssertionError("a cohort was drawn")
+
+    monkeypatch.setattr(simulation, "generate_cohort", no_cohort)
+    for horizons, first in (((1e-4, 8.0), 1e-4), ((8.0, 2e-4, 1e-4), 2e-4)):
+        with pytest.raises(NoEventsBeforeT0Error) as err:
+            run_study(tiny_config(horizons=horizons))
+        assert err.value.t0 == first
 
 
 @pytest.mark.parametrize(
