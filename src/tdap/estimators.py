@@ -189,7 +189,7 @@ def _accuracy(counts, case_mass, ctrl_mass):
 
     This is the one place the two formulas live: the point estimators
     and every bootstrap replicate read from it, and the study oracle
-    reads its AP formula (``_ap``) through ``_edge_ap``.  Groups
+    reads its AP formula (``_ap``) from its own tie runs.  Groups
     may be empty (count and masses 0).  AP is NaN without case mass; AUC
     is NaN without case or control mass.  Both are clipped into [0, 1];
     the clip can bind only in heavily censored corners where single
@@ -242,14 +242,16 @@ def _ap(case, screened):
     of its sides are doubled.  The counts are whole numbers, so the
     doubled count is exact.  AP is NaN in a row without case mass and is
     clipped into [0, 1].
+
+    ``screened`` is clamped to at least 1 in place.  A group holding case
+    mass holds a counted subject, so its doubled count is at least 1
+    already; elsewhere the clamp keeps the precision finite, and a group
+    without case mass in a row adds 0 times it, an exact 0.
     """
     total_case = case.sum(axis=1)
-    ppv = np.divide(
-        2.0 * np.cumsum(case, axis=1) - case,
-        screened,
-        out=np.zeros(case.shape),
-        where=case > 0.0,
-    )
+    np.maximum(screened, 1, out=screened)
+    ppv = 2.0 * np.cumsum(case, axis=1) - case
+    ppv /= screened
     ap = _ratio(np.einsum("bi,bi->b", case, ppv), total_case, total_case > 0.0)
     return np.clip(ap, 0.0, 1.0), total_case
 
@@ -317,28 +319,6 @@ def _case_segments(sorted_scores: np.ndarray, case_scores: np.ndarray):
     cases = np.zeros(2 * h + 1)
     cases[1::2] = ties[::-1]
     return sizes, cases
-
-
-def _edge_ap(sorted_scores: np.ndarray, case_scores: np.ndarray) -> float:
-    """AP with unit weights, read from the tie edges alone.
-
-    Takes the arguments of ``_tie_edges``.  Every case weighs 1, so the
-    case-holding groups are the tie bins, and the doubled screened count
-    at anchor k is ``2 n - left_k - right_k``: the subjects above the
-    run twice, plus the run once.  AP equals ``_accuracy`` over
-    ``_case_segments``'s bins bit for bit, with no bin, control mass or
-    AUC built; NaN without a case.
-    """
-    ties, left, right = _tie_edges(sorted_scores, case_scores)
-    # made in place and each input dropped once read, so that no more
-    # than four arrays of the anchor count are held at once here too
-    left += right
-    del right
-    screened = np.subtract(2 * sorted_scores.size, left, out=left)[None, ::-1]
-    case = ties[None, ::-1].astype(float)
-    del ties
-    ap, _ = _ap(case, screened)
-    return float(ap[0])
 
 
 def _point_accuracy(

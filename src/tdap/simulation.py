@@ -34,10 +34,12 @@ censoring, so it makes only the failure draw and still sees the T, U1
 and U2 of the full draw.  It never holds T or a per-subject slot, and
 U2 is streamed beside the noise, so it holds one score at a time: U1
 through the draw and its own cells, then U2, drawn again whole from its
-saved generator state.  Each score is sorted in place and AP is read
-from each case score's tie edges in it (see ``_oracle``), so the oracle
-holds about one array of n values plus the cases (both scores and a
-horizon slot each) and one horizon's edges.
+saved generator state.  Of the cases it keeps only their positions and
+horizon slots.  One pass over each score's tie edges serves every
+horizon, and the score is freed before any AP is formed (see
+``_oracle_aps``), so the oracle holds about one array of n values plus
+the case positions and slots, and in that pass the case values and
+their sort order.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 from .censoring import fit_censoring_km, ipcw_weights
 from .cohort import CohortSample, _is_integer, _write_csv, validate_horizon
 from .errors import NoEventsBeforeT0Error, TdapError
-from .estimators import _edge_ap, average_precision
+from .estimators import _ap, average_precision
 from .inference import BootstrapSpec, _replicate_matrix
 
 __all__ = [
@@ -150,7 +152,7 @@ def _normal_steps(n: int, rng: np.random.Generator):
 
 
 def _failure_steps(u1: np.ndarray, u2_steps, rng: np.random.Generator):
-    """Yield ``(start, U2 step, T step)`` for each step of the failure draw.
+    """Yield ``(start, T step)`` for each step of the failure draw.
 
     ``u2_steps`` gives U2 ``_DRAW_CHUNK`` values at a time, and ``log T``
     is built from each step of U1 and U2, term by term in the order of
@@ -165,7 +167,7 @@ def _failure_steps(u1: np.ndarray, u2_steps, rng: np.random.Generator):
             _INTERCEPT - _COEF_U1 * v1 - _COEF_U2 * v2 - _COEF_LOG * np.log(v1 * v1)
             + rng.normal(0.0, _NOISE_SD, v1.size)
         )
-        yield lo, v2, np.exp(log_t, out=log_t)
+        yield lo, np.exp(log_t, out=log_t)
 
 
 def _draw_failure(n: int, rng: np.random.Generator):
@@ -178,7 +180,7 @@ def _draw_failure(n: int, rng: np.random.Generator):
     u2 = rng.standard_normal(n)
     t = np.empty(n)
     u2_steps = (u2[lo : lo + _DRAW_CHUNK] for lo in range(0, n, _DRAW_CHUNK))
-    for lo, _, step in _failure_steps(u1, u2_steps, rng):
+    for lo, step in _failure_steps(u1, u2_steps, rng):
         t[lo : lo + step.size] = step
     return t, u1, u2
 
@@ -218,11 +220,11 @@ def _oracle(config: SimulationConfig):
     noise.  One lockstep pass then takes each step's U2 from a copy of
     the generator at U2's start and its noise from the stream, builds
     that step's T (``_failure_steps``) and keeps only the step's cases
-    at the largest horizon: their U1, their U2 and their horizon slot,
-    the number of distinct horizons at or below T, so T < t0_k exactly
-    when the slot is at most k.  The event rates come from the slot
-    counts.  U1 is then sorted in place for its cells and dropped, and
-    U2 is drawn again whole, bit for bit, from its start for its own.
+    at the largest horizon: their position and their horizon slot, the
+    number of distinct horizons at or below T, so T < t0_k exactly when
+    the slot is at most k.  The event rates come from the slot counts.
+    U1 is then handed to ``_oracle_aps`` for its cells, which frees it,
+    and U2 is drawn again whole, bit for bit, from its start for its own.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, _STREAM_ORACLE))
@@ -237,21 +239,23 @@ def _oracle(config: SimulationConfig):
     # the slot reaches grid.size, so its type grows with the horizon count;
     # one comparison per horizon costs less than a binary search per value
     slot_type = np.min_scalar_type(grid.size)
+    pos_type = np.min_scalar_type(n)
     kept = []
     u2_steps = _normal_steps(n, copy.deepcopy(u2_start))
-    for lo, v2, t in _failure_steps(u1, u2_steps, rng):
+    for lo, t in _failure_steps(u1, u2_steps, rng):
         slots = np.zeros(t.size, dtype=slot_type)
         for t0 in grid:
             slots += t >= t0
         case = np.flatnonzero(slots < grid.size)
-        kept.append((u1[lo + case], v2[case], slots[case]))
-    cases1, cases2, case_slot = (np.concatenate(col) for col in zip(*kept))
+        kept.append(((lo + case).astype(pos_type), slots[case]))
+    case_pos, case_slot = (np.concatenate(col) for col in zip(*kept))
     del kept
     cases_upto = np.cumsum(np.bincount(case_slot, minlength=grid.size))
     rates = {t0: int(cases_upto[k]) / n for t0, k in slot_of.items()}
-    aps1 = _oracle_aps(u1, cases1, case_slot, slot_of)
-    del u1, cases1
-    aps2 = _oracle_aps(u2_start.standard_normal(n), cases2, case_slot, slot_of)
+    held = [u1]
+    del u1  # held alone, so that _oracle_aps frees it once it is read
+    aps1 = _oracle_aps(held, case_pos, case_slot, slot_of)
+    aps2 = _oracle_aps([u2_start.standard_normal(n)], case_pos, case_slot, slot_of)
     trues: dict[tuple[float, str], float] = {}
     for name, aps in (("AP1", aps1), ("AP2", aps2)):
         trues.update(((t0, name), ap) for t0, ap in aps.items())
@@ -260,17 +264,64 @@ def _oracle(config: SimulationConfig):
     return trues, rates
 
 
-def _oracle_aps(score, case_scores, case_slot, slot_of) -> dict[float, float]:
-    """One oracle score's AP at each horizon; ``score`` is sorted in place.
+def _oracle_aps(held: list, case_pos, case_slot, slot_of) -> dict[float, float]:
+    """One oracle score's AP at each horizon, from one pass over its edges.
 
-    A case is in horizon k's cases when its slot is at most k.  AP is
-    read from each anchor's tie edges (``_edge_ap``), one horizon at a
-    time.
+    ``held`` is a list holding the score alone: the score is taken out,
+    sorted in place and, unless the caller keeps another reference, freed
+    before any AP is formed.  ``case_pos`` holds the cases' positions in
+    it and ``case_slot`` their horizon slots; a case is among horizon k's
+    cases when its slot is at most k.
+
+    Each case value, highest first, is replaced by its doubled screened
+    count ``2 n - left - right``, where ``sorted[left:right]`` is its tie
+    run.  Distinct values give distinct counts and -0.0 ties with 0.0,
+    so each run of equal counts is one anchor, and horizon k's tie counts
+    are the runs' counts of slot at most k.  AP goes through the kernel's
+    own AP lines (``estimators._ap``), on contiguous arrays in descending
+    score order as the kernel's are (``einsum`` sums in memory order), so
+    it equals ``_accuracy`` over that horizon's ``_case_segments`` bit for
+    bit; NaN without a case.
     """
+    score = held.pop()
+    n = score.size
+    # the cases highest first: negated, so that an ascending sort gives
+    # that order without the copy a reversed view of it would cost
+    order = np.negative(score[case_pos]).argsort()
+    # their values in that order, gathered in steps: with the order held,
+    # an index array of the case count would raise the peak.  The
+    # positions are in range, and "clip" spares the buffer that take's
+    # default mode fills for ``out``.  The searches below replace the
+    # values by their counts
+    screened = np.empty(order.size)
+    for lo in range(0, order.size, _DRAW_CHUNK):
+        step = slice(lo, lo + _DRAW_CHUNK)
+        score.take(case_pos[order[step]], out=screened[step], mode="clip")
+    slot = case_slot[order]
+    del order
     score.sort()
-    return {
-        t0: _edge_ap(score, case_scores[case_slot <= k]) for t0, k in slot_of.items()
-    }
+    # sorted keys keep the searches cache-friendly.  A run ends one past
+    # its left edge unless the next score still equals the case: only
+    # then is the right edge searched (an edge of n reads the last score)
+    for lo in range(0, screened.size, _DRAW_CHUNK):
+        values = screened[lo : lo + _DRAW_CHUNK]
+        left = score.searchsorted(values, side="left")
+        right = left + 1
+        longer = np.flatnonzero(score.take(right, mode="clip") == values)
+        right[longer] = score.searchsorted(values[longer], side="right")
+        left += right
+        np.subtract(2 * n, left, out=values)
+    del score
+    # the counts ascend from at least 1, so the first run starts at 0
+    first = np.flatnonzero(np.diff(screened, prepend=0.0))
+    run_screened = screened[first]
+    aps = {}
+    for t0, k in slot_of.items():
+        ties = np.add.reduceat(slot <= k, first, dtype=np.intp)
+        anchor = np.flatnonzero(ties)
+        ap, _ = _ap(ties[None, anchor].astype(float), run_screened[None, anchor])
+        aps[t0] = float(ap[0])
+    return aps
 
 
 def true_values(config: SimulationConfig) -> dict[tuple[float, str], float]:

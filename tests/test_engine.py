@@ -20,14 +20,15 @@ censoring survival reaches 0 between two horizons.
 The engine bins scores into case-anchored segments
 (``estimators._case_segments``); the kernel must read the same AP and
 AUC from them as from one group per distinct score.  The study oracle
-reads AP from the segments' tie edges alone (``estimators._edge_ap``),
-bit for bit as the kernel reads it from the segments.  The engine keys
-each subject once per score, at segments anchored at every case before
-the largest horizon, and reads every horizon from those fine segments
-with whole-number control counts: at each horizon the kernel must give
-the bits it gives on that horizon's own segments, and a common control
-weight may move AUC only by rounding.  Seeds are spawned one block at a
-time, so the engine's memory per replicate holds no seed.
+reads every horizon's AP from one pass over a score's tie runs
+(``simulation._oracle_aps``), bit for bit as the kernel reads it from
+that horizon's segments.  The engine keys each subject once per score,
+at segments anchored at every case before the largest horizon, and
+reads every horizon from those fine segments with whole-number control
+counts: at each horizon the kernel must give the bits it gives on that
+horizon's own segments, and a common control weight may move AUC only
+by rounding.  Seeds are spawned one block at a time, so the engine's
+memory per replicate holds no seed.
 """
 
 import tracemalloc
@@ -55,8 +56,9 @@ from tdap import (
     ipcw_weights,
     validate_horizon,
 )
-from tdap.estimators import _accuracy, _case_segments, _edge_ap
+from tdap.estimators import _accuracy, _case_segments
 from tdap.cli import main
+from tdap.simulation import _oracle_aps
 from tdap.inference import (
     _FAILURE_CAUSES,
     _PAIRED_ESTIMANDS,
@@ -300,20 +302,45 @@ def test_one_sided_case_segments_equal_two_sided(case):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
+@st.composite
+def slotted_cases(draw):
+    """A score (rounded to 0-2 decimals, or continuous), its cases' positions
+    and horizon slots, and the horizon count."""
+    n = draw(st.integers(1, 60))
+    score = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    decimals = draw(st.sampled_from([0, 1, 2, None]))
+    if decimals is not None:
+        score = np.round(score, decimals)
+    horizons = draw(st.integers(1, 4))
+    # a slot of ``horizons`` marks a subject that is a case at no horizon
+    slots = draw(st.lists(st.integers(0, horizons), min_size=n, max_size=n))
+    pos = [i for i, k in enumerate(slots) if k < horizons]
+    return score, pos, [slots[i] for i in pos], horizons
+
+
 @settings(SETTINGS, max_examples=300)
-@given(sorted_scores_and_cases())
-@example((np.array([0.0, 1.0, 1.0, 1.0, 2.0]), np.array([1.0])))  # ties beyond the case
-@example((np.array([0.0, 1.0, 2.0]), np.array([2.0, 0.0])))  # anchor at the last position
-@example((np.array([0.0, 2.0, 2.0]), np.array([2.0])))  # a last run holding a non-case
-@example((np.array([-0.0, 0.0, 0.0]), np.array([0.0, -0.0])))  # signed zeros tie
-@example((np.array([0.5, 1.5]), np.array([])))  # no case: NaN
-def test_edge_ap_equals_kernel_over_case_segments(case):
-    # the study oracle's AP, read from the tie edges with no bins built
-    sorted_scores, case_scores = case
-    sizes, cases = _case_segments(sorted_scores, case_scores)
-    want = _accuracy(sizes, cases, sizes - cases)[0]
-    got = _edge_ap(sorted_scores, case_scores)
-    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+@given(slotted_cases())
+@example((np.array([0.0, 1.0, 1.0, 1.0, 2.0]), [2], [0], 1))  # ties beyond the case
+@example((np.array([0.0, 1.0, 2.0]), [2, 0], [0, 0], 1))  # anchor at the last position
+@example((np.array([0.0, 2.0, 2.0]), [1], [0], 1))  # a last run holding a non-case
+@example((np.array([-0.0, 0.0, 0.0]), [1, 0], [0, 0], 1))  # signed zeros tie
+@example((np.array([0.5, 1.5]), [], [], 1))  # no case: NaN
+@example((np.array([3.0, 1.0, 2.0, 2.0, 0.0, 1.0]), [0, 2, 3, 5], [1, 0, 2, 1], 3))  # cases in several slots
+@example((np.array([2.0, 1.0, 1.0, 0.0]), [1, 2, 3], [1, 3, 1], 4))  # slots 0 and 2 hold no case
+def test_oracle_aps_equal_kernel_over_case_segments(case):
+    # the study oracle's AP at every horizon, read from one pass over the
+    # score's tie runs with no bin built, against the kernel on each
+    # horizon's own segments; positions and slots in the oracle's dtypes
+    score, pos, slot, horizons = case
+    pos = np.array(pos, dtype=np.min_scalar_type(score.size))
+    slot = np.array(slot, dtype=np.min_scalar_type(horizons))
+    slot_of = {float(k): k for k in range(horizons)}
+    got = _oracle_aps([score.copy()], pos, slot, slot_of)
+    assert list(got) == list(slot_of)
+    for t0, k in slot_of.items():
+        sizes, cases = _case_segments(np.sort(score), score[pos[slot <= k]])
+        want = _accuracy(sizes, cases, sizes - cases)[0]
+        assert np.float64(got[t0]).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("decimals", [None, 1])
