@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .censoring import WeightVector, fit_censoring_km, ipcw_weights
-from .cohort import CohortSample, validate_horizon
+from .cohort import CohortSample, _is_integer, validate_horizon
 from .errors import (
     DivisionByZeroAPError,
     EmptyThresholdSetError,
@@ -173,8 +173,12 @@ def ppv_tie_corrected(
 
     Subjects tied with ``j`` (including ``j`` itself) contribute half of
     their mass to both numerator and denominator, which removes the
-    upward bias a strict ">=" rule gives the anchoring subject.
+    upward bias a strict ">=" rule gives the anchoring subject.  ``j``
+    is an integer (numpy scalars included, bools not) in [0, n); anything
+    else raises ``ValueError``.
     """
+    if not (_is_integer(j) and 0 <= j < cohort.n):
+        raise ValueError(f"j must be an int in [0, n) with n = {cohort.n}, got {j!r}")
     z = cohort.scores(score)
     above = z > z[j]
     tied = z == z[j]
@@ -188,15 +192,17 @@ def _accuracy(counts, case_mass, ctrl_mass):
     """AP and AUC from per-group masses, groups ordered by descending score.
 
     This is the one place the two formulas live: the point estimators
-    and every bootstrap replicate read from it, and the study oracle
-    reads its AP formula (``_ap``) from its own tie runs.  Groups
+    and every bootstrap replicate read from it (the replicates on the
+    case-anchored segments of ``inference._RankedCohort``), and the study
+    oracle reads its AP formula (``_ap``) from its own tie runs.  Groups
     may be empty (count and masses 0).  AP is NaN without case mass; AUC
     is NaN without case or control mass.  Both are clipped into [0, 1];
     the clip can bind only in heavily censored corners where single
-    weights exceed 1.  ``counts`` must be whole numbers.  AP never reads
-    the control masses, and a weight common to every control cancels in
-    AUC up to rounding, so a caller whose controls share one weight may
-    pass their counts.
+    weights exceed 1.  ``counts`` must be whole numbers, so the doubled
+    screened count ``2 * cumsum(counts) - counts`` is exact.  AP never
+    reads the control masses, and a weight common to every control
+    cancels in AUC up to rounding, so a caller whose controls share one
+    weight may pass their counts.
 
     One set of groups (1-d arrays) gives two floats.  A table of rows
     (2-d arrays, one row per bootstrap replicate) gives one AP array and
@@ -214,13 +220,8 @@ def _accuracy(counts, case_mass, ctrl_mass):
     )
     hit = np.flatnonzero((case_mass > 0.0).any(axis=0))
     case = case_mass[:, hit]
-    # twice the screened count, made in place over every group and
-    # gathered once; it is not held through the control sums below
-    screened = np.cumsum(counts, axis=1)
-    screened *= 2
-    screened -= counts
+    screened = 2.0 * np.cumsum(counts, axis=1) - counts
     ap, total_case = _ap(case, screened[:, hit])
-    del screened
     total_ctrl = ctrl_mass.sum(axis=1)
     ctrl_below = total_ctrl[:, None] - np.cumsum(ctrl_mass, axis=1)[:, hit]
     conc = np.einsum("bi,bi->b", case, ctrl_below + 0.5 * ctrl_mass[:, hit])
@@ -259,66 +260,6 @@ def _ap(case, screened):
 def _ratio(num, den, defined):
     """``num / den`` where ``defined`` holds, NaN elsewhere."""
     return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=defined)
-
-
-def _tie_edges(sorted_scores: np.ndarray, case_scores: np.ndarray):
-    """Where each distinct case score's tie run sits in ``sorted_scores``.
-
-    ``sorted_scores`` is every subject's score in ascending order and
-    ``case_scores`` the cases' scores, in any order; the cases must be
-    among the subjects.  Returns, for each distinct case score (an
-    anchor) in ascending order, its case count and the left and right
-    edges of the subjects tied at it: ``sorted_scores[left:right]``.
-
-    Only the left edges are searched.  An anchor's cases are among the
-    subjects tied at it, so its run ends at its left edge plus its case
-    count, unless the next sorted score still equals the anchor: only
-    such anchors, whose ties hold subjects that are not cases, are
-    searched for their right edge too.
-    """
-    anchors, ties = np.unique(case_scores, return_counts=True)
-    # the right edges come first, as if every run ended with its cases,
-    # and the left edges after the anchors are dropped: no more than four
-    # arrays of the anchor count are held at once
-    right = np.searchsorted(sorted_scores, anchors, side="left")
-    right += ties
-    # a right edge of n reads the last score, equal to its anchor: that
-    # anchor is searched again, and the search gives n
-    longer = np.flatnonzero(sorted_scores.take(right, mode="clip") == anchors)
-    left_of_longer = right[longer] - ties[longer]
-    right[longer] = np.searchsorted(sorted_scores, anchors[longer], side="right")
-    del anchors
-    left = right - ties
-    left[longer] = left_of_longer
-    return ties, left, right
-
-
-def _case_segments(sorted_scores: np.ndarray, case_scores: np.ndarray):
-    """Case-anchored segments of a score for the AP/AUC kernel.
-
-    ``_accuracy`` reads the cumulative count and control masses only at
-    groups holding case mass, plus those groups' own masses, so every run
-    of caseless groups between two case-holding groups can merge into one
-    bin without changing a result.  With h distinct case scores (the
-    anchors) the layout, highest score first, is ``[gap_0, tie_0, ...,
-    gap_{h-1}, tie_{h-1}, tail]``: 2h + 1 bins, where ``tie_k`` holds the
-    subjects tied at anchor k and ``gap_k`` those strictly between anchor
-    k - 1 and anchor k.
-
-    The arguments are those of ``_tie_edges``, which finds the tie bins.
-    Returns the subject count and the case count of each bin; with no
-    case there is one bin, holding everybody, and the kernel gives NaN.
-    """
-    ties, left, right = _tie_edges(sorted_scores, case_scores)
-    h = ties.size
-    # bin edges in ascending score order: [0, left_0, right_0, ..., n]
-    edges = np.empty(2 * h + 2, dtype=np.intp)
-    edges[0], edges[-1] = 0, sorted_scores.size
-    edges[1:-1:2], edges[2:-1:2] = left, right
-    sizes = np.diff(edges)[::-1]
-    cases = np.zeros(2 * h + 1)
-    cases[1::2] = ties[::-1]
-    return sizes, cases
 
 
 def _point_accuracy(

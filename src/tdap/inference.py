@@ -26,23 +26,24 @@ taken only at the cases' own times.
 A segment is a score group holding a case of the full cohort, or one run
 of caseless groups between two such groups, so there are 2h + 1 bins
 per score for h distinct case scores rather than one per distinct
-score.  Each subject is keyed once per score: its fine segment, anchored
-at every case before the largest horizon, and its horizon slot, the
-number of horizons at or below its time.  A replicate's subject counts
-fill one slot-by-segment table per score, and its case weights fill, per
-(horizon, score) pair, the score's fine segments plus a spare bin for
-the cases at or beyond t0.  Replicates fill these tables block by block.
-Per block, running sums over the slot axis give every horizon's count at
-or beyond t0, and the same AP/AUC kernel as the point estimators turns
-the block into AP and AUC columns, one call per horizon and score, on
-the fine segments.  Every control at t0 weighs 1/G(t0): AP never reads
-the controls and the weight cancels in AUC, so the kernel reads the
-whole-number counts.  A horizon's own segments are contiguous unions of
-the fine ones, and prefix sums of whole numbers are exact, so AP is bit
-for bit what the horizon's own segments give and AUC moves only by
-rounding.  A block is sized by a fixed byte budget and spawns its
-replicates' seeds as it starts, so memory does not grow with the
-replicate count.
+score.  Each score is sorted once, and both edges of each distinct case
+score's tie run are searched in it.  Each subject is keyed once per
+score: its fine segment, anchored at every case before the largest
+horizon, and its horizon slot, the number of horizons at or below its
+time.  A replicate's subject counts fill one slot-by-segment table per
+score, and its case weights fill, per (horizon, score) pair, the score's
+fine segments plus a spare bin for the cases at or beyond t0.
+Replicates fill these tables block by block.  Per block, running sums
+over the slot axis give every horizon's count at or beyond t0, and the
+same AP/AUC kernel as the point estimators turns the block into AP and
+AUC columns, one call per horizon and score, on the fine segments.
+Every control at t0 weighs 1/G(t0): AP never reads the controls and the
+weight cancels in AUC, so the kernel reads the whole-number counts.  A
+horizon's own segments are contiguous unions of the fine ones, and
+prefix sums of whole numbers are exact, so AP is bit for bit what the
+horizon's own segments give and AUC moves only by rounding.  A block is
+sized by a fixed byte budget and spawns its replicates' seeds as it
+starts, so memory does not grow with the replicate count.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .censoring import WeightVector
 from .censoring import fit_censoring_km, ipcw_weights  # bench/spans.py wraps both here
 from .cohort import CohortSample, _is_integer, _is_real, validate_horizon
 from .errors import TooManyFailedReplicatesError
-from .estimators import _accuracy, _case_segments, _check_weights, _ratio
+from .estimators import _accuracy, _check_weights, _ratio
 from .estimators import auc, average_precision  # bench/spans.py wraps both here
 
 __all__ = [
@@ -152,18 +153,25 @@ class _RankedCohort:
     materialised resample value for value.
 
     Each score is keyed once per subject.  Its fine segments are anchored
-    at every case before the largest horizon (``estimators._case_segments``;
-    a resample's cases are among the cohort's, so the anchors hold for
-    every replicate), and its table crosses them with the horizon slots:
-    a subject's slot is the number of horizons at or below its time, so
-    it is followed less than horizon k exactly when its slot is at most
-    k.  Every (horizon, score) pair reads the score's fine segments: its
-    case keys are a case's fine segment (a tie bin) before t0 and one
-    spare bin, last, at or beyond it.  A horizon's own segments are
-    contiguous unions of the fine ones, and a fine tie bin whose anchor
-    has no case before t0 holds no case mass there, so the kernel reads
-    the same case columns and, the counts being whole numbers, the same
-    prefix sums.  One replicate is two ``bincount`` passes over fixed
+    at every case before the largest horizon (a resample's cases are
+    among the cohort's, so the anchors hold for every replicate).  With h
+    anchors (distinct case scores) the layout, highest score first, is
+    ``[gap_0, tie_0, ..., gap_{h-1}, tie_{h-1}, tail]``: ``tie_k`` holds
+    the subjects tied at anchor k, between the edges that ``searchsorted``
+    finds on either side of it in the sorted score, and ``gap_k`` those
+    strictly between anchors k - 1 and k; with no case, one segment holds
+    everybody.  The kernel reads cumulative masses only at groups holding
+    case mass, so merging each run of caseless groups changes no result.
+    The table crosses the fine segments with the horizon slots: a
+    subject's slot is the number of horizons at or below its time, so it
+    is followed less than horizon k exactly when its slot is at most k.
+    Every (horizon, score) pair reads the score's fine
+    segments: its case keys are a case's fine segment (a tie bin) before
+    t0 and one spare bin, last, at or beyond it.  A horizon's own segments
+    are contiguous unions of the fine ones, and a fine tie bin whose
+    anchor has no case before t0 holds no case mass there, so the kernel
+    reads the same case columns and, the counts being whole numbers, the
+    same prefix sums.  One replicate is two ``bincount`` passes over fixed
     keys, with weights copied into buffers allocated here.
 
     The reverse KM runs in place on the two ``bincount`` tables (censored
@@ -209,7 +217,15 @@ class _RankedCohort:
         for s in range(n_scores):
             score = cohort.scores(s + 1)
             order = np.argsort(score)
-            sizes, _ = _case_segments(score[order], score[self.case_subjects])
+            sorted_score = score[order]
+            anchors = np.unique(score[self.case_subjects])
+            # segment edges in ascending score order: 0, the left and right
+            # edges of each anchor's tie run, n
+            edges = np.empty(2 * anchors.size + 2, dtype=np.intp)
+            edges[0], edges[-1] = 0, self.n
+            edges[1:-1:2] = np.searchsorted(sorted_score, anchors, side="left")
+            edges[2:-1:2] = np.searchsorted(sorted_score, anchors, side="right")
+            sizes = np.diff(edges)[::-1]
             group = np.empty(self.n, dtype=np.intp)
             group[order[::-1]] = np.repeat(np.arange(sizes.size), sizes)
             mass_keys[s] = mass_width + slot * sizes.size + group

@@ -280,8 +280,9 @@ def _oracle_aps(held: list, case_pos, case_slot, slot_of) -> dict[float, float]:
     are the runs' counts of slot at most k.  AP goes through the kernel's
     own AP lines (``estimators._ap``), on contiguous arrays in descending
     score order as the kernel's are (``einsum`` sums in memory order), so
-    it equals ``_accuracy`` over that horizon's ``_case_segments`` bit for
-    bit; NaN without a case.
+    it equals ``_accuracy`` over that horizon's case-anchored segments
+    (one bin per tie run of a case, one per run of caseless groups
+    between them) bit for bit; NaN without a case.
     """
     score = held.pop()
     n = score.size

@@ -163,17 +163,20 @@ def draw_latent_unsplit(n, rng):
 
 
 def unique_grouping(scores, is_case):
-    """Subject and case counts, one group per distinct score, highest first."""
+    """Subject and case counts, one group per distinct score, highest first,
+    and each subject's group."""
     _, group, counts = np.unique(-scores, return_inverse=True, return_counts=True)
-    return counts, np.bincount(group, weights=is_case, minlength=counts.size)
+    return counts, np.bincount(group, weights=is_case, minlength=counts.size), group
 
 
 def case_segments_two_sided(sorted_scores, case_scores):
     """Case-anchored segments with both edges of every tie bin searched.
 
-    The form ``estimators._case_segments`` had before it searched only the
-    left edges: the same layout, ``[gap_0, tie_0, ..., tie_{h-1}, tail]``
-    from the highest score down, as (subject counts, case counts).
+    The layout the bootstrap engine (``inference._RankedCohort``) keys its
+    subjects by, ``[gap_0, tie_0, ..., tie_{h-1}, tail]`` from the highest
+    score down, as (subject counts, case counts).  ``tie_k`` holds the
+    subjects tied at the k-th highest distinct case score and ``gap_k``
+    those strictly between it and the next higher one.
     """
     anchors, ties = np.unique(case_scores, return_counts=True)
     h = anchors.size
@@ -196,7 +199,7 @@ def unique_oracle(t, u1, u2, horizons, kernel):
     trues = {}
     for name, score in (("AP1", u1), ("AP2", u2)):
         for t0 in horizons:
-            counts, cases = unique_grouping(score, t < t0)
+            counts, cases, _ = unique_grouping(score, t < t0)
             trues[(t0, name)] = kernel(counts, cases, counts - cases)[0]
     for t0 in horizons:
         trues[(t0, "rAP")] = trues[(t0, "AP1")] / trues[(t0, "AP2")]

@@ -18,16 +18,18 @@ a cohort with no censoring below the largest horizon and on one whose
 censoring survival reaches 0 between two horizons.
 
 The engine bins scores into case-anchored segments
-(``estimators._case_segments``); the kernel must read the same AP and
-AUC from them as from one group per distinct score.  The study oracle
-reads every horizon's AP from one pass over a score's tie runs
-(``simulation._oracle_aps``), bit for bit as the kernel reads it from
-that horizon's segments.  The engine keys each subject once per score,
-at segments anchored at every case before the largest horizon, and
-reads every horizon from those fine segments with whole-number control
-counts: at each horizon the kernel must give the bits it gives on that
-horizon's own segments, and a common control weight may move AUC only
-by rounding.  Seeds are spawned one block at a time, so the engine's
+(``inference._RankedCohort``): each subject's segment must follow from
+its distinct-score group alone, the segment sizes must be those of the
+reference's two-sided search (``reference.case_segments_two_sided``),
+and the kernel must read the same AP and AUC from those segments as from
+one group per distinct score.  The study oracle reads every horizon's AP
+from one pass over a score's tie runs (``simulation._oracle_aps``), bit
+for bit as the kernel reads it from that horizon's segments.  The engine
+keys each subject once per score, at segments anchored at every case
+before the largest horizon, and reads every horizon from those fine
+segments with whole-number control counts: at each horizon the kernel
+must give the bits it gives on that horizon's own segments, and a common
+control weight may move AUC only by rounding.  Seeds are spawned one block at a time, so the engine's
 memory per replicate holds no seed.
 """
 
@@ -56,7 +58,7 @@ from tdap import (
     ipcw_weights,
     validate_horizon,
 )
-from tdap.estimators import _accuracy, _case_segments
+from tdap.estimators import _accuracy
 from tdap.cli import main
 from tdap.simulation import _oracle_aps
 from tdap.inference import (
@@ -259,8 +261,8 @@ def scored_subjects(draw):
 def test_case_segments_give_per_score_accuracy(case):
     scores, is_case, ctrl_w = case
     scores, is_case = np.array(scores), np.array(is_case)
-    counts, cases = reference.unique_grouping(scores, is_case)
-    sizes, seg_cases = _case_segments(np.sort(scores), scores[is_case])
+    counts, cases, _ = reference.unique_grouping(scores, is_case)
+    sizes, seg_cases = reference.case_segments_two_sided(np.sort(scores), scores[is_case])
     h = np.unique(scores[is_case]).size
     assert sizes.size == 2 * h + 1 and sizes.sum() == scores.size
     assert seg_cases.sum() == is_case.sum() and not seg_cases[::2].any()
@@ -276,30 +278,42 @@ def test_case_segments_give_per_score_accuracy(case):
 
 
 @st.composite
-def sorted_scores_and_cases(draw):
-    """Sorted scores (rounded to 0-2 decimals, or continuous) and some of them as cases."""
+def scores_and_cases(draw):
+    """Scores (rounded to 0-2 decimals, or continuous) and case flags."""
     n = draw(st.integers(1, 60))
     scores = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
     decimals = draw(st.sampled_from([0, 1, 2, None]))
     if decimals is not None:
         scores = np.round(scores, decimals)
-    is_case = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    return np.sort(scores), scores[is_case]
+    return scores, draw(st.lists(st.booleans(), min_size=n, max_size=n))
 
 
 @settings(SETTINGS, max_examples=300)
-@given(sorted_scores_and_cases())
-@example((np.array([0.0, 1.0, 1.0, 1.0, 2.0]), np.array([1.0])))  # ties beyond the case
-@example((np.array([0.0, 1.0, 2.0]), np.array([2.0, 0.0])))  # anchor at the last position
-@example((np.array([0.0, 2.0, 2.0]), np.array([2.0])))  # a last run holding a non-case
-@example((np.array([-0.0, 0.0, 0.0]), np.array([0.0, -0.0])))  # signed zeros tie
-@example((np.array([0.5, 1.5]), np.array([])))  # no case
-def test_one_sided_case_segments_equal_two_sided(case):
-    sorted_scores, case_scores = case
-    got = _case_segments(sorted_scores, case_scores)
-    want = reference.case_segments_two_sided(sorted_scores, case_scores)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+@given(scores_and_cases())
+@example(([0.0, 1.0, 1.0, 1.0, 2.0], [0, 1, 0, 0, 0]))  # ties beyond the case
+@example(([0.0, 1.0, 2.0], [1, 0, 1]))  # anchor at the last position
+@example(([0.0, 2.0, 2.0], [0, 1, 0]))  # a last run holding a non-case
+@example(([-0.0, 0.0, 0.0], [1, 1, 0]))  # signed zeros tie
+@example(([0.5, 1.5], [0, 0]))  # no case
+def test_ranked_cohort_segments_follow_the_distinct_scores(case):
+    scores, is_case = np.asarray(case[0], dtype=float), np.asarray(case[1], dtype=bool)
+    n = scores.size
+    # cases are events before t0 = 1.5; of the others, every second one is
+    # censored before t0 and the rest have events after it
+    early = is_case | (np.arange(n) % 2 == 0)
+    cohort = CohortSample(np.where(early, 1.0, 2.0), is_case | ~early, scores)
+    ranked = _RankedCohort(cohort, (1.5,), 1)
+    (fine,) = ranked.fine_sizes
+    slot, segment = np.divmod(ranked.mass_keys, fine)
+    assert np.array_equal(slot, ~early)
+    assert np.array_equal(ranked.case_keys, segment[is_case])
+    # a subject's segment counts the case-holding groups above its own
+    # twice, plus one when its own group holds a case: [gap, tie, ..., tail]
+    _, cases, group = reference.unique_grouping(scores, is_case)
+    has_case = (cases > 0).astype(np.intp)
+    assert np.array_equal(segment, 2 * np.cumsum(has_case)[group] - has_case[group])
+    sizes, _ = reference.case_segments_two_sided(np.sort(scores), scores[is_case])
+    assert np.array_equal(np.bincount(segment, minlength=fine), sizes)
 
 
 @st.composite
@@ -338,7 +352,7 @@ def test_oracle_aps_equal_kernel_over_case_segments(case):
     got = _oracle_aps([score.copy()], pos, slot, slot_of)
     assert list(got) == list(slot_of)
     for t0, k in slot_of.items():
-        sizes, cases = _case_segments(np.sort(score), score[pos[slot <= k]])
+        sizes, cases = reference.case_segments_two_sided(np.sort(score), score[pos[slot <= k]])
         want = _accuracy(sizes, cases, sizes - cases)[0]
         assert np.float64(got[t0]).tobytes() == np.float64(want).tobytes()
 
@@ -388,7 +402,9 @@ def test_ranked_cohort_bins_are_case_anchored(decimals, t0):
         # the tie bins hit are the horizon's own anchors, and its own
         # segments are the runs of fine ones between them
         is_case = (cohort.times < h) & (cohort.status == 1.0)
-        own_sizes, _ = _case_segments(np.sort(cohort.scores(s)), cohort.scores(s)[is_case])
+        own_sizes, _ = reference.case_segments_two_sided(
+            np.sort(cohort.scores(s)), cohort.scores(s)[is_case]
+        )
         ties = np.unique(case_keys[in_horizon])
         assert 2 * ties.size + 1 == own_sizes.size
         edges = np.concatenate(([0], np.column_stack([ties, ties + 1]).ravel(), [fine]))
@@ -413,9 +429,9 @@ def test_subject_keys_do_not_grow_with_the_horizons(n_horizons):
 
 
 def segment_masses(score, case_scores, case_mass, ctrl_mass):
-    """Subject count, case mass and control mass per ``_case_segments`` bin."""
+    """Subject count, case mass and control mass per case-anchored segment."""
     order = np.argsort(score)
-    sizes, _ = _case_segments(score[order], case_scores)
+    sizes, _ = reference.case_segments_two_sided(score[order], case_scores)
     group = np.empty(score.size, dtype=np.intp)
     group[order[::-1]] = np.repeat(np.arange(sizes.size), sizes)
     return sizes, *(

@@ -97,12 +97,21 @@ def test_tie_corrected_ppv_hand_values():
     w = unit_weights(coh, 2.0)
     assert ppv_tie_corrected(coh, w, 0, 2.0) == 0.5
     assert ppv_tie_corrected(coh, w, 2, 2.0) == 0.6
+    assert ppv_tie_corrected(coh, w, np.int64(2), 2.0) == 0.6  # any integer type
 
 
 def test_tie_corrected_ppv_two_tied_subjects():
     coh = CohortSample([1, 5], [1, 1], [1, 1])
     w = unit_weights(coh, 2.0)
     assert ppv_tie_corrected(coh, w, 0, 2.0) == 0.5
+
+
+@pytest.mark.parametrize("j", [3, -1, 1.5, True, "0", None])
+def test_tie_corrected_ppv_rejects_a_subject_outside_the_cohort(j):
+    # n = 3: an index past the end, a negative one, a float, a bool, others
+    coh = CohortSample([1, 5, 1], [1, 1, 1], [2, 2, 1])
+    with pytest.raises(ValueError, match=r"j must be an int in \[0, n\) with n = 3"):
+        ppv_tie_corrected(coh, unit_weights(coh, 2.0), j, 2.0)
 
 
 def test_all_tied_scores_give_event_rate_ap_and_half_auc():
