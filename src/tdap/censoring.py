@@ -7,7 +7,9 @@ inverse of the estimated probability that censoring spared them, and
 subjects censored before the horizon get weight zero.
 
 The censoring distribution G(c) = Pr(C >= c) is estimated by the
-Kaplan-Meier method with the roles of event and censoring swapped.
+Kaplan-Meier method with the roles of event and censoring swapped, in a
+telescoped product-limit form (``_product_limit``) that the bootstrap
+engine shares.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ class CensorSurvival:
     function is evaluated as the left limit: censoring observed exactly
     at ``c`` does not reduce G at ``c`` itself, because at tied times the
     event is resolved before the censoring.  Hence G(c) = 1 for any c at
-    or below the first jump.
+    or below the first jump.  ``fit_censoring_km`` fills ``values`` with
+    the arithmetic of ``_product_limit``, as the bootstrap engine does.
     """
 
     jump_times: np.ndarray
@@ -86,6 +89,50 @@ class WeightVector:
         return self.weights.size
 
 
+def _product_limit(after, start, run, out):
+    """Reverse-KM values from whole-number at-risk counts, in ``out``.
+
+    The censoring jumps come in runs, each a stretch of consecutive
+    jumps; a run may not hold a case between two of its jumps.
+    ``start`` holds, per run, S: the count at risk at its first jump.
+    ``after`` holds, per queried jump i, E_i: the count at risk at t_i
+    less those censored there, with the runs' last jumps first, in run
+    order; ``run`` is each query's run.
+
+    Within a run only censored subjects leave the risk set, so
+    Y_{j+1} = Y_j - d_j and the factors (1 - d_j / Y_j) telescope: G
+    just after jump i is fl(P_{r-1} * fl(E_i / S_r)), with P the
+    ``cumprod`` of the run-end ratios.  The counts are whole numbers, so
+    E and S are exact and each value depends only on the counts and the
+    runs; E falls within a run and each ratio is at most 1, so the values
+    never rise.
+
+    Two runs join where no case lies between them: E at the first one's
+    end then equals S of the next (with ``fit_censoring_km``'s runs of
+    one jump each, and in a resample that drew none of the cases between
+    two runs).  The joined run takes its first part's S (the smallest S
+    among the runs that start one, as S falls from run to run), and each
+    inner end adds an exact factor of 1 to P.  So the runs always break
+    exactly where a case lies between two jumps, and a resample's values
+    are ``fit_censoring_km``'s on the drawn subjects, bit for bit.  A run
+    with nobody at risk (S = 0) has factor exactly 1, as a jump with
+    nobody censored does.
+    """
+    n_runs = start.size
+    split = np.empty(n_runs, dtype=bool)
+    split[:1] = True
+    np.not_equal(after[: n_runs - 1], start[1:], out=split[1:])
+    head = np.where(split, start, np.inf)
+    np.minimum.accumulate(head, out=head)
+    den = head[run]
+    out.fill(1.0)
+    np.divide(after, den, out=out, where=den > 0.0)
+    prev = np.empty(n_runs)
+    prev[:1] = 1.0
+    np.multiply.accumulate(np.where(split[1:], out[: n_runs - 1], 1.0), out=prev[1:])
+    return np.multiply(prev[run], out, out=out)
+
+
 def fit_censoring_km(cohort: CohortSample) -> CensorSurvival:
     """Estimate the censoring survival function from a cohort.
 
@@ -94,6 +141,16 @@ def fit_censoring_km(cohort: CohortSample) -> CensorSurvival:
     that time and m counts subjects still under observation there.
     Subjects whose event occurs at a tied time are included in m: ties
     between an event and a censoring resolve the event first.
+
+    The product is telescoped by ``_product_limit``: each jump is passed
+    as a run of its own, and the runs join between any two jumps with no
+    case between them, so they break exactly where a case time lies in
+    [t_i, t_{i+1}).  That is one division and one product per jump and a
+    ``cumprod`` over the runs; it differs from the factor-by-factor
+    product only by rounding.  The bootstrap engine forms G at its case
+    times and horizons from the same whole-number counts and runs, so its
+    full-cohort row reads these values, and so the point estimators'
+    weights, bit for bit.
     """
     censored = cohort.status == 0.0
     cens_times = cohort.times[censored]
@@ -102,8 +159,8 @@ def fit_censoring_km(cohort: CohortSample) -> CensorSurvival:
     jumps, d = np.unique(cens_times, return_counts=True)
     sorted_all = np.sort(cohort.times)
     # at risk at c: everyone with observed time >= c
-    at_risk = cohort.n - np.searchsorted(sorted_all, jumps, side="left")
-    surv = np.cumprod(1.0 - d / at_risk)
+    at_risk = (cohort.n - np.searchsorted(sorted_all, jumps, side="left")).astype(float)
+    surv = _product_limit(at_risk - d, at_risk, np.arange(jumps.size), np.empty(jumps.size))
     return CensorSurvival(jumps, surv)
 
 

@@ -17,12 +17,13 @@ Every public function that takes a ``WeightVector`` raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .censoring import WeightVector, fit_censoring_km, ipcw_weights
-from .cohort import CohortSample, _is_integer, validate_horizon
+from .cohort import CohortSample, _is_integer, _is_real, validate_horizon
 from .errors import (
     DivisionByZeroAPError,
     EmptyThresholdSetError,
@@ -137,6 +138,15 @@ def _grouped_desc(scores: np.ndarray, *masses: np.ndarray):
     return -neg_vals, counts, sums
 
 
+def _check_threshold(threshold) -> None:
+    """Raise ``ValueError`` unless ``threshold`` is a real number other than NaN.
+
+    Numpy scalars and +-inf pass; bools do not.
+    """
+    if not (_is_real(threshold) and not math.isnan(threshold)):
+        raise ValueError(f"threshold must be a real number other than NaN, got {threshold!r}")
+
+
 def ppv_at(
     cohort: CohortSample, weights: WeightVector, threshold: float, t0: float
 ) -> float:
@@ -145,7 +155,10 @@ def ppv_at(
     The numerator is the weighted mass of cases screened positive; the
     denominator is the plain count of subjects screened positive (score
     observation is never censored, so it needs no reweighting).
+    ``threshold`` is a real number (numpy scalars and +-inf included) and
+    not NaN or a bool; anything else raises ``ValueError``.
     """
+    _check_threshold(threshold)
     case_w = _case_mass(cohort, weights, t0)
     positive = cohort.score1 >= threshold
     n_pos = int(np.count_nonzero(positive))
@@ -157,7 +170,11 @@ def ppv_at(
 def tpf_at(
     cohort: CohortSample, weights: WeightVector, threshold: float, t0: float
 ) -> float:
-    """Sensitivity of the rule "score >= threshold" for events before t0."""
+    """Sensitivity of the rule "score >= threshold" for events before t0.
+
+    ``threshold`` is checked as in :func:`ppv_at`.
+    """
+    _check_threshold(threshold)
     case_w = _case_mass(cohort, weights, t0)
     total = case_w.sum()
     if total <= 0.0:

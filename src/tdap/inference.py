@@ -19,9 +19,11 @@ point estimates from that row.  Each replicate
 is drawn once, and its reverse Kaplan-Meier curve fitted once, for all
 horizons; resample validity, G(t0) and the segmented case, control and
 count masses are ``bincount``/``cumsum`` passes over fixed ranks.  The
-reverse Kaplan-Meier fit runs in place on its two ``bincount`` tables
-(made float64, since a ``bincount`` of no input is int64), and 1/G is
-taken only at the cases' own times.
+reverse Kaplan-Meier fit takes the telescoped form of
+``fit_censoring_km``: one ``bincount`` over O(cases) cut points gives
+the at-risk counts at each run of censoring jumps between two case
+times, and G and 1/G are formed only at the cases' own times and the
+horizons.
 
 A segment is a score group holding a case of the full cohort, or one run
 of caseless groups between two such groups, so there are 2h + 1 bins
@@ -52,7 +54,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .censoring import WeightVector
+from .censoring import WeightVector, _product_limit
 from .censoring import fit_censoring_km, ipcw_weights  # bench/spans.py wraps both here
 from .cohort import CohortSample, _is_integer, _is_real, validate_horizon
 from .errors import TooManyFailedReplicatesError
@@ -147,10 +149,20 @@ class _RankedCohort:
     ``horizons`` holds the distinct horizons in ascending order.  Only
     censoring times below a horizon t0 move G at a case's time or at t0,
     so the reverse Kaplan-Meier curve is kept to the jumps below the
-    largest horizon; G(t0) is the product over the jumps below t0, a
-    prefix of one ``cumprod``.  Every other jump of a resample's own fit
-    multiplies G by exactly 1, so the curve matches a fit on the
-    materialised resample value for value.
+    largest horizon, and G is read only just after the last jump below
+    each case time and each horizon.  The curve takes the telescoped
+    form of ``censoring._product_limit``: the jumps fall into runs with
+    no case of the cohort between them, inside which only censored
+    subjects leave the risk set, so a run's factors multiply out to
+    E / S, the counts at risk just after its last jump and at its first.
+    Each subject is keyed once by its place among O(cases) cut points
+    (each run's first jump, and the jumps G is read after), so that one
+    ``bincount`` and a running sum give every S and E of a replicate,
+    whole numbers and so exact.  A run whose splitting cases the
+    replicate never drew joins the next, so the runs are those of the
+    resample's own cases and G is ``fit_censoring_km`` on the
+    materialised resample bit for bit; on the full cohort it is the
+    cohort's own fit, so the point row's AP is ``estimate_horizon``'s.
 
     Each score is keyed once per subject.  Its fine segments are anchored
     at every case before the largest horizon (a resample's cases are
@@ -171,37 +183,67 @@ class _RankedCohort:
     are contiguous unions of the fine ones, and a fine tie bin whose
     anchor has no case before t0 holds no case mass there, so the kernel
     reads the same case columns and, the counts being whole numbers, the
-    same prefix sums.  One replicate is two ``bincount`` passes over fixed
-    keys, with weights copied into buffers allocated here.
-
-    The reverse KM runs in place on the two ``bincount`` tables (censored
-    count and at-risk count per jump): ``cumsum``, ``n - ``, a floor of 1,
-    the divide and ``1 - `` reuse their buffers, and ``cumprod`` writes
-    straight into G.  1/G is taken only at the cases' jump indices.
+    same prefix sums.  One replicate is three ``bincount`` passes over
+    fixed keys (the reverse KM's cuts, the subject counts and the case
+    weights), with weights copied into buffers allocated here; no array
+    as long as the censoring jumps is built per replicate.
     """
 
     def __init__(self, cohort: CohortSample, horizons, n_scores: int):
         self.horizons = np.unique(np.asarray(horizons, dtype=float))
         times = cohort.times
-        before = np.flatnonzero(times < self.horizons[-1])
-        t_before = times[before]
-        is_case = cohort.status[before] == 1.0
-        self.n = cohort.n
-        self.before = before
-        self.censored = np.flatnonzero(~is_case)  # positions within `before`
-        jumps, self.jump_of_censored = np.unique(
-            t_before[self.censored], return_inverse=True
-        )
-        self.n_jumps = jumps.size
-        # jumps at or below each early time: subject i is at risk at jump
-        # j unless its time has at most j jumps at or below it
-        self.jumps_upto = np.searchsorted(jumps, t_before, side="right")
-        # G(t0) is the product over the jumps strictly below t0
-        self.horizon_jumps = np.searchsorted(jumps, self.horizons, side="left")
-        self.case_subjects = before[is_case]
+        early = times < self.horizons[-1]
+        is_case = cohort.status == 1.0
+        n = cohort.n
+        self.case_subjects = np.flatnonzero(early & is_case)
         case_times = times[self.case_subjects]
-        # jumps strictly below each case time index the left limit G(X)
-        self.case_jumps = np.searchsorted(jumps, case_times, side="left")
+        jumps = np.unique(times[early & ~is_case])
+        # runs of jumps with no case of the cohort between two of them: a
+        # run ends at the last jump at or below each case time, and at the
+        # last jump; a resample's cases are among these, so its own runs
+        # are unions of them
+        is_end = np.zeros(jumps.size, dtype=bool)
+        last = np.searchsorted(jumps, case_times, side="right") - 1
+        is_end[last[last >= 0]] = True
+        is_end[-1:] = True
+        run = np.cumsum(is_end) - is_end  # the runs ended before each jump
+        first = np.flatnonzero(np.roll(is_end, 1))  # jump 0, and after each end
+        # the jumps G is read just after: every run's last one, and the
+        # last one strictly below each case time and each horizon
+        case_q = np.searchsorted(jumps, case_times, side="left") - 1
+        horizon_q = np.searchsorted(jumps, self.horizons, side="left") - 1
+        read = np.zeros(jumps.size, dtype=bool)
+        read[case_q[case_q >= 0]] = True
+        read[horizon_q[horizon_q >= 0]] = True
+        read[is_end] = False
+        queries = np.concatenate((np.flatnonzero(is_end), np.flatnonzero(read)))  # ends first
+        self.km_run = run[queries]
+        # each jump's index in the replicate's values, which hold G before
+        # the first jump at 0; jump -1 (none below) reads the spare last 0
+        value_at = np.zeros(jumps.size + 1, dtype=np.intp)
+        value_at[queries] = np.arange(1, queries.size + 1)
+        self.case_g, self.horizon_g = value_at[case_q], value_at[horizon_q]
+        # cut c counts the subjects at grid position u > c, where jump j's
+        # censorings sit at 2j + 1, and the cases from jump j up to the
+        # next at 2j + 2: S at a run's first jump j is cut 2j, E after a
+        # queried jump j is cut 2j + 1
+        cuts = np.concatenate((2 * first, 2 * queries + 1))
+        # the cuts at or above each grid position: every subject is keyed
+        # by them, so a running sum over the keys counts the subjects
+        # beyond each cut, highest first; a subject followed to the
+        # largest horizon is beyond every cut
+        above = np.zeros(2 * jumps.size + 1, dtype=np.intp)
+        above[cuts] = 1
+        above = np.cumsum(above[::-1])[::-1]
+        early_subjects = np.flatnonzero(early)
+        u = 2 * np.searchsorted(jumps, times[early_subjects], side="right")
+        u -= ~is_case[early_subjects]
+        self.km_width = cuts.size + 1
+        self.km_keys = np.zeros(n, dtype=np.intp)
+        self.km_keys[early_subjects] = above[u]
+        self.km_start = above[2 * first] - 1
+        self.km_after = above[2 * queries + 1] - 1
+        self.g = np.ones(queries.size + 1)
         # horizons at or below each time: subject i is followed less than
         # horizon k exactly when its slot is at most k
         slot = np.searchsorted(self.horizons, times, side="right")
@@ -211,7 +253,7 @@ class _RankedCohort:
         # segment) keys and the cases' fine segments
         n_slots = self.horizons.size + 1
         self.fine_sizes = []
-        mass_keys = np.empty((n_scores, self.n), dtype=np.intp)
+        mass_keys = np.empty((n_scores, n), dtype=np.intp)
         mass_width = 0
         case_groups = []
         for s in range(n_scores):
@@ -222,11 +264,11 @@ class _RankedCohort:
             # segment edges in ascending score order: 0, the left and right
             # edges of each anchor's tie run, n
             edges = np.empty(2 * anchors.size + 2, dtype=np.intp)
-            edges[0], edges[-1] = 0, self.n
+            edges[0], edges[-1] = 0, n
             edges[1:-1:2] = np.searchsorted(sorted_score, anchors, side="left")
             edges[2:-1:2] = np.searchsorted(sorted_score, anchors, side="right")
             sizes = np.diff(edges)[::-1]
-            group = np.empty(self.n, dtype=np.intp)
+            group = np.empty(n, dtype=np.intp)
             group[order[::-1]] = np.repeat(np.arange(sizes.size), sizes)
             mass_keys[s] = mass_width + slot * sizes.size + group
             self.fine_sizes.append(sizes.size)
@@ -244,7 +286,7 @@ class _RankedCohort:
         self.mass_width, self.case_width = mass_width, case_width
         # weight buffers: every score's keys take the masses, every pair's
         # the case weights
-        self.masses = np.empty((n_scores, self.n))
+        self.masses = np.empty((n_scores, n))
         self.case_weights = np.empty((len(case_keys), self.case_subjects.size))
 
     def replicate(self, m, mass_out, case_out, stats_out) -> None:
@@ -256,37 +298,25 @@ class _RankedCohort:
         the case count before t0 and G(t0); ``accuracy`` gives the count
         followed up to t0 from ``mass_out``.
 
-        Every value is bit for bit what a masked hazard divide and 1/G
-        over every jump give: the counts are whole numbers, so the floor
-        of 1 on the at-risk count only turns 0/0 into 0/1 where nobody is
-        censored, and each case weight is still ``m * (1 / G)``, with 0
-        where G is 0.  Both ``bincount`` tables are made float64 for the
-        in-place passes: with no censoring below the largest horizon the
-        first has no input, and ``bincount`` then returns int64.
+        The reverse KM is one weighted ``bincount`` over every subject's
+        cut key, a running sum over the cuts, two gathers of O(cases) and
+        ``censoring._product_limit``: one divide per value read and a
+        ``cumprod`` over the runs.  The counts are whole numbers, so E and
+        S are exact and G is bit for bit a fit on the materialised
+        resample; a run with nobody at risk has factor 1, so a resample
+        with nobody left there keeps G > 0 and fails for nobody at t0.
+        Each case weight is ``m * (1 / G)``, with 0 where G is 0.
         """
         self.masses[:] = m
         m = self.masses[0]
-        m_before = m[self.before]
-        hazard = np.bincount(
-            self.jump_of_censored,
-            weights=m_before[self.censored],
-            minlength=self.n_jumps,
-        ).astype(float, copy=False)
-        at_risk = np.bincount(
-            self.jumps_upto, weights=m_before, minlength=self.n_jumps + 1
-        ).astype(float, copy=False)
-        np.cumsum(at_risk, out=at_risk)
-        at_risk = at_risk[: self.n_jumps]
-        np.subtract(self.n, at_risk, out=at_risk)
-        np.maximum(at_risk, 1.0, out=at_risk)
-        np.divide(hazard, at_risk, out=hazard)
-        np.subtract(1.0, hazard, out=hazard)
-        g = np.empty(self.n_jumps + 1)
-        g[0] = 1.0
-        np.cumprod(hazard, out=g[1:])
+        beyond = np.add.accumulate(
+            np.bincount(self.km_keys, weights=m, minlength=self.km_width)
+        )
+        g = self.g
+        _product_limit(beyond[self.km_after], beyond[self.km_start], self.km_run, g[1:])
         # G may reach 0 beyond a horizon; a case past that point belongs
         # only to horizons where the resample fails, so its weight is moot
-        inv_g = g[self.case_jumps]
+        inv_g = g[self.case_g]
         np.divide(1.0, inv_g, out=inv_g, where=inv_g > 0.0)
         m_case = m[self.case_subjects]
         np.multiply(m_case, inv_g, out=self.case_weights)
@@ -300,7 +330,7 @@ class _RankedCohort:
         stats_out[0] = np.cumsum(
             np.bincount(self.case_slot, weights=m_case, minlength=k + 1)
         )[:k]
-        stats_out[2] = g[self.horizon_jumps]
+        stats_out[2] = g[self.horizon_g]
 
     def accuracy(self, mass, case):
         """Per horizon, (AP, AUC) columns per score for a block of rows.

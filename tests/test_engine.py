@@ -6,7 +6,11 @@ per-replicate loop as the reference: ``take``, ``validate_horizon``,
 ``auc``, on the same ``SeedSequence`` children.  The two must agree
 within 1e-12 and fail on the same number of replicates, on adversarial
 cohorts: all scores tied, events and censorings tied at t0, a single
-case, censoring survival reaching 0 at the tail, and n <= 5.
+case, censoring survival reaching 0 at the tail, and n <= 5.  The
+engine's reverse Kaplan-Meier curve is telescoped over runs of censoring
+jumps with no case between them, as ``fit_censoring_km`` is: the fit must
+stay within 1e-12 of a factor-by-factor product, and each replicate's
+curve must be, bit for bit, a fit on its materialised resample.
 
 The engine runs one pass for all of a command's horizons: one resample
 and one censoring fit per replicate, and the AP/AUC kernel over blocks of
@@ -238,6 +242,82 @@ def test_kernel_point_estimates_match_loop_reference(case):
         assert ap == pytest.approx(ref_ap, abs=1e-12)
         ref_auc = min(1.0, reference.auc_loop(times, scores, t0, ref_w))
         assert auc(cohort, w, t0, score=s) == pytest.approx(ref_auc, abs=1e-12)
+
+
+@SETTINGS
+@given(adversarial_cohorts())
+def test_censoring_fit_matches_the_factor_by_factor_product(case):
+    # the telescoped product limit against one factor per censoring time,
+    # with events tied with censorings and G reaching 0 at the tail; the
+    # engine's full-cohort row reads the fit's own bits at the cases and t0
+    cohort, t0 = case
+    fit = fit_censoring_km(cohort)
+    times, status = cohort.times.tolist(), cohort.status.tolist()
+    want = np.array(
+        [reference.km_censor_survival(times, status, c) for c in np.nextafter(fit.jump_times, 9.0)]
+    )
+    np.testing.assert_allclose(fit.values, want, rtol=0.0, atol=1e-12)
+    assert np.array_equal(fit.values == 0.0, want == 0.0)
+    assert ((fit.values >= 0.0) & (fit.values <= 1.0)).all()
+    assert (np.diff(fit.values) <= 0.0).all()
+    ranked = _RankedCohort(cohort, (t0,), 1)
+    stats = np.empty((3, 1))
+    ranked.replicate(np.ones(cohort.n), np.empty(ranked.mass_width), np.empty(ranked.case_width), stats)
+    weights = ipcw_weights(cohort, fit, t0).weights[ranked.case_subjects]
+    assert ranked.case_weights[0].tobytes() == weights.tobytes()
+    assert stats[2, 0] == fit(t0)
+
+
+def assert_replicates_refit(cohort, t0, seed, count=5):
+    """G(t0) and the drawn cases' weights of ``count`` replicates, bit for
+    bit those of a fit on each materialised resample."""
+    ranked = _RankedCohort(cohort, (t0,), 1)
+    stats = np.empty((3, 1))
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        idx = rng.integers(0, cohort.n, size=cohort.n)
+        m = np.bincount(idx, minlength=cohort.n).astype(float)
+        ranked.replicate(m, np.empty(ranked.mass_width), np.empty(ranked.case_width), stats)
+        fit = fit_censoring_km(cohort.take(idx))
+        assert stats[2, 0] == fit(t0)
+        drawn = m[ranked.case_subjects] > 0.0
+        g = fit(cohort.times[ranked.case_subjects[drawn]])
+        weights = m[ranked.case_subjects[drawn]] * np.divide(1.0, g, out=g.copy(), where=g > 0.0)
+        assert ranked.case_weights[0][drawn].tobytes() == weights.tobytes()
+
+
+@SETTINGS
+@given(adversarial_cohorts(), st.integers(0, 2**32 - 1))
+def test_replicate_censoring_survival_is_the_resamples_own_fit(case, seed):
+    # a replicate's reverse KM reads runs broken at the cohort's cases;
+    # where it drew no case across a break the runs join, so G(t0) and
+    # every drawn case's weight are those of a fit on the drawn subjects
+    assert_replicates_refit(*case, seed)
+
+
+@pytest.mark.parametrize("t0", [8.0, 36.0])
+def test_replicate_censoring_survival_refits_on_a_generated_cohort(t0):
+    # continuous times: hundreds of jumps and runs, where a run that is
+    # not joined rounds differently
+    assert_replicates_refit(generate_cohort(2000, 31), t0, seed=5, count=20)
+
+
+def test_a_run_with_nobody_at_risk_keeps_the_nobody_at_t0_cause():
+    # the case at 3 ends the reverse KM's first run, so the censoring at 4
+    # starts a second one; a resample with nobody at or after 4 has nobody
+    # at risk there, and that run's factor is 1: G(t0) stays positive and
+    # the resample fails for nobody at t0, not for G at 0
+    times = np.array([1.0, 2.0, 3.0, 4.0, 6.0])
+    status = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+    cohort = CohortSample(times, status, [4, 1, 3, 2, 5], [1, 2, 3, 4, 5])
+    ranked = _RankedCohort(cohort, (5.0,), 2)
+    stats = np.empty((3, 1))
+    m = np.array([2.0, 1.0, 2.0, 0.0, 0.0])
+    ranked.replicate(m, np.empty(ranked.mass_width), np.empty(ranked.case_width), stats)
+    assert stats[0, 0] == 4.0  # cases drawn before t0
+    assert stats[2, 0] == fit_censoring_km(cohort.take([0, 0, 1, 2, 2]))(5.0) == 2.0 / 3.0
+    (causes,) = assert_horizons_match(cohort, [5.0], BootstrapSpec(replicates=200, seed=6))
+    assert causes["nobody_at_t0"] > 0
 
 
 @st.composite
@@ -604,14 +684,14 @@ def assert_single_horizon_bits(cohort, horizons, spec, estimands=_PAIRED_ESTIMAN
 
 def test_no_censoring_below_the_largest_horizon():
     # every subject leaving before 10 is a case: the reverse KM has no
-    # jump there, and its censoring bincount has no input
+    # jump there, so no cut, one bin and no value read but the 1 before it
     rng = np.random.default_rng(41)
     times = np.concatenate([rng.uniform(0.5, 10.0, 30), rng.uniform(10.0, 20.0, 30)])
     status = np.concatenate([np.ones(30), rng.integers(0, 2, 30).astype(float)])
     cohort = CohortSample(times, status, np.round(rng.normal(size=60), 1), rng.normal(size=60))
     horizons = [10.0, 4.0, 10.0]
     ranked = _RankedCohort(cohort, horizons, 2)
-    assert ranked.n_jumps == 0 and ranked.censored.size == 0
+    assert ranked.km_width == 1 and ranked.km_run.size == 0 and ranked.g.tolist() == [1.0]
     spec = BootstrapSpec(replicates=40, seed=17)
     causes = assert_horizons_match(cohort, horizons, spec)
     assert all(c["zero_censor_survival"] == 0 for c in causes)

@@ -91,6 +91,27 @@ def test_tpf_at_examples():
     assert tpf_at(coh, w, 3.5, 2.5) == 0.5
 
 
+@pytest.mark.parametrize("rule", [ppv_at, tpf_at])
+@pytest.mark.parametrize(
+    "threshold", [float("nan"), np.float64("nan"), True, np.bool_(False), "2.0", None, 1 + 0j]
+)
+def test_threshold_rules_reject_a_threshold_that_is_no_real_number(rule, threshold):
+    # NaN compares false with every score: tpf_at read it as 0.0 and ppv_at
+    # as an empty threshold set; a string reached numpy's raw UFuncTypeError
+    coh = fixture_cohort()
+    with pytest.raises(ValueError, match="threshold must be a real number other than NaN"):
+        rule(coh, unit_weights(coh, 2.5), threshold, 2.5)
+
+
+@pytest.mark.parametrize("threshold", [float("-inf"), np.float32(2.0), np.int64(2), 2])
+def test_threshold_rules_accept_any_real_number(threshold):
+    # +-inf stay valid, and numpy scalars and ints equal their float
+    coh = fixture_cohort()
+    w = unit_weights(coh, 2.5)
+    assert ppv_at(coh, w, threshold, 2.5) == ppv_at(coh, w, float(threshold), 2.5)
+    assert tpf_at(coh, w, threshold, 2.5) == tpf_at(coh, w, float(threshold), 2.5)
+
+
 def test_tie_corrected_ppv_hand_values():
     # scores (2, 2, 1): case, control, case at t0=2
     coh = CohortSample([1, 5, 1], [1, 1, 1], [2, 2, 1])
