@@ -197,7 +197,8 @@ class _RankedCohort:
         n = cohort.n
         self.case_subjects = np.flatnonzero(early & is_case)
         case_times = times[self.case_subjects]
-        jumps = np.unique(times[early & ~is_case])
+        censored = np.flatnonzero(early & ~is_case)
+        jumps, jump_of = np.unique(times[censored], return_inverse=True)
         # runs of jumps with no case of the cohort between two of them: a
         # run ends at the last jump at or below each case time, and at the
         # last jump; a resample's cases are among these, so its own runs
@@ -235,12 +236,10 @@ class _RankedCohort:
         above = np.zeros(2 * jumps.size + 1, dtype=np.intp)
         above[cuts] = 1
         above = np.cumsum(above[::-1])[::-1]
-        early_subjects = np.flatnonzero(early)
-        u = 2 * np.searchsorted(jumps, times[early_subjects], side="right")
-        u -= ~is_case[early_subjects]
         self.km_width = cuts.size + 1
         self.km_keys = np.zeros(n, dtype=np.intp)
-        self.km_keys[early_subjects] = above[u]
+        self.km_keys[censored] = above[2 * jump_of + 1]
+        self.km_keys[self.case_subjects] = above[2 * last + 2]
         self.km_start = above[2 * first] - 1
         self.km_after = above[2 * queries + 1] - 1
         self.g = np.ones(queries.size + 1)
@@ -327,7 +326,7 @@ class _RankedCohort:
             self.case_keys, weights=self.case_weights.ravel(), minlength=self.case_width
         )
         k = self.horizons.size
-        stats_out[0] = np.cumsum(
+        stats_out[0] = np.add.accumulate(
             np.bincount(self.case_slot, weights=m_case, minlength=k + 1)
         )[:k]
         stats_out[2] = g[self.horizon_g]
@@ -369,8 +368,8 @@ class _RankedCohort:
         return out, followed
 
 
-# bytes of segment-mass tables per block of replicates: the AP/AUC kernel
-# runs once per block, and the tables stay small beside the cohort
+# bytes of segment-mass tables per block, the AP/AUC kernel's unit: a block
+# holds max(1, budget // row bytes) rows, so a row over it runs alone
 _BLOCK_BYTES = 1 << 20
 
 # why a replicate failed, in the order the reasons are tested
@@ -401,9 +400,10 @@ def _replicate_matrices(
     Replicate b draws ``default_rng(SeedSequence(spec.seed).spawn(B)[b])
     .integers(0, n, size=n)``, so the resamples are those of a plain
     per-replicate loop over ``CohortSample.take``, the same for every
-    horizon.  Replicates run in blocks whose segment-mass tables fit in
-    ``_BLOCK_BYTES``; the AP/AUC kernel runs once per block, horizon and
-    score.  Each block spawns its children as it starts: a
+    horizon.  A block holds ``max(1, _BLOCK_BYTES // row bytes)`` rows,
+    so a row over the budget runs alone (a row of a paired 2M cohort at
+    t0 = 36 is 14.3 MB); the AP/AUC kernel runs once per block, horizon
+    and score.  Each block spawns its children as it starts: a
     ``SeedSequence`` numbers its children on from its last ``spawn``, so
     they are the same children, and seeds are held one block at a time.
     """

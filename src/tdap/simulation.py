@@ -50,11 +50,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .censoring import fit_censoring_km, ipcw_weights
+from .censoring import fit_censoring_km, ipcw_weights  # bench/spans.py wraps both here
 from .cohort import CohortSample, _is_integer, _write_csv, validate_horizon
 from .errors import NoEventsBeforeT0Error, TdapError
-from .estimators import _ap, average_precision
-from .inference import BootstrapSpec, _replicate_matrix
+from .estimators import _ap, average_precision  # bench/spans.py wraps the latter here
+from .inference import BootstrapSpec, _replicate_matrices, _usable
+from .inference import _replicate_matrix  # bench/spans.py wraps it here
 
 __all__ = [
     "DEFAULT_STUDY_SEED",
@@ -424,7 +425,7 @@ class SimulationReport:
 
 
 def _one_replication(config: SimulationConfig, r: int):
-    """Generate one valid cohort and estimate all cells with bootstrap."""
+    """Generate one valid cohort and bootstrap it; points are the full-cohort rows."""
     attempts = 0
     last_err: TdapError | None = None
     cohort = None
@@ -449,19 +450,17 @@ def _one_replication(config: SimulationConfig, r: int):
     lowers = np.empty_like(estimates)
     uppers = np.empty_like(estimates)
     alpha = 1.0 - config.bootstrap.level
-    censor_survival = fit_censoring_km(cohort)
     for h, t0 in enumerate(config.horizons):
-        w = ipcw_weights(cohort, censor_survival, t0)
-        ap1 = average_precision(cohort, w, t0, score=1)
-        ap2 = average_precision(cohort, w, t0, score=2)
-        estimates[h] = (ap1, ap2, ap1 / ap2)  # an estimable AP is always > 0
         boot_seed = int(
             np.random.SeedSequence((config.seed, _STREAM_BOOT, r, h)).generate_state(
                 1, dtype=np.uint64
             )[0]
         )
         spec = replace(config.bootstrap, seed=boot_seed)
-        values, _ = _replicate_matrix(cohort, t0, spec, _BOOT_ESTIMANDS)
+        ((estimates[h], _, values, causes),) = _replicate_matrices(
+            cohort, (t0,), spec, _BOOT_ESTIMANDS
+        )
+        values, _ = _usable(values, causes, spec.replicates)
         lowers[h], uppers[h] = np.quantile(
             values, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0
         )

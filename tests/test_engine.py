@@ -286,8 +286,22 @@ def assert_replicates_refit(cohort, t0, seed, count=5):
         assert ranked.case_weights[0][drawn].tobytes() == weights.tobytes()
 
 
+def km_layout(times, status, t0):
+    """A paired cohort with distinct scores and the given times, and ``t0``."""
+    n = len(times)
+    return CohortSample(times, status, list(range(n)), list(range(n))[::-1]), t0
+
+
 @SETTINGS
 @given(adversarial_cohorts(), st.integers(0, 2**32 - 1))
+# a case and a censoring tied below t0
+@example(km_layout([1.0, 2.0, 2.0, 2.0, 4.0, 5.0], [1, 1, 0, 1, 0, 1], 3.0), 7)
+# several censorings tied at one time
+@example(km_layout([1.0, 2.0, 2.0, 2.0, 3.0, 4.0], [1, 0, 0, 0, 1, 0], 4.0), 7)
+# a censoring and a case at exactly t0
+@example(km_layout([1.0, 2.0, 3.0, 3.0, 4.0], [1, 0, 0, 1, 0], 3.0), 7)
+# no censoring below t0: no jumps, and no subject keyed by one
+@example(km_layout([1.0, 2.0, 2.0, 3.0, 4.0], [1, 1, 1, 0, 0], 3.0), 7)
 def test_replicate_censoring_survival_is_the_resamples_own_fit(case, seed):
     # a replicate's reverse KM reads runs broken at the cohort's cases;
     # where it drew no case across a break the runs join, so G(t0) and

@@ -1,4 +1,5 @@
 import io
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -11,13 +12,19 @@ from tdap import (
     ESTIMANDS,
     NoEventsBeforeT0Error,
     SimulationConfig,
+    TdapError,
+    average_precision,
+    fit_censoring_km,
     generate_cohort,
+    ipcw_weights,
     run_study,
     true_values,
+    validate_horizon,
 )
 from tdap.estimators import _accuracy
 from tdap.simulation import (
     _DRAW_CHUNK,
+    _STREAM_COHORT,
     _STREAM_ORACLE,
     _draw_failure,
     _draw_latent,
@@ -217,6 +224,33 @@ def test_run_study_report_shape_and_determinism():
     again = run_study(cfg)
     assert again.rows == rep.rows
     assert again.censoring_fraction == rep.censoring_fraction
+
+
+@pytest.mark.parametrize("seed", [0, 5, 17])
+@pytest.mark.parametrize("horizons", [(0.5, 8.0, 36.0), (8.0, 8.0, 0.5)])
+def test_study_points_are_the_point_estimators_on_its_cohorts(seed, horizons):
+    # the study reads its points from the bootstrap engine's full-cohort
+    # row; they must be the IPCW point estimators on the cohort it drew
+    config = SimulationConfig(
+        replications=2, horizons=horizons, bootstrap=BootstrapSpec(replicates=20), seed=seed
+    )
+    for r in range(config.replications):
+        estimates = simulation._one_replication(config, r)[0]
+        for attempt in itertools.count():
+            ss = np.random.SeedSequence((seed, _STREAM_COHORT, r, attempt))
+            cohort = generate_cohort(config.n, ss)
+            try:
+                for t0 in horizons:
+                    validate_horizon(cohort, t0)
+            except TdapError:
+                continue
+            break
+        km = fit_censoring_km(cohort)
+        for h, t0 in enumerate(horizons):
+            w = ipcw_weights(cohort, km, t0)
+            ap1 = average_precision(cohort, w, t0, score=1)
+            ap2 = average_precision(cohort, w, t0, score=2)
+            assert estimates[h].tobytes() == np.array([ap1, ap2, ap1 / ap2]).tobytes()
 
 
 def test_run_study_parallel_identical():
