@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import CohortSample
+from .cohort import CohortSample, _check_horizon
 from .errors import ZeroCensorSurvivalError
 
 __all__ = ["CensorSurvival", "WeightVector", "fit_censoring_km", "ipcw_weights"]
@@ -59,8 +59,10 @@ class CensorSurvival:
         object.__setattr__(self, "values", vals)
 
     def __call__(self, c):
-        """Evaluate G at scalar or array ``c`` (left limit at jumps)."""
+        """Evaluate G at scalar or array ``c`` (left limit at jumps); NaN raises."""
         c_arr = np.asarray(c, dtype=float)
+        if np.isnan(c_arr).any():
+            raise ValueError("the censoring survival is undefined at NaN")
         padded = np.concatenate(([1.0], self.values))
         # number of jumps strictly below c indexes the step value
         out = padded[np.searchsorted(self.jump_times, c_arr, side="left")]
@@ -173,10 +175,11 @@ def ipcw_weights(
     still under observation at ``t0`` weigh 1/G(t0); subjects censored
     before ``t0`` weigh 0, their event status being unknown.
 
-    Raises :class:`ZeroCensorSurvivalError` when a needed G value is 0,
-    which signals ``t0`` (or an event time) beyond the estimable range of
-    the supplied censoring curve.
+    Raises ``ValueError`` unless ``t0`` is a positive, finite real (not a
+    bool), and :class:`ZeroCensorSurvivalError` when a needed G value is
+    0: ``t0`` (or an event time) is beyond the supplied curve's range.
     """
+    _check_horizon(t0)
     times = cohort.times
     w = np.zeros(cohort.n)
 

@@ -174,14 +174,14 @@ class CohortSample:
         return self.score2 is not None
 
     def scores(self, which: int = 1) -> np.ndarray:
-        """Return the score column (1 or 2); 2 requires a paired cohort."""
+        """Return the score column (integer 1 or 2); 2 requires a paired cohort."""
+        if not (_is_integer(which) and which in (1, 2)):
+            raise ValueError(f"score selector must be 1 or 2, got {which!r}")
         if which == 1:
             return self.score1
-        if which == 2:
-            if self.score2 is None:
-                raise NotPairedError()
-            return self.score2
-        raise ValueError(f"score selector must be 1 or 2, got {which!r}")
+        if self.score2 is None:
+            raise NotPairedError()
+        return self.score2
 
     def take(self, indices) -> "CohortSample":
         """Row subset/resample; keeps score pairs attached to their subject."""
@@ -507,6 +507,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_horizon(t0) -> None:
+    """Raise ``ValueError`` unless ``t0`` is a positive, finite real (not a bool)."""
+    if not (_is_real(t0) and math.isfinite(t0) and t0 > 0):
+        raise ValueError(f"t0 must be a positive finite number, got {t0!r}")
+
+
 def validate_horizon(cohort: CohortSample, t0: float) -> None:
     """Check that accuracy at horizon ``t0`` is estimable from this cohort.
 
@@ -514,8 +520,7 @@ def validate_horizon(cohort: CohortSample, t0: float) -> None:
     bool.  Requires at least one observed event strictly before ``t0``
     and that ``t0`` does not exceed the largest observed follow-up time.
     """
-    if not (_is_real(t0) and math.isfinite(t0) and t0 > 0):
-        raise ValueError(f"t0 must be a positive finite number, got {t0!r}")
+    _check_horizon(t0)
     max_time = float(cohort.times.max())
     if t0 > max_time:
         raise T0BeyondSupportError(t0, max_time)

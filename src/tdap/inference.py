@@ -492,7 +492,7 @@ def _single_estimand(estimand: str, score: int) -> str:
         raise ValueError(
             f"estimand must be one of {_SINGLE_ESTIMANDS}, got {estimand!r}"
         )
-    if score not in (1, 2):
+    if not (_is_integer(score) and score in (1, 2)):
         raise ValueError(f"score selector must be 1 or 2, got {score!r}")
     return estimand if score == 1 else estimand + "2"
 

@@ -23,10 +23,11 @@ by quadrature).  Because C < 50 always and P(T < 50) is only about
 0.114, no censoring law supported below 50 can censor fewer than about
 88.6% of subjects while T keeps this law.
 
-``run_study`` repeatedly draws cohorts, estimates both scores' average
-precision and their ratio at each horizon with bootstrap intervals, and
-aggregates bias, spread, and coverage against oracle values from one
-large uncensored draw.
+``run_study`` repeatedly draws cohorts and aggregates bias, spread, and
+coverage against oracle values from one large uncensored draw.  A
+study cell (both scores' average precision and their ratio, with SE and
+percentile interval) is the library bootstrap's summary on that cohort
+with that horizon's seed: the numbers ``tdap compare`` would print.
 
 Each draw takes the failure variables (U1, U2, the noise) from its
 stream before the censoring variables (A, B).  The oracle needs no
@@ -54,7 +55,7 @@ from .censoring import fit_censoring_km, ipcw_weights  # bench/spans.py wraps bo
 from .cohort import CohortSample, _is_integer, _write_csv, validate_horizon
 from .errors import NoEventsBeforeT0Error, TdapError
 from .estimators import _ap, average_precision  # bench/spans.py wraps the latter here
-from .inference import BootstrapSpec, _replicate_matrices, _usable
+from .inference import BootstrapSpec, _bootstrap_horizons
 from .inference import _replicate_matrix  # bench/spans.py wraps it here
 
 __all__ = [
@@ -425,48 +426,35 @@ class SimulationReport:
 
 
 def _one_replication(config: SimulationConfig, r: int):
-    """Generate one valid cohort and bootstrap it; points are the full-cohort rows."""
-    attempts = 0
-    last_err: TdapError | None = None
-    cohort = None
-    while attempts < 1000:
-        ss = np.random.SeedSequence((config.seed, _STREAM_COHORT, r, attempts))
-        candidate = generate_cohort(config.n, ss)
-        attempts += 1
+    """One valid cohort's (horizons, estimands, 4) point, SE, lower, upper.
+
+    A cell is the library bootstrap's summary (``_bootstrap_horizons``)
+    on the cohort with the horizon's seed, as ``tdap compare`` prints it.
+    Attempt k draws stream ``(seed, cohort, r, k)``; the last validation
+    error is raised after 1,000 attempts.  Also returns the censored
+    share and the accepted attempt's index.
+    """
+    for regenerated in range(1000):
+        ss = np.random.SeedSequence((config.seed, _STREAM_COHORT, r, regenerated))
+        cohort = generate_cohort(config.n, ss)
         try:
             for t0 in config.horizons:
-                validate_horizon(candidate, t0)
+                validate_horizon(cohort, t0)
         except TdapError as err:
             last_err = err
             continue
-        cohort = candidate
         break
-    if cohort is None:
-        raise last_err if last_err is not None else RuntimeError("cohort generation failed")
-    regenerated = attempts - 1
+    else:
+        raise last_err
 
-    estimates = np.empty((len(config.horizons), 3))
-    ses = np.empty_like(estimates)
-    lowers = np.empty_like(estimates)
-    uppers = np.empty_like(estimates)
-    alpha = 1.0 - config.bootstrap.level
+    cells = np.empty((len(config.horizons), len(ESTIMANDS), 4))
     for h, t0 in enumerate(config.horizons):
-        boot_seed = int(
-            np.random.SeedSequence((config.seed, _STREAM_BOOT, r, h)).generate_state(
-                1, dtype=np.uint64
-            )[0]
-        )
-        spec = replace(config.bootstrap, seed=boot_seed)
-        ((estimates[h], _, values, causes),) = _replicate_matrices(
-            cohort, (t0,), spec, _BOOT_ESTIMANDS
-        )
-        values, _ = _usable(values, causes, spec.replicates)
-        lowers[h], uppers[h] = np.quantile(
-            values, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0
-        )
-        ses[h] = np.std(values, ddof=1, axis=0)
+        boot = np.random.SeedSequence((config.seed, _STREAM_BOOT, r, h))
+        spec = replace(config.bootstrap, seed=int(boot.generate_state(1, np.uint64)[0]))
+        ((_, summaries),) = _bootstrap_horizons(cohort, spec, [t0], _BOOT_ESTIMANDS)
+        cells[h] = [(s.point, s.se, s.lower, s.upper) for s in summaries.values()]
     censored_fraction = float(np.mean(cohort.status == 0.0))
-    return estimates, ses, lowers, uppers, censored_fraction, regenerated
+    return cells, censored_fraction, regenerated
 
 
 def run_study(config: SimulationConfig, threads: int = 1) -> SimulationReport:
@@ -489,12 +477,10 @@ def run_study(config: SimulationConfig, threads: int = 1) -> SimulationReport:
     reps = config.replications
     results = [_one_replication(config, r) for r in range(reps)]
 
-    est = np.stack([res[0] for res in results])  # (reps, horizons, 3)
-    ses = np.stack([res[1] for res in results])
-    lo = np.stack([res[2] for res in results])
-    hi = np.stack([res[3] for res in results])
-    cens = float(np.mean([res[4] for res in results]))
-    regenerated = int(sum(res[5] for res in results))
+    # each (reps, horizons, estimands)
+    est, ses, lo, hi = np.moveaxis(np.stack([res[0] for res in results]), -1, 0)
+    cens = float(np.mean([res[1] for res in results]))
+    regenerated = int(sum(res[2] for res in results))
 
     rows = []
     for h, t0 in enumerate(config.horizons):

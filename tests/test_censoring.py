@@ -7,6 +7,7 @@ from tdap import (
     CohortSample,
     ZeroCensorSurvivalError,
     fit_censoring_km,
+    generate_cohort,
     ipcw_weights,
 )
 
@@ -139,3 +140,32 @@ def test_censor_survival_rejects_bad_shapes():
         CensorSurvival(np.array([1.0, 2.0]), np.array([0.4, 0.5]))
     with pytest.raises(ValueError):
         CensorSurvival(np.array([1.0]), np.array([1.5]))
+
+
+@pytest.mark.parametrize(
+    "t0", [float("nan"), float("inf"), -1.0, 0.0, True, np.True_, "5", None]
+)
+def test_ipcw_weights_rejects_ill_posed_horizons(t0):
+    # NaN used to give all-zero weights, True was read as 1.0 and "5"
+    # raised numpy's UFuncTypeError
+    coh = generate_cohort(200, 3)
+    with pytest.raises(ValueError, match="t0 must be a positive finite number"):
+        ipcw_weights(coh, fit_censoring_km(coh), t0)
+
+
+def test_ipcw_weights_take_numpy_real_horizons():
+    coh = generate_cohort(200, 3)
+    km = fit_censoring_km(coh)
+    for t0 in (np.int64(8), np.uint8(8), np.float32(8.0)):
+        w = ipcw_weights(coh, km, t0)
+        assert w.t0 == 8.0
+        assert w.weights.tobytes() == ipcw_weights(coh, km, 8.0).weights.tobytes()
+
+
+def test_censor_survival_rejects_nan():
+    # NaN used to read the curve's last value (0.0 on this cohort)
+    G = fit_censoring_km(generate_cohort(200, 3))
+    for c in (float("nan"), np.float64("nan"), [1.0, float("nan")]):
+        with pytest.raises(ValueError, match="undefined at NaN"):
+            G(c)
+    assert G(np.inf) == G.values[-1]  # +-inf stay well defined

@@ -246,10 +246,13 @@ def test_reader_and_generator_hand_their_columns_over(monkeypatch, tmp_path):
 def test_scores_selector():
     coh = read_cohort_csv(io.StringIO(BASIC))
     assert np.array_equal(coh.scores(1), coh.score1)
+    assert coh.scores(np.int64(1)) is coh.scores(np.uint8(1)) is coh.score1
     with pytest.raises(NotPairedError):
         coh.scores(2)
-    with pytest.raises(ValueError):
-        coh.scores(3)
+    # True == 1 and 2.0 == 2, but neither is a score number
+    for which in (3, 0, True, np.True_, 1.0, 2.0, np.float64(1.0), "1", None):
+        with pytest.raises(ValueError, match="score selector must be 1 or 2"):
+            coh.scores(which)
 
 
 def test_validate_horizon():

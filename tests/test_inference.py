@@ -13,6 +13,7 @@ from tdap import (
     SimulationConfig,
     T0BeyondSupportError,
     TooManyFailedReplicatesError,
+    average_precision,
     bootstrap_compare,
     bootstrap_estimate,
     bootstrap_summary,
@@ -252,6 +253,16 @@ def test_estimand_validation():
         bootstrap_values(coh, 4.0, BootstrapSpec(replicates=10), "ap", score=3)
     with pytest.raises(NotPairedError):
         bootstrap_values(coh, 4.0, BootstrapSpec(replicates=10), "ap", score=2)
+    # a score is the integer 1 or 2: True, 2.0 and numpy's 1.0 are not
+    spec = BootstrapSpec(replicates=10)
+    w = ipcw_weights(coh, fit_censoring_km(coh), 4.0)
+    for score in (True, 2.0, np.float64(1.0)):
+        for call in (average_precision, bootstrap_values, bootstrap_summary):
+            args = (w, 4.0) if call is average_precision else (4.0, spec)
+            with pytest.raises(ValueError, match="score selector must be 1 or 2"):
+                call(coh, *args, score=score)
+    one = bootstrap_summary(coh, 4.0, spec, score=np.int64(1))
+    assert one == bootstrap_summary(coh, 4.0, spec, score=1)
 
 
 def test_joint_estimate_uses_supplied_weights_and_checks_them():

@@ -1,6 +1,7 @@
 import io
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from tdap import (
     SimulationConfig,
     TdapError,
     average_precision,
+    bootstrap_compare,
+    bootstrap_summary,
     fit_censoring_km,
     generate_cohort,
     ipcw_weights,
@@ -24,6 +27,7 @@ from tdap import (
 from tdap.estimators import _accuracy
 from tdap.simulation import (
     _DRAW_CHUNK,
+    _STREAM_BOOT,
     _STREAM_COHORT,
     _STREAM_ORACLE,
     _draw_failure,
@@ -235,7 +239,7 @@ def test_study_points_are_the_point_estimators_on_its_cohorts(seed, horizons):
         replications=2, horizons=horizons, bootstrap=BootstrapSpec(replicates=20), seed=seed
     )
     for r in range(config.replications):
-        estimates = simulation._one_replication(config, r)[0]
+        estimates = simulation._one_replication(config, r)[0][:, :, 0]
         for attempt in itertools.count():
             ss = np.random.SeedSequence((seed, _STREAM_COHORT, r, attempt))
             cohort = generate_cohort(config.n, ss)
@@ -251,6 +255,50 @@ def test_study_points_are_the_point_estimators_on_its_cohorts(seed, horizons):
             ap1 = average_precision(cohort, w, t0, score=1)
             ap2 = average_precision(cohort, w, t0, score=2)
             assert estimates[h].tobytes() == np.array([ap1, ap2, ap1 / ap2]).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 5, 17])
+@pytest.mark.parametrize("horizons", [(0.5, 8.0, 36.0), (8.0, 8.0, 0.5)])
+def test_study_cells_are_the_library_bootstraps_on_its_cohorts(seed, horizons):
+    # a cell's point, SE, lower and upper are what bootstrap_compare (and
+    # bootstrap_summary, per score) gives on the study's cohort and seed
+    config = SimulationConfig(
+        replications=2, horizons=horizons, bootstrap=BootstrapSpec(replicates=20), seed=seed
+    )
+    for r in range(config.replications):
+        cells, _, regenerated = simulation._one_replication(config, r)
+        ss = np.random.SeedSequence((seed, _STREAM_COHORT, r, regenerated))
+        cohort = generate_cohort(config.n, ss)
+        for h, t0 in enumerate(horizons):
+            boot_seed = np.random.SeedSequence((seed, _STREAM_BOOT, r, h)).generate_state(
+                1, dtype=np.uint64
+            )[0]
+            spec = replace(config.bootstrap, seed=int(boot_seed))
+            paired = bootstrap_compare(cohort, t0, spec)
+            library = [[paired["ap"], paired["ap2"], paired["rap"]]]
+            library.append([bootstrap_summary(cohort, t0, spec, "ap", k) for k in (1, 2)])
+            for summaries in library:
+                expected = [(s.point, s.se, s.lower, s.upper) for s in summaries]
+                assert cells[h, : len(expected)].tobytes() == np.array(expected).tobytes()
+
+
+def test_regeneration_gives_up_after_a_thousand_attempts(monkeypatch):
+    drawn, raised = [], []
+
+    def draw(n, ss):
+        drawn.append(ss.entropy)
+        return generate_cohort(n, ss)
+
+    def invalid(cohort, t0):
+        raised.append(NoEventsBeforeT0Error(t0))
+        raise raised[-1]
+
+    monkeypatch.setattr(simulation, "generate_cohort", draw)
+    monkeypatch.setattr(simulation, "validate_horizon", invalid)
+    with pytest.raises(NoEventsBeforeT0Error) as err:
+        simulation._one_replication(tiny_config(n=20), 2)
+    assert len(drawn) == 1000 and drawn[-1] == (5, _STREAM_COHORT, 2, 999)
+    assert err.value is raised[-1]
 
 
 def test_run_study_parallel_identical():
