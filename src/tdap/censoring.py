@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import CohortSample, _check_horizon
+from .cohort import CohortSample, _check_horizon, _is_real
 from .errors import ZeroCensorSurvivalError
 
 __all__ = ["CensorSurvival", "WeightVector", "fit_censoring_km", "ipcw_weights"]
@@ -59,8 +59,11 @@ class CensorSurvival:
         object.__setattr__(self, "values", vals)
 
     def __call__(self, c):
-        """Evaluate G at scalar or array ``c`` (left limit at jumps); NaN raises."""
-        c_arr = np.asarray(c, dtype=float)
+        """Evaluate G at real ``c``, scalar or array (left limit at jumps); NaN raises."""
+        c_arr = np.asarray(c)
+        if not (_is_real(c) or c_arr.dtype.kind in "iuf"):
+            raise ValueError(f"the censoring survival needs real times, got {c!r}")
+        c_arr = c_arr.astype(float, copy=False)
         if np.isnan(c_arr).any():
             raise ValueError("the censoring survival is undefined at NaN")
         padded = np.concatenate(([1.0], self.values))
@@ -77,6 +80,8 @@ class WeightVector:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _check_horizon(self.t0)
+        object.__setattr__(self, "t0", float(self.t0))
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1:
             raise ValueError("weights must be a 1-d array")

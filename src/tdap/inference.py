@@ -12,18 +12,17 @@ are accepted for compatibility and never change a result.
 
 The engine never materialises a resample, and one pass serves every
 horizon of a command.  The cohort is ranked once and a replicate is its
-multiplicity vector: how often each subject was drawn.  The full cohort
-is the replicate that draws each subject once; the pass runs it first,
-and every bootstrap, the command line's and the library's, reads its
-point estimates from that row.  Each replicate
-is drawn once, and its reverse Kaplan-Meier curve fitted once, for all
-horizons; resample validity, G(t0) and the segmented case, control and
-count masses are ``bincount``/``cumsum`` passes over fixed ranks.  The
-reverse Kaplan-Meier fit takes the telescoped form of
-``fit_censoring_km``: one ``bincount`` over O(cases) cut points gives
-the at-risk counts at each run of censoring jumps between two case
-times, and G and 1/G are formed only at the cases' own times and the
-horizons.
+multiplicity vector: how often each subject was drawn.  Draw 0 is the
+full cohort, which draws each subject once, and every bootstrap, the
+command line's and the library's, reads its points from that row.  Each
+draw is held once, as one float row, and its reverse Kaplan-Meier curve
+fitted once, for all horizons; resample validity, G(t0) and the
+segmented case, control and count masses are ``bincount``/``cumsum``
+passes over fixed ranks.  The reverse Kaplan-Meier fit takes the
+telescoped form of ``fit_censoring_km``: one ``bincount`` over O(cases)
+cut points gives the at-risk counts at each run of censoring jumps
+between two case times, and G and 1/G are formed only at the cases' own
+times and the horizons.
 
 A segment is a score group holding a case of the full cohort, or one run
 of caseless groups between two such groups, so there are 2h + 1 bins
@@ -44,8 +43,8 @@ weight cancels in AUC, so the kernel reads the whole-number counts.  A
 horizon's own segments are contiguous unions of the fine ones, and
 prefix sums of whole numbers are exact, so AP is bit for bit what the
 horizon's own segments give and AUC moves only by rounding.  A block is
-sized by a fixed byte budget and spawns its replicates' seeds as it
-starts, so memory does not grow with the replicate count.
+sized by a fixed byte budget and each draw spawns its own child seed, so
+memory does not grow with the replicate count.
 """
 
 from __future__ import annotations
@@ -183,10 +182,11 @@ class _RankedCohort:
     are contiguous unions of the fine ones, and a fine tie bin whose
     anchor has no case before t0 holds no case mass there, so the kernel
     reads the same case columns and, the counts being whole numbers, the
-    same prefix sums.  One replicate is three ``bincount`` passes over
-    fixed keys (the reverse KM's cuts, the subject counts and the case
-    weights), with weights copied into buffers allocated here; no array
-    as long as the censoring jumps is built per replicate.
+    same prefix sums.  A replicate's ``bincount`` passes run over fixed
+    keys (the reverse KM's cuts, each score's subject keys and the case
+    weights) and read one float row of multiplicities and the case
+    weights, both allocated here; no array as long as the censoring
+    jumps is built per replicate.
     """
 
     def __init__(self, cohort: CohortSample, horizons, n_scores: int):
@@ -252,8 +252,7 @@ class _RankedCohort:
         # segment) keys and the cases' fine segments
         n_slots = self.horizons.size + 1
         self.fine_sizes = []
-        mass_keys = np.empty((n_scores, n), dtype=np.intp)
-        mass_width = 0
+        self.mass_keys = np.empty((n_scores, n), dtype=np.intp)
         case_groups = []
         for s in range(n_scores):
             score = cohort.scores(s + 1)
@@ -269,9 +268,8 @@ class _RankedCohort:
             sizes = np.diff(edges)[::-1]
             group = np.empty(n, dtype=np.intp)
             group[order[::-1]] = np.repeat(np.arange(sizes.size), sizes)
-            mass_keys[s] = mass_width + slot * sizes.size + group
+            self.mass_keys[s] = slot * sizes.size + group
             self.fine_sizes.append(sizes.size)
-            mass_width += n_slots * sizes.size
             case_groups.append(group[self.case_subjects])
         # per (horizon, score) pair, horizon-major, its case keys
         case_keys, case_width = [], 0
@@ -280,12 +278,12 @@ class _RankedCohort:
             for case_group, size in zip(case_groups, self.fine_sizes):
                 case_keys.append(case_width + np.where(case_in, case_group, size))
                 case_width += size + 1
-        self.mass_keys = mass_keys.ravel()
         self.case_keys = np.concatenate(case_keys)
-        self.mass_width, self.case_width = mass_width, case_width
-        # weight buffers: every score's keys take the masses, every pair's
-        # the case weights
-        self.masses = np.empty((n_scores, n))
+        self.mass_width = n_slots * sum(self.fine_sizes)
+        self.case_width = case_width
+        # weight buffers: the multiplicities as floats, which every
+        # ``bincount`` of subjects reads, and every pair's case weights
+        self.m = np.empty(n)
         self.case_weights = np.empty((len(case_keys), self.case_subjects.size))
 
     def replicate(self, m, mass_out, case_out, stats_out) -> None:
@@ -294,8 +292,10 @@ class _RankedCohort:
         ``mass_out`` receives the slot-by-fine-segment subject counts of
         each score and ``case_out`` the case weights in each pair's fine
         segments.  Rows 0 and 2 of ``stats_out`` receive, per horizon,
-        the case count before t0 and G(t0); ``accuracy`` gives the count
-        followed up to t0 from ``mass_out``.
+        the case mass before t0 and G(t0); ``accuracy`` gives the count
+        followed up to t0 from ``mass_out``.  The case mass is 0 exactly
+        when no case before t0 was drawn: a drawn case is at risk at
+        every censoring jump below its time, so its weight is at least 1.
 
         The reverse KM is one weighted ``bincount`` over every subject's
         cut key, a running sum over the cuts, two gathers of O(cases) and
@@ -306,8 +306,8 @@ class _RankedCohort:
         with nobody left there keeps G > 0 and fails for nobody at t0.
         Each case weight is ``m * (1 / G)``, with 0 where G is 0.
         """
-        self.masses[:] = m
-        m = self.masses[0]
+        self.m[:] = m
+        m = self.m
         beyond = np.add.accumulate(
             np.bincount(self.km_keys, weights=m, minlength=self.km_width)
         )
@@ -317,17 +317,17 @@ class _RankedCohort:
         # only to horizons where the resample fails, so its weight is moot
         inv_g = g[self.case_g]
         np.divide(1.0, inv_g, out=inv_g, where=inv_g > 0.0)
-        m_case = m[self.case_subjects]
-        np.multiply(m_case, inv_g, out=self.case_weights)
-        mass_out[:] = np.bincount(
-            self.mass_keys, weights=self.masses.ravel(), minlength=self.mass_width
-        )
+        np.multiply(m[self.case_subjects], inv_g, out=self.case_weights)
+        k, at = self.horizons.size, 0
+        for keys, size in zip(self.mass_keys, self.fine_sizes):
+            width = (k + 1) * size
+            mass_out[at : at + width] = np.bincount(keys, weights=m, minlength=width)
+            at += width
         case_out[:] = np.bincount(
             self.case_keys, weights=self.case_weights.ravel(), minlength=self.case_width
         )
-        k = self.horizons.size
         stats_out[0] = np.add.accumulate(
-            np.bincount(self.case_slot, weights=m_case, minlength=k + 1)
+            np.bincount(self.case_slot, weights=self.case_weights[0], minlength=k + 1)
         )[:k]
         stats_out[2] = g[self.horizon_g]
 
@@ -392,20 +392,20 @@ def _replicate_matrices(
     (rAP when the score-2 AP is not positive).  Columns follow
     ``estimands`` (keys of the estimand table).
 
-    The point row draws each subject once and runs as a block of its
-    own, so its AP, AP2 and rAP are bit for bit ``compare_horizon``'s;
-    it is never NaN at a horizon that passes ``validate_horizon``.  The
+    One loop runs draws 0..B.  Draw 0, the full cohort, is the point
+    row.  The kernel's sums depend on which columns of a block hold case
+    mass, so it runs as a block of its own: its AP, AP2 and rAP are bit
+    for bit ``compare_horizon``'s, never NaN at a valid horizon.  The
     event rate is its case mass before t0 over n, clipped into [0, 1].
 
-    Replicate b draws ``default_rng(SeedSequence(spec.seed).spawn(B)[b])
-    .integers(0, n, size=n)``, so the resamples are those of a plain
-    per-replicate loop over ``CohortSample.take``, the same for every
-    horizon.  A block holds ``max(1, _BLOCK_BYTES // row bytes)`` rows,
-    so a row over the budget runs alone (a row of a paired 2M cohort at
-    t0 = 36 is 14.3 MB); the AP/AUC kernel runs once per block, horizon
-    and score.  Each block spawns its children as it starts: a
-    ``SeedSequence`` numbers its children on from its last ``spawn``, so
-    they are the same children, and seeds are held one block at a time.
+    Draw b >= 1 spawns one child as it is drawn; a ``SeedSequence``
+    numbers its children on from its last ``spawn``, so the draw is
+    ``default_rng(SeedSequence(spec.seed).spawn(B)[b - 1]).integers(0,
+    n, size=n)``, the resample of a plain loop over ``CohortSample.take``.
+    Replicates fill blocks ``[1, 1 + rows)``, ``[1 + rows, 1 + 2 rows)``
+    and so on, ``rows = max(1, _BLOCK_BYTES // row bytes)``, so a row
+    over the budget runs alone (one of a paired 2M cohort at t0 = 36 is
+    14.3 MB); the AP/AUC kernel runs once per block, horizon and score.
     """
     if len(horizons) == 0:
         return []
@@ -416,49 +416,39 @@ def _replicate_matrices(
     rows = max(1, _BLOCK_BYTES // (8 * (ranked.mass_width + ranked.case_width)))
     mass = np.empty((rows, ranked.mass_width))
     case = np.empty((rows, ranked.case_width))
-
-    def run_block(stats, out):
-        """Fill ``out`` with the estimands of the block rows behind ``stats``."""
-        block = len(stats)
-        per_horizon, stats[:, 1] = ranked.accuracy(mass[:block], case[:block])
+    values = np.empty((n_horizons, 1 + n_reps, len(table)))
+    stats = np.empty((1 + n_reps, 3, n_horizons))
+    seeds = np.random.SeedSequence(spec.seed)
+    starts = [0, *range(1, 1 + n_reps, rows)]
+    for start, stop in zip(starts, [*starts[1:], 1 + n_reps]):
+        for b in range(start, stop):
+            if b == 0:
+                m = np.ones(n)
+            else:
+                (child,) = seeds.spawn(1)
+                idx = np.random.default_rng(child).integers(0, n, size=n)
+                m = np.bincount(idx, minlength=n)
+            ranked.replicate(m, mass[b - start], case[b - start], stats[b])
+        block = stop - start
+        per_horizon, stats[start:stop, 1] = ranked.accuracy(mass[:block], case[:block])
         for k, acc in enumerate(per_horizon):
             for e, stat in enumerate(table):
-                out[k, :, e] = stat(acc)
+                values[k, start:stop, e] = stat(acc)
+    rates = np.clip(stats[0, 0] / n, 0.0, 1.0)
 
-    points = np.empty((n_horizons, 1, len(table)))
-    point_stats = np.empty((1, 3, n_horizons))
-    ranked.replicate(np.ones(n), mass[0], case[0], point_stats[0])
-    run_block(point_stats, points)
-    case_mass = np.bincount(
-        ranked.case_slot, weights=ranked.case_weights[0], minlength=n_horizons + 1
-    )
-    rates = np.clip(np.cumsum(case_mass)[:n_horizons] / n, 0.0, 1.0)
-
-    values = np.empty((n_horizons, n_reps, len(table)))
-    stats = np.empty((n_reps, 3, n_horizons))
-    seeds = np.random.SeedSequence(spec.seed)
-    for start in range(0, n_reps, rows):
-        block = seeds.spawn(min(rows, n_reps - start))
-        for r, child in enumerate(block):
-            idx = np.random.default_rng(child).integers(0, n, size=n)
-            ranked.replicate(
-                np.bincount(idx, minlength=n), mass[r], case[r], stats[start + r]
-            )
-        stop = start + len(block)
-        run_block(stats[start:stop], values[:, start:stop])
-
-    cases, at_t0, g_t0 = stats[:, 0], stats[:, 1], stats[:, 2]
+    cases, at_t0, g_t0 = stats[1:, 0], stats[1:, 1], stats[1:, 2]
     no_case = cases == 0.0
     zero_g = ~no_case & ~(g_t0 > 0.0)
     nobody = ~no_case & ~zero_g & ~(at_t0 > 0.0)
     usable = ~(no_case | zero_g | nobody)
     results = []
     for k in range(n_horizons):
-        defined = ~np.isnan(values[k]).any(axis=1)
+        point, replicates = values[k, 0].copy(), values[k, 1:]
+        defined = ~np.isnan(replicates).any(axis=1)
         counts = (no_case[:, k], zero_g[:, k], nobody[:, k], usable[:, k] & ~defined)
         causes = dict(zip(_FAILURE_CAUSES, (int(c.sum()) for c in counts)))
-        rows_k = values[k][usable[:, k] & defined]
-        results.append((points[k, 0], float(rates[k]), rows_k, causes))
+        rows_k = replicates[usable[:, k] & defined]
+        results.append((point, float(rates[k]), rows_k, causes))
     slots = np.searchsorted(ranked.horizons, np.asarray(horizons, dtype=float))
     return [results[k] for k in slots]
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .censoring import fit_censoring_km, ipcw_weights  # bench/spans.py wraps both here
-from .cohort import CohortSample, _is_integer, _write_csv, validate_horizon
+from .cohort import CohortSample, _check_horizon, _is_integer, _write_csv, validate_horizon
 from .errors import NoEventsBeforeT0Error, TdapError
 from .estimators import _ap, average_precision  # bench/spans.py wraps the latter here
 from .inference import BootstrapSpec, _bootstrap_horizons
@@ -111,16 +111,17 @@ class SimulationConfig:
             raise ValueError(
                 f"replications must be an int >= 1, got {self.replications!r}"
             )
-        horizons = tuple(float(t) for t in self.horizons)
+        horizons = tuple(self.horizons)
         if not horizons:
             raise ValueError("horizons must be non-empty")
         for t0 in horizons:
-            if not (0.0 < t0 < _UNIFORM_HIGH):
+            _check_horizon(t0)
+            if not t0 < _UNIFORM_HIGH:
                 raise ValueError(
                     f"horizon {t0!r} outside the generator's support "
                     f"(0, {_UNIFORM_HIGH})"
                 )
-        object.__setattr__(self, "horizons", horizons)
+        object.__setattr__(self, "horizons", tuple(map(float, horizons)))
         if not (_is_integer(self.oracle_size) and self.oracle_size >= 100_000):
             raise ValueError(
                 f"oracle_size must be an int >= 100000, got {self.oracle_size!r}"
@@ -205,6 +206,8 @@ def generate_cohort(n: int, seed) -> CohortSample:
 
     ``seed`` may be an int, a SeedSequence, or a Generator.
     """
+    if not (_is_integer(n) and n >= 1):
+        raise ValueError(f"n must be an int >= 1, got {n!r}")
     rng = np.random.default_rng(seed)
     t, c, u1, u2 = _draw_latent(n, rng)
     times = np.minimum(t, c)

@@ -5,6 +5,7 @@ import reference
 from tdap import (
     CensorSurvival,
     CohortSample,
+    WeightVector,
     ZeroCensorSurvivalError,
     fit_censoring_km,
     generate_cohort,
@@ -147,10 +148,13 @@ def test_censor_survival_rejects_bad_shapes():
 )
 def test_ipcw_weights_rejects_ill_posed_horizons(t0):
     # NaN used to give all-zero weights, True was read as 1.0 and "5"
-    # raised numpy's UFuncTypeError
+    # raised numpy's UFuncTypeError; a weight vector used to take any of
+    # them, and one built for True then passed as a vector for horizon 1
     coh = generate_cohort(200, 3)
     with pytest.raises(ValueError, match="t0 must be a positive finite number"):
         ipcw_weights(coh, fit_censoring_km(coh), t0)
+    with pytest.raises(ValueError, match="t0 must be a positive finite number"):
+        WeightVector(t0, np.ones(coh.n))
 
 
 def test_ipcw_weights_take_numpy_real_horizons():
@@ -160,6 +164,7 @@ def test_ipcw_weights_take_numpy_real_horizons():
         w = ipcw_weights(coh, km, t0)
         assert w.t0 == 8.0
         assert w.weights.tobytes() == ipcw_weights(coh, km, 8.0).weights.tobytes()
+        assert type(WeightVector(t0, w.weights).t0) is float
 
 
 def test_censor_survival_rejects_nan():
@@ -169,3 +174,20 @@ def test_censor_survival_rejects_nan():
         with pytest.raises(ValueError, match="undefined at NaN"):
             G(c)
     assert G(np.inf) == G.values[-1]  # +-inf stay well defined
+
+
+@pytest.mark.parametrize(
+    "c", ["5", b"1", True, np.True_, None, 1j, ["5"], [True, False], np.array(["1.0"])]
+)
+def test_censor_survival_rejects_non_real_times(c):
+    # "5" used to be read as 5.0, True and b"1" as 1.0
+    G = fit_censoring_km(generate_cohort(200, 3))
+    with pytest.raises(ValueError, match="needs real times"):
+        G(c)
+
+
+def test_censor_survival_is_one_at_or_below_zero():
+    G = fit_censoring_km(generate_cohort(200, 3))
+    assert G(0.0) == G(-1.0) == G(0) == G(np.int64(-2)) == G(np.float32(0.0)) == 1.0
+    assert G(np.array([-1, 0], dtype=np.int8)).tolist() == [1.0, 1.0]
+    assert G([0.0, 8.0]).tolist() == [1.0, G(8.0)]

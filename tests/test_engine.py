@@ -33,8 +33,10 @@ keys each subject once per score, at segments anchored at every case
 before the largest horizon, and reads every horizon from those fine
 segments with whole-number control counts: at each horizon the kernel
 must give the bits it gives on that horizon's own segments, and a common
-control weight may move AUC only by rounding.  Seeds are spawned one block at a time, so the engine's
-memory per replicate holds no seed.
+control weight may move AUC only by rounding.  Seeds are spawned one
+per draw, so the engine's memory per replicate holds no seed, and each
+draw is held once: after set-up the engine holds one float row of
+multiplicities, not one per score.
 """
 
 import tracemalloc
@@ -269,8 +271,9 @@ def test_censoring_fit_matches_the_factor_by_factor_product(case):
 
 
 def assert_replicates_refit(cohort, t0, seed, count=5):
-    """G(t0) and the drawn cases' weights of ``count`` replicates, bit for
-    bit those of a fit on each materialised resample."""
+    """G(t0), the drawn cases' weights and their mass before t0 (stats row
+    0) of ``count`` replicates, bit for bit those of a fit on each
+    materialised resample."""
     ranked = _RankedCohort(cohort, (t0,), 1)
     stats = np.empty((3, 1))
     rng = np.random.default_rng(seed)
@@ -284,6 +287,10 @@ def assert_replicates_refit(cohort, t0, seed, count=5):
         g = fit(cohort.times[ranked.case_subjects[drawn]])
         weights = m[ranked.case_subjects[drawn]] * np.divide(1.0, g, out=g.copy(), where=g > 0.0)
         assert ranked.case_weights[0][drawn].tobytes() == weights.tobytes()
+        # the running sum over the horizon slots (here 0 before t0, 1 after)
+        slot = (cohort.times[ranked.case_subjects[drawn]] >= t0).astype(np.intp)
+        mass = np.cumsum(np.bincount(slot, weights=weights, minlength=2))[:1]
+        assert stats[0].tobytes() == mass.tobytes()
 
 
 def km_layout(times, status, t0):
@@ -328,7 +335,7 @@ def test_a_run_with_nobody_at_risk_keeps_the_nobody_at_t0_cause():
     stats = np.empty((3, 1))
     m = np.array([2.0, 1.0, 2.0, 0.0, 0.0])
     ranked.replicate(m, np.empty(ranked.mass_width), np.empty(ranked.case_width), stats)
-    assert stats[0, 0] == 4.0  # cases drawn before t0
+    assert stats[0, 0] == 2.0 + 2.0 * 1.5  # case mass drawn before t0: G(3-) = 2/3
     assert stats[2, 0] == fit_censoring_km(cohort.take([0, 0, 1, 2, 2]))(5.0) == 2.0 / 3.0
     (causes,) = assert_horizons_match(cohort, [5.0], BootstrapSpec(replicates=200, seed=6))
     assert causes["nobody_at_t0"] > 0
@@ -398,7 +405,8 @@ def test_ranked_cohort_segments_follow_the_distinct_scores(case):
     cohort = CohortSample(np.where(early, 1.0, 2.0), is_case | ~early, scores)
     ranked = _RankedCohort(cohort, (1.5,), 1)
     (fine,) = ranked.fine_sizes
-    slot, segment = np.divmod(ranked.mass_keys, fine)
+    (keys,) = ranked.mass_keys
+    slot, segment = np.divmod(keys, fine)
     assert np.array_equal(slot, ~early)
     assert np.array_equal(ranked.case_keys, segment[is_case])
     # a subject's segment counts the case-holding groups above its own
@@ -463,13 +471,13 @@ def test_ranked_cohort_bins_are_case_anchored(decimals, t0):
     assert ranked.horizons.tolist() == [t0, 40.0]
     n, cases = cohort.n, ranked.case_subjects
     assert np.array_equal(cases, np.flatnonzero((cohort.times < 40.0) & (cohort.status == 1.0)))
-    assert ranked.mass_keys.size == 2 * n  # one key per subject and score
+    assert ranked.mass_keys.shape == (2, n)  # one key per subject and score
     n_slots = ranked.horizons.size + 1
     fine_groups, mass_at = [], 0
     for s, fine in zip((1, 2), ranked.fine_sizes):
         # fine segments are anchored at every case before the largest horizon
         assert fine == 2 * np.unique(cohort.scores(s)[cases]).size + 1
-        keys = ranked.mass_keys[(s - 1) * n : s * n] - mass_at
+        keys = ranked.mass_keys[s - 1]
         assert 0 <= keys.min() and keys.max() < n_slots * fine
         slot, group = np.divmod(keys, fine)
         # the slot splits at every horizon: before it, then at or beyond it
@@ -515,7 +523,7 @@ def test_subject_keys_do_not_grow_with_the_horizons(n_horizons):
     horizons = np.linspace(2.0, 36.0, n_horizons)
     for n_scores in (1, 2):
         ranked = _RankedCohort(cohort, horizons, n_scores)
-        assert ranked.mass_keys.size == n_scores * cohort.n
+        assert ranked.mass_keys.shape == (n_scores, cohort.n)
         assert len(ranked.fine_sizes) == n_scores
         # case keys: one per case and (horizon, score) pair
         assert ranked.case_keys.size == n_horizons * n_scores * ranked.case_subjects.size
@@ -789,6 +797,21 @@ def test_engine_memory_per_replicate_holds_no_seed(monkeypatch):
             tracemalloc.stop()
 
     assert (peak(1200) - peak(200)) / 1000 < 100
+
+
+def test_engine_set_up_holds_one_row_of_multiplicities():
+    # after set-up the engine holds each score's subject keys, the reverse
+    # KM's cut keys, one float row of multiplicities and O(cases) case keys
+    # and weights: 5.46 x 8n for a paired 200k cohort at t0 = 36; a copy
+    # of the multiplicities per score would add 1.0 x 8n more
+    cohort = generate_cohort(200_000, 5)
+    tracemalloc.start()
+    try:
+        ranked = _RankedCohort(cohort, (36.0,), 2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ranked.m.size == cohort.n and held / (8 * cohort.n) <= 5.75
 
 
 def test_rap_fails_where_the_score2_ap_is_zero(monkeypatch):

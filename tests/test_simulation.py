@@ -60,8 +60,20 @@ def test_config_validation():
         SimulationConfig(horizons=(55.0,))  # beyond the censoring support
     with pytest.raises(ValueError):
         SimulationConfig(horizons=(-1.0,))
+    # a string or a bool horizon used to be taken as 8.0 or 1.0
+    for bad in ("8", True, np.True_, float("nan"), None):
+        with pytest.raises(ValueError, match="t0 must be a positive finite number"):
+            SimulationConfig(horizons=(8.0, bad))
+    assert SimulationConfig(horizons=(np.int64(8), np.float32(0.5))).horizons == (8.0, 0.5)
     with pytest.raises(ValueError):
         SimulationConfig(oracle_size=1000)
+
+
+@pytest.mark.parametrize("n", [True, 2.5, "10", -1, 0, None, np.float64(10.0)])
+def test_generate_cohort_rejects_a_bad_size(n):
+    # numpy used to raise its own TypeError, or "negative dimensions"
+    with pytest.raises(ValueError, match="n must be an int >= 1"):
+        generate_cohort(n, 0)
 
 
 def test_generate_cohort_reproducible_and_paired():
