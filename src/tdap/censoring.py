@@ -45,11 +45,9 @@ class CensorSurvival:
         vals = np.asarray(self.values, dtype=float)
         if jumps.shape != vals.shape or jumps.ndim != 1:
             raise ValueError("jump_times and values must be matching 1-d arrays")
-        if jumps.size and np.any(np.diff(jumps) <= 0):
-            raise ValueError("jump_times must be strictly increasing")
-        if np.any(vals < 0) or np.any(vals > 1) or (
-            vals.size and np.any(np.diff(vals) > 0)
-        ):
+        if not (np.isfinite(jumps).all() and (np.diff(jumps) > 0).all()):
+            raise ValueError("jump_times must be finite and strictly increasing")
+        if not (((vals >= 0) & (vals <= 1)).all() and (np.diff(vals) <= 0).all()):
             raise ValueError("values must be non-increasing within [0, 1]")
         jumps = jumps.copy()
         vals = vals.copy()

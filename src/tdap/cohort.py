@@ -60,7 +60,9 @@ _HEADER = re.compile(rb"([^\r\n]*)[\r\n]+[^\r\n]")
 
 @dataclass(frozen=True)
 class SubjectRecord:
-    """One subject: follow-up time, event indicator, and score(s)."""
+    """One subject: follow-up time, event indicator, and score(s).
+
+    Finite reals and a status of 0 or 1 (not bools), stored as float and int."""
 
     time: float
     status: int
@@ -68,18 +70,21 @@ class SubjectRecord:
     score2: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.time, (int, float)) and math.isfinite(self.time)):
-            raise NonNumericCellError(None, "time", repr(self.time))
+        self._store_real("time")
         if self.time <= 0:
             raise NonPositiveTimeError(None, self.time)
-        if self.status not in (0, 1):
+        if not (_is_real(self.status) and self.status in (0, 1)):
             raise InvalidStatusError(None, self.status)
-        if not (isinstance(self.score1, (int, float)) and math.isfinite(self.score1)):
-            raise NonNumericCellError(None, "score1", repr(self.score1))
-        if self.score2 is not None and not (
-            isinstance(self.score2, (int, float)) and math.isfinite(self.score2)
-        ):
-            raise NonNumericCellError(None, "score2", repr(self.score2))
+        object.__setattr__(self, "status", int(self.status))
+        self._store_real("score1")
+        if self.score2 is not None:
+            self._store_real("score2")
+
+    def _store_real(self, name: str) -> None:
+        value = getattr(self, name)
+        if not (_is_real(value) and math.isfinite(value)):
+            raise NonNumericCellError(None, name, repr(value))
+        object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)

@@ -205,45 +205,40 @@ def ppv_tie_corrected(
     return float(num / den)
 
 
-def _accuracy(counts, case_mass, ctrl_mass):
+def _accuracy(counts, case, ctrl_mass, hit):
     """AP and AUC from per-group masses, groups ordered by descending score.
 
     This is the one place the two formulas live: the point estimators
     and every bootstrap replicate read from it (the replicates on the
     case-anchored segments of ``inference._RankedCohort``), and the study
     oracle reads its AP formula (``_ap``) from its own tie runs.  Groups
-    may be empty (count and masses 0).  AP is NaN without case mass; AUC
-    is NaN without case or control mass.  Both are clipped into [0, 1];
-    the clip can bind only in heavily censored corners where single
-    weights exceed 1.  ``counts`` must be whole numbers, so the doubled
-    screened count ``2 * cumsum(counts) - counts`` is exact.  AP never
-    reads the control masses, and a weight common to every control
-    cancels in AUC up to rounding, so a caller whose controls share one
-    weight may pass their counts.
+    may be empty (count and masses 0).  ``hit`` indexes the groups that
+    may hold case mass, ascending, and ``case`` holds the case mass at
+    them; a column of ``hit`` without case mass adds an exact 0.  AP is
+    NaN without case mass; AUC is NaN without case or control mass.
+    Both are clipped into [0, 1]; the clip can bind only in heavily
+    censored corners where single weights exceed 1.  ``counts`` must be
+    whole numbers, so the doubled screened count ``2 * cumsum(counts) -
+    counts`` is exact.  AP never reads the control masses, and a weight
+    common to every control cancels in AUC up to rounding, so a caller
+    whose controls share one weight may pass their counts.
 
     One set of groups (1-d arrays) gives two floats.  A table of rows
     (2-d arrays, one row per bootstrap replicate) gives one AP array and
-    one AUC array.  Only groups holding case mass enter either sum, so
-    the sums are taken over the columns that hold case mass in some row;
-    within a row, a column without case mass adds an exact 0.  A single
-    row therefore sums exactly the elements, in the order, of its own
-    case-holding groups.  Reductions use ``einsum`` rather than
-    ``np.dot``: BLAS worker threads spin on these short vectors and burn
-    CPU without saving wall time.
+    one AUC array.  The columns come from the caller, gathers are
+    row-major (``take``) and sums are row sums, so a row's values depend
+    on its own masses alone (``einsum``'s do not past 8,192 columns).
     """
-    one_set = np.ndim(case_mass) == 1
-    counts, case_mass, ctrl_mass = (
-        np.atleast_2d(a) for a in (counts, case_mass, ctrl_mass)
-    )
-    hit = np.flatnonzero((case_mass > 0.0).any(axis=0))
-    case = case_mass[:, hit]
-    screened = 2.0 * np.cumsum(counts, axis=1) - counts
-    ap, total_case = _ap(case, screened[:, hit])
+    one_set = np.ndim(case) == 1
+    counts, case, ctrl_mass = (np.atleast_2d(a) for a in (counts, case, ctrl_mass))
+    screened = (2.0 * np.cumsum(counts, axis=1) - counts).take(hit, axis=1)
+    ap, total_case = _ap(case, screened)
     total_ctrl = ctrl_mass.sum(axis=1)
-    ctrl_below = total_ctrl[:, None] - np.cumsum(ctrl_mass, axis=1)[:, hit]
-    conc = np.einsum("bi,bi->b", case, ctrl_below + 0.5 * ctrl_mass[:, hit])
+    conc = total_ctrl[:, None] - np.cumsum(ctrl_mass, axis=1).take(hit, axis=1)
+    conc += 0.5 * ctrl_mass.take(hit, axis=1)
+    conc *= case
     defined = (total_case > 0.0) & (total_ctrl > 0.0)
-    auc = np.clip(_ratio(conc, total_case * total_ctrl, defined), 0.0, 1.0)
+    auc = np.clip(_ratio(conc.sum(axis=1), total_case * total_ctrl, defined), 0.0, 1.0)
     if one_set:
         return float(ap[0]), float(auc[0])
     return ap, auc
@@ -252,14 +247,14 @@ def _accuracy(counts, case_mass, ctrl_mass):
 def _ap(case, screened):
     """AP, and the total case mass, from the case-holding groups alone.
 
-    ``case`` holds each row's case mass at the groups holding case mass
-    in some row, by descending score, and ``screened`` twice the number
-    of subjects screened positive at each of those groups, less the
-    group's own count: the tie-corrected precision at a case group's
-    score counts half of the tied group's own mass as "above", and both
-    of its sides are doubled.  The counts are whole numbers, so the
-    doubled count is exact.  AP is NaN in a row without case mass and is
-    clipped into [0, 1].
+    ``case`` holds each row's case mass at the groups that may hold case
+    mass, by descending score, and ``screened`` twice the number of
+    subjects screened positive at each of those groups, less the group's
+    own count: the tie-corrected precision at a case group's score counts
+    half of the tied group's own mass as "above", and both of its sides
+    are doubled.  The counts are whole numbers, so the doubled count is
+    exact.  AP is NaN in a row without case mass and is clipped into
+    [0, 1].  Each product is formed in place and summed by row.
 
     ``screened`` is clamped to at least 1 in place.  A group holding case
     mass holds a counted subject, so its doubled count is at least 1
@@ -270,7 +265,8 @@ def _ap(case, screened):
     np.maximum(screened, 1, out=screened)
     ppv = 2.0 * np.cumsum(case, axis=1) - case
     ppv /= screened
-    ap = _ratio(np.einsum("bi,bi->b", case, ppv), total_case, total_case > 0.0)
+    ppv *= case
+    ap = _ratio(ppv.sum(axis=1), total_case, total_case > 0.0)
     return np.clip(ap, 0.0, 1.0), total_case
 
 
@@ -287,7 +283,8 @@ def _point_accuracy(
         _case_mass(cohort, weights, t0),
         _control_mass(cohort, weights, t0),
     )
-    return _accuracy(counts, case_mass, ctrl_mass)
+    hit = np.flatnonzero(case_mass > 0.0)
+    return _accuracy(counts, case_mass[hit], ctrl_mass, hit)
 
 
 def _estimable_accuracy(

@@ -32,19 +32,20 @@ score's tie run are searched in it.  Each subject is keyed once per
 score: its fine segment, anchored at every case before the largest
 horizon, and its horizon slot, the number of horizons at or below its
 time.  A replicate's subject counts fill one slot-by-segment table per
-score, and its case weights fill, per (horizon, score) pair, the score's
-fine segments plus a spare bin for the cases at or beyond t0.
-Replicates fill these tables block by block.  Per block, running sums
-over the slot axis give every horizon's count at or beyond t0, and the
-same AP/AUC kernel as the point estimators turns the block into AP and
-AUC columns, one call per horizon and score, on the fine segments.
+score, and its case weights fill, per (horizon, score) pair, the tie
+bins of the anchors holding a case before t0 plus a spare bin for the
+cases at or beyond t0.  Per block of draws, running sums over the slot
+axis give every horizon's count at or beyond t0, and the point
+estimators' AP/AUC kernel reads AP and AUC at each pair's tie bins.
 Every control at t0 weighs 1/G(t0): AP never reads the controls and the
 weight cancels in AUC, so the kernel reads the whole-number counts.  A
 horizon's own segments are contiguous unions of the fine ones, and
 prefix sums of whole numbers are exact, so AP is bit for bit what the
-horizon's own segments give and AUC moves only by rounding.  A block is
-sized by a fixed byte budget and each draw spawns its own child seed, so
-memory does not grow with the replicate count.
+horizon's own segments give and AUC moves only by rounding.  The
+columns are fixed at set-up and the kernel sums each row on its own, so
+a draw's values depend on its resample alone, not on the block budget
+or the horizon set.  Each draw spawns its own child seed, so memory
+does not grow with the replicate count.
 """
 
 from __future__ import annotations
@@ -176,15 +177,15 @@ class _RankedCohort:
     The table crosses the fine segments with the horizon slots: a
     subject's slot is the number of horizons at or below its time, so it
     is followed less than horizon k exactly when its slot is at most k.
-    Every (horizon, score) pair reads the score's fine
-    segments: its case keys are a case's fine segment (a tie bin) before
-    t0 and one spare bin, last, at or beyond it.  A horizon's own segments
-    are contiguous unions of the fine ones, and a fine tie bin whose
-    anchor has no case before t0 holds no case mass there, so the kernel
-    reads the same case columns and, the counts being whole numbers, the
-    same prefix sums.  A replicate's ``bincount`` passes run over fixed
-    keys (the reverse KM's cuts, each score's subject keys and the case
-    weights) and read one float row of multiplicities and the case
+    Horizon k reads the tie bins of the anchors whose first slot holding
+    a case (``first``, one small array per score) is at most k, the same
+    columns for every replicate; each (horizon, score) pair's case table
+    holds them and a spare bin, last, for the cases at or beyond t0.  A
+    horizon's own segments are contiguous unions of the fine ones, so
+    the kernel reads the same columns and, the counts being whole
+    numbers, the same prefix sums.  A replicate's ``bincount`` passes run
+    over fixed keys (the reverse KM's cuts, each score's subject keys and
+    the case keys) and read one float row of multiplicities and the case
     weights, both allocated here; no array as long as the censoring
     jumps is built per replicate.
     """
@@ -249,11 +250,13 @@ class _RankedCohort:
         self.case_slot = slot[self.case_subjects]
 
         # per score, its fine segment count, the subject -> (slot, fine
-        # segment) keys and the cases' fine segments
-        n_slots = self.horizons.size + 1
-        self.fine_sizes = []
+        # segment) keys, and each anchor's first horizon slot holding a
+        # case: horizon k reads the tie bins 2j + 1 of anchors j with
+        # first[j] <= k, the same columns for every replicate
+        n_slots, slot_type = self.horizons.size + 1, np.min_scalar_type(self.horizons.size)
+        self.fine_sizes, self.first = [], []
         self.mass_keys = np.empty((n_scores, n), dtype=np.intp)
-        case_groups = []
+        case_anchors = []
         for s in range(n_scores):
             score = cohort.scores(s + 1)
             order = np.argsort(score)
@@ -270,14 +273,19 @@ class _RankedCohort:
             group[order[::-1]] = np.repeat(np.arange(sizes.size), sizes)
             self.mass_keys[s] = slot * sizes.size + group
             self.fine_sizes.append(sizes.size)
-            case_groups.append(group[self.case_subjects])
-        # per (horizon, score) pair, horizon-major, its case keys
+            case_anchors.append(group[self.case_subjects] // 2)
+            self.first.append(np.full(anchors.size, self.horizons.size, dtype=slot_type))
+            np.minimum.at(self.first[-1], case_anchors[-1], self.case_slot.astype(slot_type))
+        # per (horizon, score) pair, horizon-major, its case keys: a case's
+        # column among the pair's tie bins before t0, the spare bin after
         case_keys, case_width = [], 0
         for k in range(self.horizons.size):
             case_in = self.case_slot <= k
-            for case_group, size in zip(case_groups, self.fine_sizes):
-                case_keys.append(case_width + np.where(case_in, case_group, size))
-                case_width += size + 1
+            for anchor, first in zip(case_anchors, self.first):
+                held = first <= k
+                width = np.count_nonzero(held)
+                case_keys.append(case_width + np.where(case_in, np.cumsum(held)[anchor] - 1, width))
+                case_width += width + 1
         self.case_keys = np.concatenate(case_keys)
         self.mass_width = n_slots * sum(self.fine_sizes)
         self.case_width = case_width
@@ -290,8 +298,8 @@ class _RankedCohort:
         """Write the resample with multiplicities ``m`` into row buffers.
 
         ``mass_out`` receives the slot-by-fine-segment subject counts of
-        each score and ``case_out`` the case weights in each pair's fine
-        segments.  Rows 0 and 2 of ``stats_out`` receive, per horizon,
+        each score and ``case_out`` the case weights in each pair's
+        columns.  Rows 0 and 2 of ``stats_out`` receive, per horizon,
         the case mass before t0 and G(t0); ``accuracy`` gives the count
         followed up to t0 from ``mass_out``.  The case mass is 0 exactly
         when no case before t0 was drawn: a drawn case is at risk at
@@ -358,11 +366,11 @@ class _RankedCohort:
         case_at = 0
         for k in range(k_count):
             acc = []
-            for table, total, beyond in tables:
+            for (table, total, beyond), first in zip(tables, self.first):
                 np.subtract(beyond, table[:, k], out=beyond)
-                size = total.shape[1]
-                acc.append(_accuracy(total, case[:, case_at : case_at + size], beyond))
-                case_at += size + 1
+                hit = 2 * np.flatnonzero(first <= k) + 1
+                acc.append(_accuracy(total, case[:, case_at : case_at + hit.size], beyond, hit))
+                case_at += hit.size + 1
             followed[:, k] = beyond.sum(axis=1)  # the same for every score
             out.append(acc)
         return out, followed
@@ -392,19 +400,19 @@ def _replicate_matrices(
     (rAP when the score-2 AP is not positive).  Columns follow
     ``estimands`` (keys of the estimand table).
 
-    One loop runs draws 0..B.  Draw 0, the full cohort, is the point
-    row.  The kernel's sums depend on which columns of a block hold case
-    mass, so it runs as a block of its own: its AP, AP2 and rAP are bit
-    for bit ``compare_horizon``'s, never NaN at a valid horizon.  The
-    event rate is its case mass before t0 over n, clipped into [0, 1].
+    One block loop runs draws 0..B.  Draw 0, the full cohort, is the
+    point row; a row's values depend on its own draw alone, so its AP,
+    AP2 and rAP are bit for bit ``compare_horizon``'s in any block, never
+    NaN at a valid horizon.  The event rate is its case mass before t0
+    over n, clipped into [0, 1].
 
     Draw b >= 1 spawns one child as it is drawn; a ``SeedSequence``
     numbers its children on from its last ``spawn``, so the draw is
     ``default_rng(SeedSequence(spec.seed).spawn(B)[b - 1]).integers(0,
     n, size=n)``, the resample of a plain loop over ``CohortSample.take``.
-    Replicates fill blocks ``[1, 1 + rows)``, ``[1 + rows, 1 + 2 rows)``
-    and so on, ``rows = max(1, _BLOCK_BYTES // row bytes)``, so a row
-    over the budget runs alone (one of a paired 2M cohort at t0 = 36 is
+    Draws fill blocks ``[0, rows)``, ``[rows, 2 rows)`` and so on,
+    ``rows = max(1, _BLOCK_BYTES // row bytes)``, so a row over the
+    budget runs alone (one of a paired 2M cohort at t0 = 36 is
     14.3 MB); the AP/AUC kernel runs once per block, horizon and score.
     """
     if len(horizons) == 0:
@@ -419,8 +427,8 @@ def _replicate_matrices(
     values = np.empty((n_horizons, 1 + n_reps, len(table)))
     stats = np.empty((1 + n_reps, 3, n_horizons))
     seeds = np.random.SeedSequence(spec.seed)
-    starts = [0, *range(1, 1 + n_reps, rows)]
-    for start, stop in zip(starts, [*starts[1:], 1 + n_reps]):
+    for start in range(0, 1 + n_reps, rows):
+        stop = min(start + rows, 1 + n_reps)
         for b in range(start, stop):
             if b == 0:
                 m = np.ones(n)

@@ -128,6 +128,8 @@ class SimulationConfig:
             )
         if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
+        if not isinstance(self.bootstrap, BootstrapSpec):
+            raise ValueError(f"bootstrap must be a BootstrapSpec, got {self.bootstrap!r}")
         for name in ("n", "replications", "oracle_size", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
 
@@ -284,7 +286,7 @@ def _oracle_aps(held: list, case_pos, case_slot, slot_of) -> dict[float, float]:
     so each run of equal counts is one anchor, and horizon k's tie counts
     are the runs' counts of slot at most k.  AP goes through the kernel's
     own AP lines (``estimators._ap``), on contiguous arrays in descending
-    score order as the kernel's are (``einsum`` sums in memory order), so
+    score order as the kernel's are (it sums each row in memory order), so
     it equals ``_accuracy`` over that horizon's case-anchored segments
     (one bin per tie run of a case, one per run of caseless groups
     between them) bit for bit; NaN without a case.

@@ -5,13 +5,17 @@ no code with the package, so agreement is evidence of correctness rather
 than of consistency.  The CSV writers are the row-by-row originals
 that the package's column writers must match byte for byte.  The
 generator draw and the study oracle are the earlier forms that the
-package's draw and oracle must match bit for bit.
+package's draw and oracle must match bit for bit.  ``group_accuracy``
+is the one door to the package's AP/AUC kernel: every test that runs
+the kernel on whole groups goes through it.
 """
 
 import csv
 import math
 
 import numpy as np
+
+from tdap.estimators import _accuracy
 
 
 def km_censor_survival(times, status, c):
@@ -190,17 +194,25 @@ def case_segments_two_sided(sorted_scores, case_scores):
     return sizes, cases
 
 
-def unique_oracle(t, u1, u2, horizons, kernel):
+def group_accuracy(counts, case_mass, ctrl_mass):
+    """The package's kernel (AP, AUC) over whole groups, highest score
+    first, reading the groups that hold case mass, as the point
+    estimators do."""
+    hit = np.flatnonzero(case_mass > 0.0)
+    return _accuracy(counts, case_mass[hit], ctrl_mass, hit)
+
+
+def unique_oracle(t, u1, u2, horizons):
     """Oracle AP cells with one group per distinct score (``np.unique``).
 
-    ``kernel(counts, case_mass, ctrl_mass)`` is the package's AP/AUC
-    kernel; only the grouping is the reference's own.
+    The AP is the package's kernel (``group_accuracy``); only the
+    grouping is the reference's own.
     """
     trues = {}
     for name, score in (("AP1", u1), ("AP2", u2)):
         for t0 in horizons:
             counts, cases, _ = unique_grouping(score, t < t0)
-            trues[(t0, name)] = kernel(counts, cases, counts - cases)[0]
+            trues[(t0, name)] = group_accuracy(counts, cases, counts - cases)[0]
     for t0 in horizons:
         trues[(t0, "rAP")] = trues[(t0, "AP1")] / trues[(t0, "AP2")]
     return trues

@@ -143,6 +143,22 @@ def test_censor_survival_rejects_bad_shapes():
         CensorSurvival(np.array([1.0]), np.array([1.5]))
 
 
+@pytest.mark.parametrize("jump", [float("nan"), float("inf"), -float("inf")])
+def test_censor_survival_rejects_jump_times_that_are_not_finite(jump):
+    # NaN passed the ordering check, since every comparison with it is False
+    with pytest.raises(ValueError, match="jump_times must be finite"):
+        CensorSurvival(np.array([jump]), np.array([0.5]))
+    with pytest.raises(ValueError, match="jump_times must be finite"):
+        CensorSurvival(np.array([1.0, jump]), np.array([0.5, 0.4]))
+
+
+@pytest.mark.parametrize("values", [[float("nan")], [0.5, float("nan")], [-0.1], [1.5], [0.4, 0.5]])
+def test_censor_survival_rejects_values_outside_the_unit_interval(values):
+    jumps = np.arange(1.0, len(values) + 1.0)
+    with pytest.raises(ValueError, match="values must be non-increasing within"):
+        CensorSurvival(jumps, np.array(values))
+
+
 @pytest.mark.parametrize(
     "t0", [float("nan"), float("inf"), -1.0, 0.0, True, np.True_, "5", None]
 )

@@ -191,6 +191,43 @@ def test_subject_record_validation():
         SubjectRecord(time=1.0, status=1, score1=float("nan"))
 
 
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        ((True, 1, 0.5), NonNumericCellError),  # a bool is not a time
+        ((1.0, True, 0.5), InvalidStatusError),  # nor a status
+        ((1.0, 1, False), NonNumericCellError),  # nor a score
+        ((1.0, 1, 0.5, True), NonNumericCellError),
+        ((1.0, np.float64(0.5), 0.5), InvalidStatusError),
+        ((1.0, "1", 0.5), InvalidStatusError),
+        ((1.0, 1, float("inf")), NonNumericCellError),
+    ],
+)
+def test_subject_record_rejects_odd_types(fields, error):
+    with pytest.raises(error):
+        SubjectRecord(*fields)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (np.int64(2), 1, 0.5),  # finite numpy scalars used to read as "not a finite number"
+        (1.0, 1, np.float32(0.5)),
+        (2, np.int64(1), 0.5, np.float64(0.25)),
+        (np.float32(2.0), 1.0, 0, 0.25),
+    ],
+)
+def test_subject_record_stores_plain_numbers(fields):
+    record = SubjectRecord(*fields)
+    got = (record.time, record.status, record.score1, record.score2)
+    want = (float(fields[0]), int(fields[1]), float(fields[2]))
+    assert got[:3] == want and [type(v) for v in got[:3]] == [float, int, float]
+    if len(fields) == 4:
+        assert type(record.score2) is float and record.score2 == float(fields[3])
+    else:
+        assert record.score2 is None
+
+
 def test_cohort_is_immutable():
     coh = read_cohort_csv(io.StringIO(BASIC))
     with pytest.raises(AttributeError):

@@ -16,10 +16,13 @@ The engine runs one pass for all of a command's horizons: one resample
 and one censoring fit per replicate, and the AP/AUC kernel over blocks of
 replicates.  At every horizon, repeated or out of order, it must agree
 with a one-horizon pass and with the loop within 1e-12, with the same
-failures for the same causes, whatever the block size.  When one block
-holds every replicate, the two passes agree bit for bit, as they must on
-a cohort with no censoring below the largest horizon and on one whose
-censoring survival reaches 0 between two horizons.
+failures for the same causes, whatever the block size.  The kernel reads
+columns fixed at set-up and sums each row on its own, so a replicate's
+values and the points hold the same bits for any block budget and any
+horizon set, rows past ``einsum``'s 8,192-element buffer included; the
+two passes agree bit for bit, as they must on a cohort with no censoring
+below the largest horizon and on one whose censoring survival reaches 0
+between two horizons.
 
 The engine bins scores into case-anchored segments
 (``inference._RankedCohort``): each subject's segment must follow from
@@ -64,7 +67,6 @@ from tdap import (
     ipcw_weights,
     validate_horizon,
 )
-from tdap.estimators import _accuracy
 from tdap.cli import main
 from tdap.simulation import _oracle_aps
 from tdap.inference import (
@@ -368,13 +370,13 @@ def test_case_segments_give_per_score_accuracy(case):
     assert sizes.size == 2 * h + 1 and sizes.sum() == scores.size
     assert seg_cases.sum() == is_case.sum() and not seg_cases[::2].any()
     # integer masses: bit-identical, NaN included
-    full = np.array(_accuracy(counts, cases, counts - cases))
-    anchored = np.array(_accuracy(sizes, seg_cases, sizes - seg_cases))
+    full = np.array(reference.group_accuracy(counts, cases, counts - cases))
+    anchored = np.array(reference.group_accuracy(sizes, seg_cases, sizes - seg_cases))
     assert anchored.tobytes() == full.tobytes()
     # weighted control masses, as in a bootstrap replicate: gaps sum
     # before weighting, so only rounding may differ
-    full = _accuracy(counts, cases, ctrl_w * (counts - cases))
-    anchored = _accuracy(sizes, seg_cases, ctrl_w * (sizes - seg_cases))
+    full = reference.group_accuracy(counts, cases, ctrl_w * (counts - cases))
+    anchored = reference.group_accuracy(sizes, seg_cases, ctrl_w * (sizes - seg_cases))
     np.testing.assert_allclose(anchored, full, rtol=0.0, atol=1e-12)
 
 
@@ -408,7 +410,10 @@ def test_ranked_cohort_segments_follow_the_distinct_scores(case):
     (keys,) = ranked.mass_keys
     slot, segment = np.divmod(keys, fine)
     assert np.array_equal(slot, ~early)
-    assert np.array_equal(ranked.case_keys, segment[is_case])
+    # one horizon: every anchor holds a case in slot 0, and a case's key is
+    # its column among the tie bins, the odd segments
+    assert not ranked.first[0].any()
+    assert np.array_equal(2 * ranked.case_keys + 1, segment[is_case])
     # a subject's segment counts the case-holding groups above its own
     # twice, plus one when its own group holds a case: [gap, tie, ..., tail]
     _, cases, group = reference.unique_grouping(scores, is_case)
@@ -455,7 +460,7 @@ def test_oracle_aps_equal_kernel_over_case_segments(case):
     assert list(got) == list(slot_of)
     for t0, k in slot_of.items():
         sizes, cases = reference.case_segments_two_sided(np.sort(score), score[pos[slot <= k]])
-        want = _accuracy(sizes, cases, sizes - cases)[0]
+        want = reference.group_accuracy(sizes, cases, sizes - cases)[0]
         assert np.float64(got[t0]).tobytes() == np.float64(want).tobytes()
 
 
@@ -486,33 +491,37 @@ def test_ranked_cohort_bins_are_case_anchored(decimals, t0):
         fine_groups.append(group)
         mass_at += n_slots * fine
     assert mass_at == ranked.mass_width
-    pairs = [(h, s) for h in ranked.horizons for s in (1, 2)]
-    # every pair's case keys span its score's fine segments and a spare bin
+    pairs = [(k, h, s) for k, h in enumerate(ranked.horizons) for s in (1, 2)]
+    # every pair's case keys span the tie bins it reads (its columns) and a
+    # spare bin
+    columns = [2 * np.flatnonzero(ranked.first[s - 1] <= k) + 1 for k, _, s in pairs]
     assert ranked.case_keys.size == len(pairs) * cases.size
-    assert ranked.case_width == ranked.horizons.size * sum(f + 1 for f in ranked.fine_sizes)
+    assert ranked.case_width == sum(hit.size + 1 for hit in columns)
     case_at = 0
-    for p, (h, s) in enumerate(pairs):
+    for p, ((k, h, s), hit) in enumerate(zip(pairs, columns)):
         fine, group = ranked.fine_sizes[s - 1], fine_groups[s - 1]
         # a higher score never sits in a later segment
         order = np.argsort(-cohort.scores(s), kind="stable")
         assert (np.diff(group[order]) >= 0).all()
         case_keys = ranked.case_keys[p * cases.size : (p + 1) * cases.size] - case_at
         in_horizon = cohort.times[cases] < h
-        assert np.array_equal(case_keys[in_horizon], group[cases[in_horizon]])
-        assert (case_keys[in_horizon] % 2 == 1).all()  # every case sits in a tie bin
-        assert (case_keys[~in_horizon] == fine).all()  # the spare bin, last
-        # the tie bins hit are the horizon's own anchors, and its own
-        # segments are the runs of fine ones between them
+        assert np.array_equal(hit[case_keys[in_horizon]], group[cases[in_horizon]])
+        assert (hit[case_keys[in_horizon]] % 2 == 1).all()  # every case sits in a tie bin
+        assert (case_keys[~in_horizon] == hit.size).all()  # the spare bin, last
+        # the tie bins hit are the horizon's own anchors, every column
+        # holds one of them, and its own segments are the runs of fine
+        # ones between them
         is_case = (cohort.times < h) & (cohort.status == 1.0)
         own_sizes, _ = reference.case_segments_two_sided(
             np.sort(cohort.scores(s)), cohort.scores(s)[is_case]
         )
-        ties = np.unique(case_keys[in_horizon])
+        ties = np.unique(hit[case_keys[in_horizon]])
+        assert np.array_equal(ties, hit)
         assert 2 * ties.size + 1 == own_sizes.size
         edges = np.concatenate(([0], np.column_stack([ties, ties + 1]).ravel(), [fine]))
         below = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=fine))))
         assert np.array_equal(np.diff(below[edges]), own_sizes)
-        case_at += fine + 1
+        case_at += hit.size + 1
     assert case_at == ranked.case_width
 
 
@@ -524,10 +533,17 @@ def test_subject_keys_do_not_grow_with_the_horizons(n_horizons):
     for n_scores in (1, 2):
         ranked = _RankedCohort(cohort, horizons, n_scores)
         assert ranked.mass_keys.shape == (n_scores, cohort.n)
-        assert len(ranked.fine_sizes) == n_scores
-        # case keys: one per case and (horizon, score) pair
+        assert len(ranked.fine_sizes) == len(ranked.first) == n_scores
+        # one first slot per anchor, in the smallest slot dtype
+        for first, fine in zip(ranked.first, ranked.fine_sizes):
+            assert first.dtype == np.min_scalar_type(n_horizons)
+            assert 2 * first.size + 1 == fine
+        # case keys: one per case and (horizon, score) pair, spanning the
+        # pair's columns and a spare bin
         assert ranked.case_keys.size == n_horizons * n_scores * ranked.case_subjects.size
-        assert ranked.case_width == n_horizons * sum(f + 1 for f in ranked.fine_sizes)
+        assert ranked.case_width == sum(
+            np.count_nonzero(first <= k) + 1 for k in range(n_horizons) for first in ranked.first
+        )
 
 
 def segment_masses(score, case_scores, case_mass, ctrl_mass):
@@ -562,11 +578,12 @@ def test_fine_segments_give_each_horizons_own_accuracy(case, extra, ctrl_w):
                 segment_masses(score, score[anchored], case_mass, followed)
                 for anchored in (early_case, early_case & (cohort.times < h))
             )
-            ap, value = _accuracy(*fine)
-            assert np.array([ap, value]).tobytes() == np.array(_accuracy(*own)).tobytes()
+            ap, value = reference.group_accuracy(*fine)
+            want = reference.group_accuracy(*own)
+            assert np.array([ap, value]).tobytes() == np.array(want).tobytes()
             # AP never reads a weight common to every control; AUC cancels it
             sizes, cases, ctrl = fine
-            ap_w, value_w = _accuracy(sizes, cases, ctrl_w * ctrl)
+            ap_w, value_w = reference.group_accuracy(sizes, cases, ctrl_w * ctrl)
             assert np.array(ap_w).tobytes() == np.array(ap).tobytes()
             np.testing.assert_allclose(value_w, value, rtol=0.0, atol=1e-12)
 
@@ -681,16 +698,7 @@ def test_censoring_survival_reaching_zero_at_one_horizon_only():
 
 
 def assert_single_horizon_bits(cohort, horizons, spec, estimands=_PAIRED_ESTIMANDS):
-    """Each horizon of a shared pass holds the bits of its one-horizon pass.
-
-    Both passes must fit every replicate in one block: the kernel's sums
-    depend on which columns of a block hold case mass.
-    """
-    n_scores = 2 if inference._NEEDS_SCORE2.intersection(estimands) else 1
-    for pass_horizons in [horizons, *([t0] for t0 in horizons)]:
-        ranked = _RankedCohort(cohort, pass_horizons, n_scores)
-        row_bytes = 8 * (ranked.mass_width + ranked.case_width)
-        assert inference._BLOCK_BYTES // row_bytes >= spec.replicates
+    """Each horizon of a shared pass holds the bits of its one-horizon pass."""
     shared = _replicate_matrices(cohort, horizons, spec, estimands)
     for t0, (point, rate, values, causes) in zip(horizons, shared):
         ((single_point, single_rate, single, single_causes),) = _replicate_matrices(
@@ -747,11 +755,13 @@ def test_sweep_shaped_cohort_across_horizons():
     # score 1's cases hit a strict subset of the fine anchors' tie bins at
     # the earliest horizon, and every one at the largest
     n_cases, fine = ranked.case_subjects.size, ranked.fine_sizes[0]
-    last_at = ranked.case_width - sum(f + 1 for f in ranked.fine_sizes)
+    widths = [np.count_nonzero(ranked.first[0] <= k) for k in (0, ranked.horizons.size - 1)]
+    last_at = ranked.case_width - sum(f.size + 1 for f in ranked.first)
     first = ranked.case_keys[:n_cases]
     last = ranked.case_keys[-2 * n_cases : -n_cases] - last_at
-    hit_first, hit_last = (np.unique(k[k < fine]).size for k in (first, last))
+    hit_first, hit_last = (np.unique(k[k < w]).size for k, w in zip((first, last), widths))
     assert 0 < hit_first < hit_last == (fine - 1) // 2
+    assert [hit_first, hit_last] == widths  # each pair's columns are the tie bins it hits
     spec = BootstrapSpec(replicates=20, seed=2024)
     assert_horizons_match(cohort, horizons, spec)
     assert_single_horizon_bits(cohort, horizons, spec)
@@ -762,6 +772,42 @@ def test_all_tied_scores_across_horizons():
     tied = np.full(c.n, 0.5)
     cohort = CohortSample(c.times, c.status, tied, tied)
     assert_horizons_match(cohort, [36.0, 8.0, 36.0], BootstrapSpec(replicates=30, seed=4))
+
+
+def wide_cohort():
+    """12,000 subjects, 9,000 of them cases before 10 with distinct scores,
+    so that a row holds more case columns than ``einsum``'s buffer."""
+    rng = np.random.default_rng(71)
+    times = np.concatenate([rng.uniform(0.1, 10.0, 10_000), rng.uniform(10.0, 20.0, 2_000)])
+    status = np.concatenate([np.ones(9_000), np.zeros(1_000), rng.integers(0, 2, 2_000)])
+    return CohortSample(times, status, rng.permutation(12_000) / 7.0, rng.normal(size=12_000))
+
+
+@pytest.mark.parametrize(
+    "cohort, t0, horizon_sets, replicates",
+    [
+        (generate_cohort(2000, 3), 8.0, ([8.0], [8.0, 36.0], [5.0, 8.0, 15.0, 25.0, 36.0]), 30),
+        (wide_cohort(), 10.0, ([10.0], [10.0, 15.0], [5.0, 10.0, 15.0]), 4),
+    ],
+    ids=["generated", "wide"],
+)
+def test_replicates_depend_on_their_own_resample_alone(
+    monkeypatch, cohort, t0, horizon_sets, replicates
+):
+    # the points (the event rate aside), the replicate values and the
+    # failure causes at t0 hold the same bits for 1-row blocks, blocks of
+    # a few rows, one block, and any horizon set around t0
+    spec = BootstrapSpec(replicates=replicates, seed=88)
+    runs = []
+    for horizons in horizon_sets:
+        ranked = _RankedCohort(cohort, horizons, 2)
+        row_bytes = 8 * (ranked.mass_width + ranked.case_width)
+        for budget in (1, 3 * row_bytes + row_bytes // 2, 1 << 20):
+            monkeypatch.setattr(inference, "_BLOCK_BYTES", budget)
+            results = _replicate_matrices(cohort, horizons, spec, _PAIRED_ESTIMANDS)
+            point, _, values, causes = results[horizons.index(t0)]
+            runs.append((point.tobytes(), values.tobytes(), causes))
+    assert sum(runs[0][2].values()) < replicates and all(run == runs[0] for run in runs)
 
 
 @pytest.mark.parametrize("rows", [1, 7, None])  # None: one block holds every replicate
@@ -801,9 +847,9 @@ def test_engine_memory_per_replicate_holds_no_seed(monkeypatch):
 
 def test_engine_set_up_holds_one_row_of_multiplicities():
     # after set-up the engine holds each score's subject keys, the reverse
-    # KM's cut keys, one float row of multiplicities and O(cases) case keys
-    # and weights: 5.46 x 8n for a paired 200k cohort at t0 = 36; a copy
-    # of the multiplicities per score would add 1.0 x 8n more
+    # KM's cut keys, one float row of multiplicities and O(cases) case keys,
+    # weights and first slots: 5.48 x 8n for a paired 200k cohort at
+    # t0 = 36; a copy of the multiplicities per score would add 1.0 x 8n more
     cohort = generate_cohort(200_000, 5)
     tracemalloc.start()
     try:
@@ -824,8 +870,8 @@ def test_rap_fails_where_the_score2_ap_is_zero(monkeypatch):
     cut = {t0: np.median(values[:, 0]) for t0, (_, _, values, _) in zip(horizons, base)}
     kernel, calls = inference._accuracy, []
 
-    def stub(counts, case, ctrl):
-        ap, auc = kernel(counts, case, ctrl)
+    def stub(counts, case, ctrl, hit):
+        ap, auc = kernel(counts, case, ctrl, hit)
         if len(calls) % 2 == 1:  # score 2 of the horizon whose score 1 came last
             t0 = horizons[len(calls) // 2 % len(horizons)]
             ap = np.where(calls[-1] > cut[t0], 0.0, ap)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import reference
+import tdap.inference as inference
 from tdap import (
     AccuracySummary,
     BootstrapSpec,
@@ -225,22 +226,26 @@ def test_compare_consistent_with_single_estimand_stream():
     assert set(joint) == {"ap", "ap2", "rap", "auc", "auc2", "dauc"}
 
 
-def test_weights_refit_inside_each_resample():
+def test_weights_refit_inside_each_resample(monkeypatch):
     # a cohort where censoring matters: if weights were reused instead of
     # refit, replicate values could exceed the legal range or mismatch a
-    # direct recomputation; spot-check one replicate by reproducing it
+    # direct recomputation; every replicate is reproduced on its
+    # materialised resample within 1e-12 (the engine weighs a case drawn m
+    # times as m x (1/G), not as m additions, so bits may differ)
     coh = generate_cohort(400, 99)
     spec = BootstrapSpec(replicates=10, seed=43)
     values, failed = bootstrap_values(coh, 8.0, spec)
     assert failed == 0
-    children = np.random.SeedSequence(43).spawn(10)
-    from tdap import average_precision, fit_censoring_km, ipcw_weights
-
-    rng = np.random.default_rng(children[3])
-    idx = rng.integers(0, 400, 400)
-    sub = coh.take(idx)
-    w = ipcw_weights(sub, fit_censoring_km(sub), 8.0)
-    assert values[3] == average_precision(sub, w, 8.0)
+    for b, child in enumerate(np.random.SeedSequence(43).spawn(10)):
+        sub = coh.take(np.random.default_rng(child).integers(0, 400, 400))
+        w = ipcw_weights(sub, fit_censoring_km(sub), 8.0)
+        assert values[b] == pytest.approx(average_precision(sub, w, 8.0), rel=0.0, abs=1e-12)
+    # the bits do not depend on the block: one block holds all ten above
+    ranked = inference._RankedCohort(coh, (8.0,), 1)
+    assert 11 * 8 * (ranked.mass_width + ranked.case_width) <= inference._BLOCK_BYTES
+    monkeypatch.setattr(inference, "_BLOCK_BYTES", 1)
+    alone, _ = bootstrap_values(coh, 8.0, spec)
+    assert alone.tobytes() == values.tobytes()
 
 
 def test_estimand_validation():

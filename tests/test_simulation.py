@@ -24,7 +24,6 @@ from tdap import (
     true_values,
     validate_horizon,
 )
-from tdap.estimators import _accuracy
 from tdap.simulation import (
     _DRAW_CHUNK,
     _STREAM_BOOT,
@@ -67,6 +66,14 @@ def test_config_validation():
     assert SimulationConfig(horizons=(np.int64(8), np.float32(0.5))).horizons == (8.0, 0.5)
     with pytest.raises(ValueError):
         SimulationConfig(oracle_size=1000)
+
+
+@pytest.mark.parametrize("bootstrap", ["x", 200, None, {"replicates": 200}])
+def test_config_rejects_a_bootstrap_that_is_not_a_spec(bootstrap):
+    # run_study used to draw the whole oracle and only then fail in
+    # dataclasses.replace with a TypeError
+    with pytest.raises(ValueError, match="bootstrap must be a BootstrapSpec"):
+        SimulationConfig(bootstrap=bootstrap)
 
 
 @pytest.mark.parametrize("n", [True, 2.5, "10", -1, 0, None, np.float64(10.0)])
@@ -144,7 +151,7 @@ def oracle_rng(config):
 def test_true_values_equal_unique_grouping_oracle(seed, oracle_size):
     cfg = tiny_config(horizons=(0.5, 8.0, 36.0), seed=seed, oracle_size=oracle_size)
     t, _, u1, u2 = reference.draw_latent_unsplit(cfg.oracle_size, oracle_rng(cfg))
-    expected = reference.unique_oracle(t, u1, u2, cfg.horizons, _accuracy)
+    expected = reference.unique_oracle(t, u1, u2, cfg.horizons)
     assert true_values(cfg) == expected
 
 
@@ -153,7 +160,7 @@ def test_repeated_horizons_equal_unique_grouping_oracle():
     # horizon's case scores once
     cfg = tiny_config(horizons=(36.0, 8.0, 8.0, 0.5))
     t, _, u1, u2 = reference.draw_latent_unsplit(cfg.oracle_size, oracle_rng(cfg))
-    expected = reference.unique_oracle(t, u1, u2, cfg.horizons, _accuracy)
+    expected = reference.unique_oracle(t, u1, u2, cfg.horizons)
     assert true_values(cfg) == expected
 
 
@@ -162,7 +169,7 @@ def test_more_horizons_than_a_byte_of_slots_equal_unique_grouping_oracle():
     # here, one more than a uint8 holds
     cfg = tiny_config(horizons=tuple(np.linspace(0.5, 49.5, 256).tolist()))
     t, _, u1, u2 = reference.draw_latent_unsplit(cfg.oracle_size, oracle_rng(cfg))
-    expected = reference.unique_oracle(t, u1, u2, cfg.horizons, _accuracy)
+    expected = reference.unique_oracle(t, u1, u2, cfg.horizons)
     assert true_values(cfg) == expected
 
 
