@@ -205,7 +205,7 @@ def ppv_tie_corrected(
     return float(num / den)
 
 
-def _accuracy(counts, case, ctrl_mass, hit):
+def _accuracy(screened, case, ctrl_mass, hit):
     """AP and AUC from per-group masses, groups ordered by descending score.
 
     This is the one place the two formulas live: the point estimators
@@ -217,11 +217,11 @@ def _accuracy(counts, case, ctrl_mass, hit):
     them; a column of ``hit`` without case mass adds an exact 0.  AP is
     NaN without case mass; AUC is NaN without case or control mass.
     Both are clipped into [0, 1]; the clip can bind only in heavily
-    censored corners where single weights exceed 1.  ``counts`` must be
-    whole numbers, so the doubled screened count ``2 * cumsum(counts) -
-    counts`` is exact.  AP never reads the control masses, and a weight
-    common to every control cancels in AUC up to rounding, so a caller
-    whose controls share one weight may pass their counts.
+    censored corners where single weights exceed 1.  ``screened`` is the
+    doubled screened count ``2 * cumsum(counts) - counts`` of every group,
+    exact for whole-number counts.  AP never reads the control masses,
+    and a weight common to every control cancels in AUC up to rounding,
+    so a caller whose controls share one weight may pass their counts.
 
     One set of groups (1-d arrays) gives two floats.  A table of rows
     (2-d arrays, one row per bootstrap replicate) gives one AP array and
@@ -230,9 +230,8 @@ def _accuracy(counts, case, ctrl_mass, hit):
     on its own masses alone (``einsum``'s do not past 8,192 columns).
     """
     one_set = np.ndim(case) == 1
-    counts, case, ctrl_mass = (np.atleast_2d(a) for a in (counts, case, ctrl_mass))
-    screened = (2.0 * np.cumsum(counts, axis=1) - counts).take(hit, axis=1)
-    ap, total_case = _ap(case, screened)
+    screened, case, ctrl_mass = (np.atleast_2d(a) for a in (screened, case, ctrl_mass))
+    ap, total_case = _ap(case, screened.take(hit, axis=1))
     total_ctrl = ctrl_mass.sum(axis=1)
     conc = total_ctrl[:, None] - np.cumsum(ctrl_mass, axis=1).take(hit, axis=1)
     conc += 0.5 * ctrl_mass.take(hit, axis=1)
@@ -284,7 +283,7 @@ def _point_accuracy(
         _control_mass(cohort, weights, t0),
     )
     hit = np.flatnonzero(case_mass > 0.0)
-    return _accuracy(counts, case_mass[hit], ctrl_mass, hit)
+    return _accuracy(2.0 * np.cumsum(counts) - counts, case_mass[hit], ctrl_mass, hit)
 
 
 def _estimable_accuracy(

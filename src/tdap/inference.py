@@ -36,16 +36,17 @@ score, and its case weights fill, per (horizon, score) pair, the tie
 bins of the anchors holding a case before t0 plus a spare bin for the
 cases at or beyond t0.  Per block of draws, running sums over the slot
 axis give every horizon's count at or beyond t0, and the point
-estimators' AP/AUC kernel reads AP and AUC at each pair's tie bins.
-Every control at t0 weighs 1/G(t0): AP never reads the controls and the
-weight cancels in AUC, so the kernel reads the whole-number counts.  A
-horizon's own segments are contiguous unions of the fine ones, and
-prefix sums of whole numbers are exact, so AP is bit for bit what the
-horizon's own segments give and AUC moves only by rounding.  The
-columns are fixed at set-up and the kernel sums each row on its own, so
-a draw's values depend on its resample alone, not on the block budget
-or the horizon set.  Each draw spawns its own child seed, so memory
-does not grow with the replicate count.
+estimators' AP/AUC kernel reads AP, AUC and score 1's case mass (the
+event rate) at each pair's tie bins.  Every control at t0 weighs
+1/G(t0): AP never reads the controls and the weight cancels in AUC, so
+the kernel reads the whole-number counts.  A horizon's own segments are
+contiguous unions of the fine ones, and prefix sums of whole numbers are
+exact, so AP is bit for bit what the horizon's own segments give and AUC
+moves only by rounding.  The columns are fixed at set-up and the kernel
+sums each row on its own, so a draw's values, the event rate included,
+depend on its resample alone, not on the block budget or the horizon
+set.  Each draw spawns its own child seed, so memory does not grow with
+the replicate count.
 """
 
 from __future__ import annotations
@@ -178,16 +179,16 @@ class _RankedCohort:
     subject's slot is the number of horizons at or below its time, so it
     is followed less than horizon k exactly when its slot is at most k.
     Horizon k reads the tie bins of the anchors whose first slot holding
-    a case (``first``, one small array per score) is at most k, the same
-    columns for every replicate; each (horizon, score) pair's case table
-    holds them and a spare bin, last, for the cases at or beyond t0.  A
-    horizon's own segments are contiguous unions of the fine ones, so
-    the kernel reads the same columns and, the counts being whole
-    numbers, the same prefix sums.  A replicate's ``bincount`` passes run
-    over fixed keys (the reverse KM's cuts, each score's subject keys and
-    the case keys) and read one float row of multiplicities and the case
-    weights, both allocated here; no array as long as the censoring
-    jumps is built per replicate.
+    a case is at most k, the same columns for every replicate, built
+    once per (horizon, score) pair (``columns``, with the pair's offset
+    in the case table); each pair's case table holds them and a spare
+    bin, last, for the cases at or beyond t0.  A horizon's own segments
+    are contiguous unions of the fine ones, so the kernel reads the same
+    columns and, the counts being whole numbers, the same prefix sums.
+    A replicate's ``bincount`` passes run over fixed keys (the reverse
+    KM's cuts, each score's subject keys and the case keys) and read one
+    float row of multiplicities and the case weights, both allocated
+    here; no array as long as the censoring jumps is built per replicate.
     """
 
     def __init__(self, cohort: CohortSample, horizons, n_scores: int):
@@ -247,14 +248,14 @@ class _RankedCohort:
         # horizons at or below each time: subject i is followed less than
         # horizon k exactly when its slot is at most k
         slot = np.searchsorted(self.horizons, times, side="right")
-        self.case_slot = slot[self.case_subjects]
+        case_slot = slot[self.case_subjects]
 
         # per score, its fine segment count, the subject -> (slot, fine
         # segment) keys, and each anchor's first horizon slot holding a
         # case: horizon k reads the tie bins 2j + 1 of anchors j with
         # first[j] <= k, the same columns for every replicate
         n_slots, slot_type = self.horizons.size + 1, np.min_scalar_type(self.horizons.size)
-        self.fine_sizes, self.first = [], []
+        self.fine_sizes, firsts = [], []
         self.mass_keys = np.empty((n_scores, n), dtype=np.intp)
         case_anchors = []
         for s in range(n_scores):
@@ -274,16 +275,18 @@ class _RankedCohort:
             self.mass_keys[s] = slot * sizes.size + group
             self.fine_sizes.append(sizes.size)
             case_anchors.append(group[self.case_subjects] // 2)
-            self.first.append(np.full(anchors.size, self.horizons.size, dtype=slot_type))
-            np.minimum.at(self.first[-1], case_anchors[-1], self.case_slot.astype(slot_type))
-        # per (horizon, score) pair, horizon-major, its case keys: a case's
-        # column among the pair's tie bins before t0, the spare bin after
-        case_keys, case_width = [], 0
+            firsts.append(np.full(anchors.size, self.horizons.size, dtype=slot_type))
+            np.minimum.at(firsts[-1], case_anchors[-1], case_slot.astype(slot_type))
+        # per (horizon, score) pair: its offset and columns (the tie bins it
+        # reads), and its case keys: a case's column before t0, the spare bin after
+        self.columns, case_keys, case_width = [], [], 0
         for k in range(self.horizons.size):
-            case_in = self.case_slot <= k
-            for anchor, first in zip(case_anchors, self.first):
+            case_in = case_slot <= k
+            self.columns.append([])
+            for anchor, first in zip(case_anchors, firsts):
                 held = first <= k
                 width = np.count_nonzero(held)
+                self.columns[k].append((case_width, 2 * np.flatnonzero(held) + 1))
                 case_keys.append(case_width + np.where(case_in, np.cumsum(held)[anchor] - 1, width))
                 case_width += width + 1
         self.case_keys = np.concatenate(case_keys)
@@ -299,11 +302,10 @@ class _RankedCohort:
 
         ``mass_out`` receives the slot-by-fine-segment subject counts of
         each score and ``case_out`` the case weights in each pair's
-        columns.  Rows 0 and 2 of ``stats_out`` receive, per horizon,
-        the case mass before t0 and G(t0); ``accuracy`` gives the count
-        followed up to t0 from ``mass_out``.  The case mass is 0 exactly
-        when no case before t0 was drawn: a drawn case is at risk at
-        every censoring jump below its time, so its weight is at least 1.
+        columns.  Row 2 of ``stats_out`` receives G(t0) per horizon;
+        ``accuracy`` fills rows 0 and 1 from the two tables.  A drawn
+        case is at risk at every censoring jump below its time, so its
+        weight is at least 1.
 
         The reverse KM is one weighted ``bincount`` over every subject's
         cut key, a running sum over the cuts, two gathers of O(cases) and
@@ -334,46 +336,43 @@ class _RankedCohort:
         case_out[:] = np.bincount(
             self.case_keys, weights=self.case_weights.ravel(), minlength=self.case_width
         )
-        stats_out[0] = np.add.accumulate(
-            np.bincount(self.case_slot, weights=self.case_weights[0], minlength=k + 1)
-        )[:k]
         stats_out[2] = g[self.horizon_g]
 
-    def accuracy(self, mass, case):
+    def accuracy(self, mass, case, stats_out):
         """Per horizon, (AP, AUC) columns per score for a block of rows.
 
         ``mass`` and ``case`` are block tables written by ``replicate``.
-        Also returns the (rows x horizons) count followed up to each t0.
+        Rows 0 and 1 of ``stats_out`` receive, per horizon, score 1's case
+        mass before t0, 0 exactly when no case before t0 was drawn, and
+        the count followed up to t0.
 
-        Per score, the count of every subject and of those at or beyond
-        t0 are running sums over the slot axis of its table, exact in
-        whole numbers.  The kernel reads the latter as the control masses:
-        every control's weight is 1/G(t0), which AP never reads and which
-        cancels in AUC up to rounding.
+        Per score, the doubled screened count is formed once, and the
+        count at or beyond t0 is a running sum over the slot axis of its
+        table, exact in whole numbers.  The kernel reads the latter as
+        the control masses: every control's weight is 1/G(t0), which AP
+        never reads and which cancels in AUC up to rounding.
         """
         rows, k_count = mass.shape[0], self.horizons.size
-        # per score: its (rows, slots, fine segments) table, the count of
-        # every subject and the count at or beyond t0, running down from it
+        # per score: its (rows, slots, fine segments) table, the doubled
+        # screened count, and the count at or beyond t0, every subject at first
         tables, mass_at = [], 0
         for size in self.fine_sizes:
             width = (k_count + 1) * size
             table = mass[:, mass_at : mass_at + width].reshape(rows, k_count + 1, size)
-            total = table.sum(axis=1)
-            tables.append((table, total, total.copy()))
+            beyond = table.sum(axis=1)
+            tables.append((table, 2.0 * np.cumsum(beyond, axis=1) - beyond, beyond))
             mass_at += width
-        followed = np.empty((rows, k_count))
         out = []
-        case_at = 0
-        for k in range(k_count):
+        for k, pairs in enumerate(self.columns):
             acc = []
-            for (table, total, beyond), first in zip(tables, self.first):
+            for (table, screened, beyond), (at, hit) in zip(tables, pairs):
                 np.subtract(beyond, table[:, k], out=beyond)
-                hit = 2 * np.flatnonzero(first <= k) + 1
-                acc.append(_accuracy(total, case[:, case_at : case_at + hit.size], beyond, hit))
-                case_at += hit.size + 1
-            followed[:, k] = beyond.sum(axis=1)  # the same for every score
+                acc.append(_accuracy(screened, case[:, at : at + hit.size], beyond, hit))
+            at, hit = pairs[0]  # score 1's case mass, summed as the kernel sums it
+            stats_out[:, 0, k] = case[:, at : at + hit.size].sum(axis=1)
+            stats_out[:, 1, k] = beyond.sum(axis=1)  # the same for every score
             out.append(acc)
-        return out, followed
+        return out
 
 
 # bytes of segment-mass tables per block, the AP/AUC kernel's unit: a block
@@ -404,7 +403,7 @@ def _replicate_matrices(
     point row; a row's values depend on its own draw alone, so its AP,
     AP2 and rAP are bit for bit ``compare_horizon``'s in any block, never
     NaN at a valid horizon.  The event rate is its case mass before t0
-    over n, clipped into [0, 1].
+    (score 1's, as the kernel sums it) over n, clipped into [0, 1].
 
     Draw b >= 1 spawns one child as it is drawn; a ``SeedSequence``
     numbers its children on from its last ``spawn``, so the draw is
@@ -438,7 +437,7 @@ def _replicate_matrices(
                 m = np.bincount(idx, minlength=n)
             ranked.replicate(m, mass[b - start], case[b - start], stats[b])
         block = stop - start
-        per_horizon, stats[start:stop, 1] = ranked.accuracy(mass[:block], case[:block])
+        per_horizon = ranked.accuracy(mass[:block], case[:block], stats[start:stop])
         for k, acc in enumerate(per_horizon):
             for e, stat in enumerate(table):
                 values[k, start:stop, e] = stat(acc)

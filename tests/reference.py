@@ -199,7 +199,7 @@ def group_accuracy(counts, case_mass, ctrl_mass):
     first, reading the groups that hold case mass, as the point
     estimators do."""
     hit = np.flatnonzero(case_mass > 0.0)
-    return _accuracy(counts, case_mass[hit], ctrl_mass, hit)
+    return _accuracy(2.0 * np.cumsum(counts) - counts, case_mass[hit], ctrl_mass, hit)
 
 
 def unique_oracle(t, u1, u2, horizons):

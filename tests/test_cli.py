@@ -307,6 +307,20 @@ def test_sweep_csv_matches_json(sim_csv, tmp_path):
     assert out_csv.read_bytes() == expected.getvalue().encode()
 
 
+def test_event_rate_holds_its_bits_in_any_horizon_set(sim_csv, tmp_path):
+    # the event rate at t0 = 8 is the full-cohort row's case mass summed
+    # over that horizon's own columns, so it keeps its bits alone and
+    # among 101 horizons
+    out_json, rates = tmp_path / "out.json", []
+    for horizons in (["--t0", "8"], ["--sweep", "1:36:0.35"]):
+        assert run(
+            ["compare", "--input", sim_csv, *horizons, "--boot", "20", "--json", str(out_json)]
+        ) == 0
+        results = json.loads(out_json.read_text())["results"]
+        rates += [row["event_rate"] for row in results if row["t0"] == 8.0]
+    assert len(rates) == 2 and rates[0] == rates[1]
+
+
 def test_simulate_smoke(tmp_path, capsys):
     out_csv = str(tmp_path / "report.csv")
     out_json = str(tmp_path / "report.json")

@@ -42,6 +42,7 @@ draw is held once: after set-up the engine holds one float row of
 multiplicities, not one per score.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -272,27 +273,40 @@ def test_censoring_fit_matches_the_factor_by_factor_product(case):
     assert stats[2, 0] == fit(t0)
 
 
+def draw_stats(ranked, m):
+    """Stats rows of one draw: G(t0) from ``replicate``, then score 1's case
+    mass before t0 and the count followed up to t0 from the kernel."""
+    mass, case = np.empty((1, ranked.mass_width)), np.empty((1, ranked.case_width))
+    stats = np.empty((1, 3, ranked.horizons.size))
+    ranked.replicate(m, mass[0], case[0], stats[0])
+    ranked.accuracy(mass, case, stats)
+    return stats[0]
+
+
 def assert_replicates_refit(cohort, t0, seed, count=5):
     """G(t0), the drawn cases' weights and their mass before t0 (stats row
     0) of ``count`` replicates, bit for bit those of a fit on each
     materialised resample."""
     ranked = _RankedCohort(cohort, (t0,), 1)
-    stats = np.empty((3, 1))
     rng = np.random.default_rng(seed)
+    # every case is before the one horizon; its column is its score's rank
+    # among the cases' distinct scores, highest first
+    anchors = np.unique(-cohort.score1[ranked.case_subjects])
     for _ in range(count):
         idx = rng.integers(0, cohort.n, size=cohort.n)
         m = np.bincount(idx, minlength=cohort.n).astype(float)
-        ranked.replicate(m, np.empty(ranked.mass_width), np.empty(ranked.case_width), stats)
+        stats = draw_stats(ranked, m)
         fit = fit_censoring_km(cohort.take(idx))
         assert stats[2, 0] == fit(t0)
         drawn = m[ranked.case_subjects] > 0.0
-        g = fit(cohort.times[ranked.case_subjects[drawn]])
-        weights = m[ranked.case_subjects[drawn]] * np.divide(1.0, g, out=g.copy(), where=g > 0.0)
+        cases = ranked.case_subjects[drawn]
+        g = fit(cohort.times[cases])
+        weights = m[cases] * np.divide(1.0, g, out=g.copy(), where=g > 0.0)
         assert ranked.case_weights[0][drawn].tobytes() == weights.tobytes()
-        # the running sum over the horizon slots (here 0 before t0, 1 after)
-        slot = (cohort.times[ranked.case_subjects[drawn]] >= t0).astype(np.intp)
-        mass = np.cumsum(np.bincount(slot, weights=weights, minlength=2))[:1]
-        assert stats[0].tobytes() == mass.tobytes()
+        # the weights summed by column in case order, then across the columns
+        column = np.searchsorted(anchors, -cohort.score1[cases])
+        mass = np.bincount(column, weights=weights, minlength=anchors.size).sum()
+        assert stats[0].tobytes() == np.float64(mass).tobytes()
 
 
 def km_layout(times, status, t0):
@@ -334,10 +348,9 @@ def test_a_run_with_nobody_at_risk_keeps_the_nobody_at_t0_cause():
     status = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
     cohort = CohortSample(times, status, [4, 1, 3, 2, 5], [1, 2, 3, 4, 5])
     ranked = _RankedCohort(cohort, (5.0,), 2)
-    stats = np.empty((3, 1))
-    m = np.array([2.0, 1.0, 2.0, 0.0, 0.0])
-    ranked.replicate(m, np.empty(ranked.mass_width), np.empty(ranked.case_width), stats)
+    stats = draw_stats(ranked, np.array([2.0, 1.0, 2.0, 0.0, 0.0]))
     assert stats[0, 0] == 2.0 + 2.0 * 1.5  # case mass drawn before t0: G(3-) = 2/3
+    assert stats[1, 0] == 0.0  # nobody followed up to t0
     assert stats[2, 0] == fit_censoring_km(cohort.take([0, 0, 1, 2, 2]))(5.0) == 2.0 / 3.0
     (causes,) = assert_horizons_match(cohort, [5.0], BootstrapSpec(replicates=200, seed=6))
     assert causes["nobody_at_t0"] > 0
@@ -410,9 +423,10 @@ def test_ranked_cohort_segments_follow_the_distinct_scores(case):
     (keys,) = ranked.mass_keys
     slot, segment = np.divmod(keys, fine)
     assert np.array_equal(slot, ~early)
-    # one horizon: every anchor holds a case in slot 0, and a case's key is
-    # its column among the tie bins, the odd segments
-    assert not ranked.first[0].any()
+    # one horizon: the pair reads every anchor's tie bin, the odd
+    # segments, and a case's key is its column among them
+    (((at, hit),),) = ranked.columns
+    assert at == 0 and np.array_equal(hit, np.arange(1, fine, 2))
     assert np.array_equal(2 * ranked.case_keys + 1, segment[is_case])
     # a subject's segment counts the case-holding groups above its own
     # twice, plus one when its own group holds a case: [gap, tie, ..., tail]
@@ -493,13 +507,16 @@ def test_ranked_cohort_bins_are_case_anchored(decimals, t0):
     assert mass_at == ranked.mass_width
     pairs = [(k, h, s) for k, h in enumerate(ranked.horizons) for s in (1, 2)]
     # every pair's case keys span the tie bins it reads (its columns) and a
-    # spare bin
-    columns = [2 * np.flatnonzero(ranked.first[s - 1] <= k) + 1 for k, _, s in pairs]
+    # spare bin; set-up holds each pair's offset in the case table and its
+    # columns, horizon-major
+    columns = [pair for horizon in ranked.columns for pair in horizon]
+    assert len(columns) == len(pairs)
     assert ranked.case_keys.size == len(pairs) * cases.size
-    assert ranked.case_width == sum(hit.size + 1 for hit in columns)
+    assert ranked.case_width == sum(hit.size + 1 for _, hit in columns)
     case_at = 0
-    for p, ((k, h, s), hit) in enumerate(zip(pairs, columns)):
+    for p, ((k, h, s), (at, hit)) in enumerate(zip(pairs, columns)):
         fine, group = ranked.fine_sizes[s - 1], fine_groups[s - 1]
+        assert at == case_at
         # a higher score never sits in a later segment
         order = np.argsort(-cohort.scores(s), kind="stable")
         assert (np.diff(group[order]) >= 0).all()
@@ -533,17 +550,19 @@ def test_subject_keys_do_not_grow_with_the_horizons(n_horizons):
     for n_scores in (1, 2):
         ranked = _RankedCohort(cohort, horizons, n_scores)
         assert ranked.mass_keys.shape == (n_scores, cohort.n)
-        assert len(ranked.fine_sizes) == len(ranked.first) == n_scores
-        # one first slot per anchor, in the smallest slot dtype
-        for first, fine in zip(ranked.first, ranked.fine_sizes):
-            assert first.dtype == np.min_scalar_type(n_horizons)
-            assert 2 * first.size + 1 == fine
+        assert len(ranked.fine_sizes) == n_scores
+        assert [len(pairs) for pairs in ranked.columns] == [n_scores] * n_horizons
+        # each pair reads tie bins only, and the largest horizon every one
+        for pairs in ranked.columns:
+            for (_, hit), fine in zip(pairs, ranked.fine_sizes):
+                assert (hit % 2 == 1).all() and (hit < fine).all()
+        for (_, hit), fine in zip(ranked.columns[-1], ranked.fine_sizes):
+            assert np.array_equal(hit, np.arange(1, fine, 2))
         # case keys: one per case and (horizon, score) pair, spanning the
         # pair's columns and a spare bin
         assert ranked.case_keys.size == n_horizons * n_scores * ranked.case_subjects.size
-        assert ranked.case_width == sum(
-            np.count_nonzero(first <= k) + 1 for k in range(n_horizons) for first in ranked.first
-        )
+        widths = [hit.size + 1 for pairs in ranked.columns for _, hit in pairs]
+        assert ranked.case_width == sum(widths)
 
 
 def segment_masses(score, case_scores, case_mass, ctrl_mass):
@@ -755,8 +774,8 @@ def test_sweep_shaped_cohort_across_horizons():
     # score 1's cases hit a strict subset of the fine anchors' tie bins at
     # the earliest horizon, and every one at the largest
     n_cases, fine = ranked.case_subjects.size, ranked.fine_sizes[0]
-    widths = [np.count_nonzero(ranked.first[0] <= k) for k in (0, ranked.horizons.size - 1)]
-    last_at = ranked.case_width - sum(f.size + 1 for f in ranked.first)
+    widths = [ranked.columns[k][0][1].size for k in (0, -1)]
+    last_at = ranked.columns[-1][0][0]
     first = ranked.case_keys[:n_cases]
     last = ranked.case_keys[-2 * n_cases : -n_cases] - last_at
     hit_first, hit_last = (np.unique(k[k < w]).size for k, w in zip((first, last), widths))
@@ -794,9 +813,9 @@ def wide_cohort():
 def test_replicates_depend_on_their_own_resample_alone(
     monkeypatch, cohort, t0, horizon_sets, replicates
 ):
-    # the points (the event rate aside), the replicate values and the
-    # failure causes at t0 hold the same bits for 1-row blocks, blocks of
-    # a few rows, one block, and any horizon set around t0
+    # the points, the event rate, the replicate values and the failure
+    # causes at t0 hold the same bits for 1-row blocks, blocks of a few
+    # rows, one block, and any horizon set around t0
     spec = BootstrapSpec(replicates=replicates, seed=88)
     runs = []
     for horizons in horizon_sets:
@@ -805,9 +824,9 @@ def test_replicates_depend_on_their_own_resample_alone(
         for budget in (1, 3 * row_bytes + row_bytes // 2, 1 << 20):
             monkeypatch.setattr(inference, "_BLOCK_BYTES", budget)
             results = _replicate_matrices(cohort, horizons, spec, _PAIRED_ESTIMANDS)
-            point, _, values, causes = results[horizons.index(t0)]
-            runs.append((point.tobytes(), values.tobytes(), causes))
-    assert sum(runs[0][2].values()) < replicates and all(run == runs[0] for run in runs)
+            point, rate, values, causes = results[horizons.index(t0)]
+            runs.append((point.tobytes(), rate, values.tobytes(), causes))
+    assert sum(runs[0][3].values()) < replicates and all(run == runs[0] for run in runs)
 
 
 @pytest.mark.parametrize("rows", [1, 7, None])  # None: one block holds every replicate
@@ -870,8 +889,8 @@ def test_rap_fails_where_the_score2_ap_is_zero(monkeypatch):
     cut = {t0: np.median(values[:, 0]) for t0, (_, _, values, _) in zip(horizons, base)}
     kernel, calls = inference._accuracy, []
 
-    def stub(counts, case, ctrl, hit):
-        ap, auc = kernel(counts, case, ctrl, hit)
+    def stub(screened, case, ctrl, hit):
+        ap, auc = kernel(screened, case, ctrl, hit)
         if len(calls) % 2 == 1:  # score 2 of the horizon whose score 1 came last
             t0 = horizons[len(calls) // 2 % len(horizons)]
             ap = np.where(calls[-1] > cut[t0], 0.0, ap)
@@ -913,3 +932,30 @@ def test_failure_causes_split_the_failure_count(tmp_path, capsys):
     assert causes == loop_causes(cohort, 11.0, spec)
     assert sum(causes.values()) == err.value.failed == 5
     assert causes["zero_censor_survival"] > 0 and causes["no_case"] > 0
+
+
+def test_ap_is_clipped_where_a_case_weighs_above_1(tmp_path):
+    # eight censorings at 1.0-1.7 leave 3 of 11 at risk, so the case at 4,
+    # with the top score, weighs 11/3 at t0 = 5.5: its precision, and so
+    # the unclipped AP, is 11/3, and every path clips it to 1
+    times = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 4.0, 6.0, 7.0]
+    status = [0] * 8 + [1, 0, 0]
+    scores = [float(s) for s in range(8)] + [10.0, 8.0, 9.0]
+    cohort, t0, rate = CohortSample(times, status, scores), 5.5, 0.33333333333333337
+    unclipped = reference.ap_loop(times, scores, t0, reference.ipw_weights(times, status, t0))
+    assert unclipped == pytest.approx(11.0 / 3.0, rel=1e-15)
+    weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
+    assert average_precision(cohort, weights, t0) == 1.0
+    estimates = estimate_horizon(cohort, t0)
+    assert (estimates.ap, estimates.event_rate) == (1.0, rate)
+    ((point, point_rate, _, _),) = _replicate_matrices(cohort, [t0], BootstrapSpec(2), ("ap",))
+    assert (point[0], point_rate) == (1.0, rate)
+    # seed 0 draws the case and a subject followed to t0 in both replicates
+    path, out_json = tmp_path / "clip.csv", tmp_path / "clip.json"
+    path.write_text("time,status,score1\n" + "".join(
+        f"{t},{s},{z}\n" for t, s, z in zip(times, status, scores)
+    ))
+    argv = ["estimate", "--input", str(path), "--t0", "5.5", "--boot", "2", "--seed", "0"]
+    assert main(argv + ["--json", str(out_json)]) == 0
+    (row,) = json.loads(out_json.read_text())["results"]
+    assert (row["ap"], row["event_rate"]) == (1.0, rate)
