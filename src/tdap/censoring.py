@@ -157,11 +157,7 @@ def fit_censoring_km(cohort: CohortSample) -> CensorSurvival:
     full-cohort row reads these values, and so the point estimators'
     weights, bit for bit.
     """
-    censored = cohort.status == 0.0
-    cens_times = cohort.times[censored]
-    if cens_times.size == 0:
-        return CensorSurvival(np.empty(0), np.empty(0))
-    jumps, d = np.unique(cens_times, return_counts=True)
+    jumps, d = np.unique(cohort.times[cohort.status == 0.0], return_counts=True)
     sorted_all = np.sort(cohort.times)
     # at risk at c: everyone with observed time >= c
     at_risk = (cohort.n - np.searchsorted(sorted_all, jumps, side="left")).astype(float)

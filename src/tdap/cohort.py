@@ -117,7 +117,7 @@ class CohortSample:
 
     __slots__ = ("times", "status", "score1", "score2")
 
-    def __init__(self, times, status, score1, score2=None, _rows=None, _owned=False):
+    def __init__(self, times, status, score1, score2=None, _owned=False):
         # copy so freezing the arrays never mutates caller-owned buffers;
         # tdap's own readers and generator hand over float64 arrays that
         # nobody else holds (_owned), and those are frozen as they are
@@ -135,29 +135,26 @@ class CohortSample:
         if score2 is not None and score2.shape != (n,):
             raise ValueError(f"score2 has shape {score2.shape}, expected ({n},)")
 
-        def _line(i: int) -> int | None:
-            return None if _rows is None else _rows[i]
-
         bad = ~np.isfinite(times)
         if bad.any():
             i = int(np.argmax(bad))
-            raise NonNumericCellError(_line(i), "time", repr(times[i]))
+            raise NonNumericCellError(None, "time", repr(times[i]))
         bad = times <= 0
         if bad.any():
             i = int(np.argmax(bad))
-            raise NonPositiveTimeError(_line(i), float(times[i]))
+            raise NonPositiveTimeError(None, float(times[i]))
         with np.errstate(invalid="ignore"):
             bad = ~((status_arr == 0.0) | (status_arr == 1.0))
         if bad.any():
             i = int(np.argmax(bad))
-            raise InvalidStatusError(_line(i), status_arr[i])
+            raise InvalidStatusError(None, status_arr[i])
         for name, arr in (("score1", score1),) + (
             () if score2 is None else (("score2", score2),)
         ):
             bad = ~np.isfinite(arr)
             if bad.any():
                 i = int(np.argmax(bad))
-                raise NonNumericCellError(_line(i), name, repr(arr[i]))
+                raise NonNumericCellError(None, name, repr(arr[i]))
 
         for arr in (times, status_arr, score1, score2):
             if arr is not None:
@@ -304,7 +301,6 @@ def _read_rows(stream, columns: ColumnMap) -> CohortSample:
     status: list[float] = []
     score1: list[float] = []
     score2: list[float] | None = [] if score2_name is not None else None
-    lines: list[int] = []
 
     def cell(row: list[str], name: str, line: int) -> str:
         pos = positions[name]
@@ -333,11 +329,10 @@ def _read_rows(stream, columns: ColumnMap) -> CohortSample:
             score2.append(
                 _parse_float(cell(row, score2_name, line), line, score2_name)
             )
-        lines.append(line)
 
     if not times:
         raise EmptyCohortError()
-    return CohortSample(times, status, score1, score2, _rows=lines)
+    return CohortSample(times, status, score1, score2)
 
 
 def _may_hold_long_line(data: bytes, limit: int) -> bool:

@@ -206,12 +206,13 @@ def ppv_tie_corrected(
 
 
 def _accuracy(screened, case, ctrl_mass, hit):
-    """AP and AUC from per-group masses, groups ordered by descending score.
+    """AP, AUC and their case and control totals, groups by descending score.
 
-    This is the one place the two formulas live: the point estimators
-    and every bootstrap replicate read from it (the replicates on the
-    case-anchored segments of ``inference._RankedCohort``), and the study
-    oracle reads its AP formula (``_ap``) from its own tie runs.  Groups
+    This is the one place the formulas and totals live: the point
+    estimators, event rates and every bootstrap replicate read from it
+    (the replicates on the case-anchored segments of
+    ``inference._RankedCohort``), and the study oracle reads its AP
+    formula (``_ap``) from its own tie runs.  Groups
     may be empty (count and masses 0).  ``hit`` indexes the groups that
     may hold case mass, ascending, and ``case`` holds the case mass at
     them; a column of ``hit`` without case mass adds an exact 0.  AP is
@@ -223,11 +224,11 @@ def _accuracy(screened, case, ctrl_mass, hit):
     and a weight common to every control cancels in AUC up to rounding,
     so a caller whose controls share one weight may pass their counts.
 
-    One set of groups (1-d arrays) gives two floats.  A table of rows
-    (2-d arrays, one row per bootstrap replicate) gives one AP array and
-    one AUC array.  The columns come from the caller, gathers are
-    row-major (``take``) and sums are row sums, so a row's values depend
-    on its own masses alone (``einsum``'s do not past 8,192 columns).
+    One set of groups (1-d arrays) gives four floats.  A table of rows
+    (2-d arrays, one row per bootstrap replicate) gives four arrays.  The
+    columns come from the caller, gathers are row-major (``take``) and
+    sums are row sums, so a row's values depend on its own masses alone
+    (``einsum``'s do not past 8,192 columns).
     """
     one_set = np.ndim(case) == 1
     screened, case, ctrl_mass = (np.atleast_2d(a) for a in (screened, case, ctrl_mass))
@@ -239,8 +240,8 @@ def _accuracy(screened, case, ctrl_mass, hit):
     defined = (total_case > 0.0) & (total_ctrl > 0.0)
     auc = np.clip(_ratio(conc.sum(axis=1), total_case * total_ctrl, defined), 0.0, 1.0)
     if one_set:
-        return float(ap[0]), float(auc[0])
-    return ap, auc
+        return float(ap[0]), float(auc[0]), float(total_case[0]), float(total_ctrl[0])
+    return ap, auc, total_case, total_ctrl
 
 
 def _ap(case, screened):
@@ -276,7 +277,7 @@ def _ratio(num, den, defined):
 
 def _point_accuracy(
     cohort: CohortSample, weights: WeightVector, t0: float, score: int
-) -> tuple[float, float]:
+) -> tuple[float, float, float, float]:
     _, counts, (case_mass, ctrl_mass) = _grouped_desc(
         cohort.scores(score),
         _case_mass(cohort, weights, t0),
@@ -288,14 +289,14 @@ def _point_accuracy(
 
 def _estimable_accuracy(
     cohort: CohortSample, weights: WeightVector, t0: float, score: int, controls: bool
-) -> tuple[float, float]:
-    """(AP, AUC) from one grouping, raising as ``auc`` does, or only on AP."""
-    ap, value = _point_accuracy(cohort, weights, t0, score)
-    if np.isnan(ap):
+) -> tuple[float, float, float, float]:
+    """``_point_accuracy``, raising as ``auc`` does, or only on AP."""
+    acc = _point_accuracy(cohort, weights, t0, score)
+    if np.isnan(acc[0]):
         raise NoEventsBeforeT0Error(t0)
-    if controls and np.isnan(value):
+    if controls and np.isnan(acc[1]):
         raise NoControlsAtT0Error(t0)
-    return ap, value
+    return acc
 
 
 def average_precision(
@@ -324,8 +325,12 @@ def auc(
 
 def event_rate(cohort: CohortSample, weights: WeightVector, t0: float) -> float:
     """Weighted estimate of Pr(event before t0), clipped into [0, 1]."""
-    value = _case_mass(cohort, weights, t0).sum() / cohort.n
-    return float(min(1.0, max(0.0, value)))
+    return _event_rate(_case_mass(cohort, weights, t0).sum(), cohort.n)
+
+
+def _event_rate(case_mass, n: int) -> float:
+    """The total case mass before t0 over n subjects, clipped into [0, 1]."""
+    return float(min(1.0, max(0.0, case_mass / n)))
 
 
 def _curves(
@@ -389,8 +394,8 @@ def _require_paired(cohort: CohortSample) -> None:
 
 def _paired_accuracy(
     cohort: CohortSample, t0: float, weights: WeightVector | None, controls: bool
-) -> list[tuple[float, float]]:
-    """Both scores' (AP, AUC) under one weight vector, score 1 raising first."""
+) -> list[tuple[float, float, float, float]]:
+    """Both scores' ``_accuracy`` under one weight vector, score 1 raising first."""
     if weights is None:
         weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
     return [_estimable_accuracy(cohort, weights, t0, s, controls) for s in (1, 2)]
@@ -406,7 +411,7 @@ def ap_ratio(
     0, since no meaningful ratio exists then.
     """
     _require_paired(cohort)
-    (ap1, _), (ap2, _) = _paired_accuracy(cohort, t0, weights, controls=False)
+    (ap1, *_), (ap2, *_) = _paired_accuracy(cohort, t0, weights, controls=False)
     if ap2 <= 0.0:
         raise DivisionByZeroAPError()
     return float(ap1 / ap2)
@@ -417,39 +422,43 @@ def auc_difference(
 ) -> float:
     """Difference of the two scores' AUCs (score 1 minus score 2)."""
     _require_paired(cohort)
-    (_, auc1), (_, auc2) = _paired_accuracy(cohort, t0, weights, controls=True)
+    (_, auc1, *_), (_, auc2, *_) = _paired_accuracy(cohort, t0, weights, controls=True)
     return float(auc1 - auc2)
 
 
 def estimate_horizon(
     cohort: CohortSample, t0: float, weights: WeightVector | None = None
 ) -> HorizonEstimates:
-    """Validate, weight, and estimate event rate, AP, and AUC at t0."""
+    """Validate, weight, and estimate event rate, AP, and AUC at t0.
+
+    The event rate is the case mass AP divides by, over n: the command
+    line's bit for bit (``event_rate`` sums in subject order)."""
     validate_horizon(cohort, t0)
     if weights is None:
         weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
-    ap, value = _estimable_accuracy(cohort, weights, t0, score=1, controls=True)
+    ap, value, cases, _ = _estimable_accuracy(cohort, weights, t0, score=1, controls=True)
     return HorizonEstimates(
-        t0=float(t0), event_rate=event_rate(cohort, weights, t0), ap=ap, auc=value
+        t0=float(t0), event_rate=_event_rate(cases, cohort.n), ap=ap, auc=value
     )
 
 
 def compare_horizon(
     cohort: CohortSample, t0: float, weights: WeightVector | None = None
 ) -> PairedEstimates:
-    """Paired estimates for both scores at t0, sharing one weight vector."""
+    """Paired estimates for both scores at t0, sharing one weight vector;
+    the event rate is score 1's, as in ``estimate_horizon``."""
     _require_paired(cohort)
     validate_horizon(cohort, t0)
-    if weights is None:
-        weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
-    (ap1, auc1), (ap2, auc2) = _paired_accuracy(cohort, t0, weights, controls=False)
+    (ap1, auc1, cases, _), (ap2, auc2, *_) = _paired_accuracy(
+        cohort, t0, weights, controls=False
+    )
     if ap2 <= 0.0:
         raise DivisionByZeroAPError()
     if np.isnan(auc1) or np.isnan(auc2):
         raise NoControlsAtT0Error(t0)
     return PairedEstimates(
         t0=float(t0),
-        event_rate=event_rate(cohort, weights, t0),
+        event_rate=_event_rate(cases, cohort.n),
         ap1=ap1,
         ap2=ap2,
         rap=float(ap1 / ap2),

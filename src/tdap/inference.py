@@ -32,21 +32,21 @@ score's tie run are searched in it.  Each subject is keyed once per
 score: its fine segment, anchored at every case before the largest
 horizon, and its horizon slot, the number of horizons at or below its
 time.  A replicate's subject counts fill one slot-by-segment table per
-score, and its case weights fill, per (horizon, score) pair, the tie
-bins of the anchors holding a case before t0 plus a spare bin for the
-cases at or beyond t0.  Per block of draws, running sums over the slot
-axis give every horizon's count at or beyond t0, and the point
-estimators' AP/AUC kernel reads AP, AUC and score 1's case mass (the
-event rate) at each pair's tie bins.  Every control at t0 weighs
-1/G(t0): AP never reads the controls and the weight cancels in AUC, so
-the kernel reads the whole-number counts.  A horizon's own segments are
-contiguous unions of the fine ones, and prefix sums of whole numbers are
-exact, so AP is bit for bit what the horizon's own segments give and AUC
-moves only by rounding.  The columns are fixed at set-up and the kernel
-sums each row on its own, so a draw's values, the event rate included,
-depend on its resample alone, not on the block budget or the horizon
-set.  Each draw spawns its own child seed, so memory does not grow with
-the replicate count.
+score, and its one row of case weights fills, per (horizon, score) pair,
+the tie bins of the anchors holding a case before t0.  Per block of
+draws, running sums over the slot axis give every horizon's count at or
+beyond t0, and the point estimators' AP/AUC kernel reads AP, AUC and the
+total case and control masses (score 1's give the event rate) at each
+pair's tie bins.  Every control at t0 weighs 1/G(t0): AP never reads the
+controls and the weight cancels in AUC, so the kernel reads the
+whole-number counts.  A horizon's own segments are contiguous unions of
+the fine ones, and prefix sums of whole numbers are exact, so AP is bit
+for bit what the horizon's own segments give and AUC moves only by
+rounding.  The columns are fixed at set-up and the kernel sums each row
+on its own, so a draw's values, the event rate included, depend on its
+resample alone, not on the block budget or the horizon set.  Each draw
+spawns its own child seed, so memory does not grow with the replicate
+count.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .censoring import WeightVector, _product_limit
 from .censoring import fit_censoring_km, ipcw_weights  # bench/spans.py wraps both here
 from .cohort import CohortSample, _is_integer, _is_real, validate_horizon
 from .errors import TooManyFailedReplicatesError
-from .estimators import _accuracy, _check_weights, _ratio
+from .estimators import _accuracy, _check_weights, _event_rate, _ratio
 from .estimators import auc, average_precision  # bench/spans.py wraps both here
 
 __all__ = [
@@ -77,8 +77,8 @@ DEFAULT_SEED = 1729
 _SINGLE_ESTIMANDS = ("ap", "auc")
 _PAIRED_ESTIMANDS = ("ap", "ap2", "rap", "auc", "auc2", "dauc")
 
-# estimand -> its column over a block of resamples, given acc[s] = (AP,
-# AUC) columns of score s + 1; a NaN marks the replicate as failed
+# estimand -> its column over a block of resamples, given acc[s] = the
+# kernel's (AP, AUC, ...) columns of score s + 1; a NaN marks a failure
 _ESTIMANDS = {
     "ap": lambda acc: acc[0][0],
     "auc": lambda acc: acc[0][1],
@@ -181,14 +181,14 @@ class _RankedCohort:
     Horizon k reads the tie bins of the anchors whose first slot holding
     a case is at most k, the same columns for every replicate, built
     once per (horizon, score) pair (``columns``, with the pair's offset
-    in the case table); each pair's case table holds them and a spare
-    bin, last, for the cases at or beyond t0.  A horizon's own segments
-    are contiguous unions of the fine ones, so the kernel reads the same
-    columns and, the counts being whole numbers, the same prefix sums.
-    A replicate's ``bincount`` passes run over fixed keys (the reverse
-    KM's cuts, each score's subject keys and the case keys) and read one
-    float row of multiplicities and the case weights, both allocated
-    here; no array as long as the censoring jumps is built per replicate.
+    in the case table); only its cases before t0 are keyed there.  A
+    horizon's own segments are contiguous unions of the fine ones, so the
+    kernel reads the same columns and, the counts being whole numbers,
+    the same prefix sums.  A replicate's ``bincount`` passes run over
+    fixed keys (the reverse KM's cuts, each score's subject and case
+    keys) and read one float row of multiplicities and one of case
+    weights, both allocated here; no array as long as the censoring
+    jumps is built per replicate.
     """
 
     def __init__(self, cohort: CohortSample, horizons, n_scores: int):
@@ -250,14 +250,20 @@ class _RankedCohort:
         slot = np.searchsorted(self.horizons, times, side="right")
         case_slot = slot[self.case_subjects]
 
+        # each horizon's cases before t0 in turn, in case order: whose
+        # weight each key of every score carries
+        early = [np.flatnonzero(case_slot <= k) for k in range(self.horizons.size)]
+        self.case_index = np.concatenate(early)
         # per score, its fine segment count, the subject -> (slot, fine
         # segment) keys, and each anchor's first horizon slot holding a
         # case: horizon k reads the tie bins 2j + 1 of anchors j with
-        # first[j] <= k, the same columns for every replicate
+        # first[j] <= k, the same columns for every replicate.  Per pair,
+        # its offset and columns; per score, each early case's column and
+        # the score's width in the case table, its pairs in horizon order
         n_slots, slot_type = self.horizons.size + 1, np.min_scalar_type(self.horizons.size)
-        self.fine_sizes, firsts = [], []
+        self.fine_sizes, self.case_keys, self.case_sizes = [], [], []
         self.mass_keys = np.empty((n_scores, n), dtype=np.intp)
-        case_anchors = []
+        self.columns, case_width = [[] for _ in early], 0
         for s in range(n_scores):
             score = cohort.scores(s + 1)
             order = np.argsort(score)
@@ -274,38 +280,33 @@ class _RankedCohort:
             group[order[::-1]] = np.repeat(np.arange(sizes.size), sizes)
             self.mass_keys[s] = slot * sizes.size + group
             self.fine_sizes.append(sizes.size)
-            case_anchors.append(group[self.case_subjects] // 2)
-            firsts.append(np.full(anchors.size, self.horizons.size, dtype=slot_type))
-            np.minimum.at(firsts[-1], case_anchors[-1], case_slot.astype(slot_type))
-        # per (horizon, score) pair: its offset and columns (the tie bins it
-        # reads), and its case keys: a case's column before t0, the spare bin after
-        self.columns, case_keys, case_width = [], [], 0
-        for k in range(self.horizons.size):
-            case_in = case_slot <= k
-            self.columns.append([])
-            for anchor, first in zip(case_anchors, firsts):
+            anchor = group[self.case_subjects] // 2
+            first = np.full(anchors.size, self.horizons.size, dtype=slot_type)
+            np.minimum.at(first, anchor, case_slot.astype(slot_type))
+            at, keys = case_width, []
+            for k, cases in enumerate(early):
                 held = first <= k
-                width = np.count_nonzero(held)
                 self.columns[k].append((case_width, 2 * np.flatnonzero(held) + 1))
-                case_keys.append(case_width + np.where(case_in, np.cumsum(held)[anchor] - 1, width))
-                case_width += width + 1
-        self.case_keys = np.concatenate(case_keys)
+                keys.append(case_width - at - 1 + np.cumsum(held)[anchor[cases]])
+                case_width += np.count_nonzero(held)
+            self.case_keys.append(np.concatenate(keys))
+            self.case_sizes.append(case_width - at)
         self.mass_width = n_slots * sum(self.fine_sizes)
         self.case_width = case_width
         # weight buffers: the multiplicities as floats, which every
-        # ``bincount`` of subjects reads, and every pair's case weights
+        # ``bincount`` of subjects reads, and the drawn cases' weights
         self.m = np.empty(n)
-        self.case_weights = np.empty((len(case_keys), self.case_subjects.size))
+        self.case_weights = np.empty(self.case_subjects.size)
 
     def replicate(self, m, mass_out, case_out, stats_out) -> None:
         """Write the resample with multiplicities ``m`` into row buffers.
 
         ``mass_out`` receives the slot-by-fine-segment subject counts of
         each score and ``case_out`` the case weights in each pair's
-        columns.  Row 2 of ``stats_out`` receives G(t0) per horizon;
-        ``accuracy`` fills rows 0 and 1 from the two tables.  A drawn
-        case is at risk at every censoring jump below its time, so its
-        weight is at least 1.
+        columns, one ``bincount`` per score over the case weights taken
+        at ``case_index``.  Row 2 of ``stats_out`` receives G(t0) per
+        horizon; ``accuracy`` fills rows 0 and 1.  A drawn case is at risk
+        at every censoring jump below its time, so its weight is >= 1.
 
         The reverse KM is one weighted ``bincount`` over every subject's
         cut key, a running sum over the cuts, two gathers of O(cases) and
@@ -333,18 +334,19 @@ class _RankedCohort:
             width = (k + 1) * size
             mass_out[at : at + width] = np.bincount(keys, weights=m, minlength=width)
             at += width
-        case_out[:] = np.bincount(
-            self.case_keys, weights=self.case_weights.ravel(), minlength=self.case_width
-        )
+        weights, at = self.case_weights.take(self.case_index), 0
+        for keys, width in zip(self.case_keys, self.case_sizes):
+            case_out[at : at + width] = np.bincount(keys, weights=weights, minlength=width)
+            at += width
         stats_out[2] = g[self.horizon_g]
 
     def accuracy(self, mass, case, stats_out):
-        """Per horizon, (AP, AUC) columns per score for a block of rows.
+        """Per horizon, the kernel's four columns per score for a block of rows.
 
         ``mass`` and ``case`` are block tables written by ``replicate``.
-        Rows 0 and 1 of ``stats_out`` receive, per horizon, score 1's case
-        mass before t0, 0 exactly when no case before t0 was drawn, and
-        the count followed up to t0.
+        Rows 0 and 1 of ``stats_out`` receive, per horizon, the kernel's
+        totals for score 1: the case mass before t0, 0 exactly when no
+        case before t0 was drawn, and the count followed up to t0.
 
         Per score, the doubled screened count is formed once, and the
         count at or beyond t0 is a running sum over the slot axis of its
@@ -368,9 +370,7 @@ class _RankedCohort:
             for (table, screened, beyond), (at, hit) in zip(tables, pairs):
                 np.subtract(beyond, table[:, k], out=beyond)
                 acc.append(_accuracy(screened, case[:, at : at + hit.size], beyond, hit))
-            at, hit = pairs[0]  # score 1's case mass, summed as the kernel sums it
-            stats_out[:, 0, k] = case[:, at : at + hit.size].sum(axis=1)
-            stats_out[:, 1, k] = beyond.sum(axis=1)  # the same for every score
+            stats_out[:, 0, k], stats_out[:, 1, k] = acc[0][2:]  # score 1's totals
             out.append(acc)
         return out
 
@@ -402,8 +402,8 @@ def _replicate_matrices(
     One block loop runs draws 0..B.  Draw 0, the full cohort, is the
     point row; a row's values depend on its own draw alone, so its AP,
     AP2 and rAP are bit for bit ``compare_horizon``'s in any block, never
-    NaN at a valid horizon.  The event rate is its case mass before t0
-    (score 1's, as the kernel sums it) over n, clipped into [0, 1].
+    NaN at a valid horizon, and its event rate, score 1's kernel total
+    case mass before t0 over n, clipped into [0, 1], is theirs too.
 
     Draw b >= 1 spawns one child as it is drawn; a ``SeedSequence``
     numbers its children on from its last ``spawn``, so the draw is
@@ -441,7 +441,6 @@ def _replicate_matrices(
         for k, acc in enumerate(per_horizon):
             for e, stat in enumerate(table):
                 values[k, start:stop, e] = stat(acc)
-    rates = np.clip(stats[0, 0] / n, 0.0, 1.0)
 
     cases, at_t0, g_t0 = stats[1:, 0], stats[1:, 1], stats[1:, 2]
     no_case = cases == 0.0
@@ -455,7 +454,7 @@ def _replicate_matrices(
         counts = (no_case[:, k], zero_g[:, k], nobody[:, k], usable[:, k] & ~defined)
         causes = dict(zip(_FAILURE_CAUSES, (int(c.sum()) for c in counts)))
         rows_k = replicates[usable[:, k] & defined]
-        results.append((point, float(rates[k]), rows_k, causes))
+        results.append((point, _event_rate(stats[0, 0, k], n), rows_k, causes))
     slots = np.searchsorted(ranked.horizons, np.asarray(horizons, dtype=float))
     return [results[k] for k in slots]
 

@@ -197,9 +197,9 @@ def case_segments_two_sided(sorted_scores, case_scores):
 def group_accuracy(counts, case_mass, ctrl_mass):
     """The package's kernel (AP, AUC) over whole groups, highest score
     first, reading the groups that hold case mass, as the point
-    estimators do."""
+    estimators do; the kernel's case and control totals are dropped."""
     hit = np.flatnonzero(case_mass > 0.0)
-    return _accuracy(2.0 * np.cumsum(counts) - counts, case_mass[hit], ctrl_mass, hit)
+    return _accuracy(2.0 * np.cumsum(counts) - counts, case_mass[hit], ctrl_mass, hit)[:2]
 
 
 def unique_oracle(t, u1, u2, horizons):

@@ -39,7 +39,9 @@ must give the bits it gives on that horizon's own segments, and a common
 control weight may move AUC only by rounding.  Seeds are spawned one
 per draw, so the engine's memory per replicate holds no seed, and each
 draw is held once: after set-up the engine holds one float row of
-multiplicities, not one per score.
+multiplicities, not one per score, and one row of case weights, not one
+per (horizon, score) pair.  The point row's event rate is the point
+estimators' bit for bit.
 """
 
 import json
@@ -269,7 +271,7 @@ def test_censoring_fit_matches_the_factor_by_factor_product(case):
     stats = np.empty((3, 1))
     ranked.replicate(np.ones(cohort.n), np.empty(ranked.mass_width), np.empty(ranked.case_width), stats)
     weights = ipcw_weights(cohort, fit, t0).weights[ranked.case_subjects]
-    assert ranked.case_weights[0].tobytes() == weights.tobytes()
+    assert ranked.case_weights.tobytes() == weights.tobytes()
     assert stats[2, 0] == fit(t0)
 
 
@@ -302,7 +304,7 @@ def assert_replicates_refit(cohort, t0, seed, count=5):
         cases = ranked.case_subjects[drawn]
         g = fit(cohort.times[cases])
         weights = m[cases] * np.divide(1.0, g, out=g.copy(), where=g > 0.0)
-        assert ranked.case_weights[0][drawn].tobytes() == weights.tobytes()
+        assert ranked.case_weights[drawn].tobytes() == weights.tobytes()
         # the weights summed by column in case order, then across the columns
         column = np.searchsorted(anchors, -cohort.score1[cases])
         mass = np.bincount(column, weights=weights, minlength=anchors.size).sum()
@@ -427,7 +429,8 @@ def test_ranked_cohort_segments_follow_the_distinct_scores(case):
     # segments, and a case's key is its column among them
     (((at, hit),),) = ranked.columns
     assert at == 0 and np.array_equal(hit, np.arange(1, fine, 2))
-    assert np.array_equal(2 * ranked.case_keys + 1, segment[is_case])
+    assert np.array_equal(ranked.case_index, np.arange(is_case.sum()))
+    assert np.array_equal(2 * ranked.case_keys[0] + 1, segment[is_case])
     # a subject's segment counts the case-holding groups above its own
     # twice, plus one when its own group holds a case: [gap, tie, ..., tail]
     _, cases, group = reference.unique_grouping(scores, is_case)
@@ -505,26 +508,35 @@ def test_ranked_cohort_bins_are_case_anchored(decimals, t0):
         fine_groups.append(group)
         mass_at += n_slots * fine
     assert mass_at == ranked.mass_width
-    pairs = [(k, h, s) for k, h in enumerate(ranked.horizons) for s in (1, 2)]
-    # every pair's case keys span the tie bins it reads (its columns) and a
-    # spare bin; set-up holds each pair's offset in the case table and its
-    # columns, horizon-major
-    columns = [pair for horizon in ranked.columns for pair in horizon]
-    assert len(columns) == len(pairs)
-    assert ranked.case_keys.size == len(pairs) * cases.size
-    assert ranked.case_width == sum(hit.size + 1 for _, hit in columns)
+    pairs = [(k, h, s) for s in (1, 2) for k, h in enumerate(ranked.horizons)]
+    # every pair's case keys span the tie bins it reads (its columns); set-up
+    # holds each pair's offset in the case table and its columns, and the
+    # table holds each score's pairs in horizon order
+    columns = [ranked.columns[k][s - 1] for k, _, s in pairs]
+    assert [len(horizon) for horizon in ranked.columns] == [2] * ranked.horizons.size
+    # the keys of each score run over the horizons' cases before t0, in
+    # case order, and the cases whose weights they carry are the same for
+    # both scores
+    early = [np.flatnonzero(cohort.times[cases] < h) for h in ranked.horizons]
+    assert np.array_equal(ranked.case_index, np.concatenate(early))
+    assert [keys.size for keys in ranked.case_keys] == [ranked.case_index.size] * 2
+    assert ranked.case_width == sum(hit.size for _, hit in columns) == sum(ranked.case_sizes)
     case_at = 0
-    for p, ((k, h, s), (at, hit)) in enumerate(zip(pairs, columns)):
+    for (k, h, s), (at, hit) in zip(pairs, columns):
         fine, group = ranked.fine_sizes[s - 1], fine_groups[s - 1]
         assert at == case_at
         # a higher score never sits in a later segment
         order = np.argsort(-cohort.scores(s), kind="stable")
         assert (np.diff(group[order]) >= 0).all()
-        case_keys = ranked.case_keys[p * cases.size : (p + 1) * cases.size] - case_at
+        score_at = sum(ranked.case_sizes[: s - 1])
+        key_at = sum(e.size for e in early[:k])
+        case_keys = ranked.case_keys[s - 1][key_at : key_at + early[k].size] - (case_at - score_at)
         in_horizon = cohort.times[cases] < h
-        assert np.array_equal(hit[case_keys[in_horizon]], group[cases[in_horizon]])
-        assert (hit[case_keys[in_horizon]] % 2 == 1).all()  # every case sits in a tie bin
-        assert (case_keys[~in_horizon] == hit.size).all()  # the spare bin, last
+        # the cases at or beyond t0 carry no key
+        keyed = ranked.case_index[key_at : key_at + case_keys.size]
+        assert np.array_equal(keyed, np.flatnonzero(in_horizon))
+        assert np.array_equal(hit[case_keys], group[cases[in_horizon]])
+        assert (hit[case_keys] % 2 == 1).all()  # every case sits in a tie bin
         # the tie bins hit are the horizon's own anchors, every column
         # holds one of them, and its own segments are the runs of fine
         # ones between them
@@ -532,13 +544,13 @@ def test_ranked_cohort_bins_are_case_anchored(decimals, t0):
         own_sizes, _ = reference.case_segments_two_sided(
             np.sort(cohort.scores(s)), cohort.scores(s)[is_case]
         )
-        ties = np.unique(hit[case_keys[in_horizon]])
+        ties = np.unique(hit[case_keys])
         assert np.array_equal(ties, hit)
         assert 2 * ties.size + 1 == own_sizes.size
         edges = np.concatenate(([0], np.column_stack([ties, ties + 1]).ravel(), [fine]))
         below = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=fine))))
         assert np.array_equal(np.diff(below[edges]), own_sizes)
-        case_at += hit.size + 1
+        case_at += hit.size
     assert case_at == ranked.case_width
 
 
@@ -558,10 +570,13 @@ def test_subject_keys_do_not_grow_with_the_horizons(n_horizons):
                 assert (hit % 2 == 1).all() and (hit < fine).all()
         for (_, hit), fine in zip(ranked.columns[-1], ranked.fine_sizes):
             assert np.array_equal(hit, np.arange(1, fine, 2))
-        # case keys: one per case and (horizon, score) pair, spanning the
-        # pair's columns and a spare bin
-        assert ranked.case_keys.size == n_horizons * n_scores * ranked.case_subjects.size
-        widths = [hit.size + 1 for pairs in ranked.columns for _, hit in pairs]
+        # case keys: per score, one per horizon and case before it,
+        # spanning the pairs' columns; the cases at or beyond t0 carry no key
+        case_times = cohort.times[ranked.case_subjects]
+        early = sum(np.count_nonzero(case_times < h) for h in ranked.horizons)
+        assert ranked.case_index.size == early <= n_horizons * ranked.case_subjects.size
+        assert [keys.size for keys in ranked.case_keys] == [early] * n_scores
+        widths = [hit.size for pairs in ranked.columns for _, hit in pairs]
         assert ranked.case_width == sum(widths)
 
 
@@ -613,6 +628,19 @@ def test_fine_segments_give_each_horizons_own_accuracy(case, extra, ctrl_w):
     st.lists(st.sampled_from([1.5, 2.0, 3.0, 4.0, 5.0]), min_size=0, max_size=4),
     st.booleans(),
 )
+@example(  # a cohort whose case masses sum to other bits in subject order
+    (
+        CohortSample(
+            [4.0, 5.0, 4.0, 3.0, 2.0, 5.0, 4.0, 4.0],
+            [0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0],
+            [4.0, 5.0, 0.0, 2.0, 7.0, 3.0, 1.0, 6.0],
+            [3.0, 2.0, 7.0, 5.0, 0.0, 6.0, 1.0, 4.0],
+        ),
+        5.0,
+    ),
+    [],
+    False,
+)
 def test_point_row_matches_the_point_estimators(case, extra, at_top):
     # the horizons that pass validation, unsorted and repeated, with the
     # largest time among them when `at_top` is set
@@ -640,8 +668,8 @@ def test_point_row_matches_the_point_estimators(case, extra, at_top):
         assert point1[0] == one.ap
         assert point1[1] == pytest.approx(one.auc, rel=0.0, abs=1e-12)
         for r in (rate, rate1):
-            assert r == pytest.approx(one.event_rate, rel=0.0, abs=1e-12)
-            assert r == pytest.approx(want.event_rate, rel=0.0, abs=1e-12)
+            assert r == one.event_rate
+            assert r == want.event_rate
 
 
 def loop_causes(cohort, t0, spec):
@@ -776,8 +804,11 @@ def test_sweep_shaped_cohort_across_horizons():
     n_cases, fine = ranked.case_subjects.size, ranked.fine_sizes[0]
     widths = [ranked.columns[k][0][1].size for k in (0, -1)]
     last_at = ranked.columns[-1][0][0]
-    first = ranked.case_keys[:n_cases]
-    last = ranked.case_keys[-2 * n_cases : -n_cases] - last_at
+    # score 1's keys: the earliest horizon's cases come first, the largest
+    # horizon's (every case) last
+    n_first = np.count_nonzero(cohort.times[ranked.case_subjects] < ranked.horizons[0])
+    first = ranked.case_keys[0][:n_first]
+    last = ranked.case_keys[0][-n_cases:] - last_at
     hit_first, hit_last = (np.unique(k[k < w]).size for k, w in zip((first, last), widths))
     assert 0 < hit_first < hit_last == (fine - 1) // 2
     assert [hit_first, hit_last] == widths  # each pair's columns are the tie bins it hits
@@ -879,6 +910,23 @@ def test_engine_set_up_holds_one_row_of_multiplicities():
     assert ranked.m.size == cohort.n and held / (8 * cohort.n) <= 5.75
 
 
+def test_engine_set_up_holds_one_row_of_case_weights():
+    # after set-up the engine holds one row of case weights and, per score,
+    # one case key per horizon and case before it: 35.2 x 8n for a paired
+    # 20k cohort at 100 horizons; a row of weights and of keys over every
+    # case per (horizon, score) pair held 47.4 x 8n
+    cohort = generate_cohort(20_000, 5)
+    _RankedCohort(cohort, (8.0,), 2)  # numpy's lazy imports, outside the trace
+    tracemalloc.start()
+    try:
+        ranked = _RankedCohort(cohort, np.arange(1.0, 36.0, 0.35), 2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ranked.case_weights.shape == ranked.case_subjects.shape
+    assert held / (8 * cohort.n) <= 40.0
+
+
 def test_rap_fails_where_the_score2_ap_is_zero(monkeypatch):
     # an AP is positive whenever a case is drawn, so the kernel is stubbed
     # to give score 2 an AP of 0 on the replicates where score 1's is high
@@ -890,12 +938,12 @@ def test_rap_fails_where_the_score2_ap_is_zero(monkeypatch):
     kernel, calls = inference._accuracy, []
 
     def stub(screened, case, ctrl, hit):
-        ap, auc = kernel(screened, case, ctrl, hit)
+        ap, auc, *totals = kernel(screened, case, ctrl, hit)
         if len(calls) % 2 == 1:  # score 2 of the horizon whose score 1 came last
             t0 = horizons[len(calls) // 2 % len(horizons)]
             ap = np.where(calls[-1] > cut[t0], 0.0, ap)
         calls.append(ap)
-        return ap, auc
+        return ap, auc, *totals
 
     monkeypatch.setattr(inference, "_accuracy", stub)
     got = _replicate_matrices(cohort, horizons, spec, ("ap", "ap2", "rap"))

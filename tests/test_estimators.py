@@ -310,7 +310,7 @@ def test_ap_ratio_zero_denominator_guard(monkeypatch):
         est,
         "_point_accuracy",
         lambda c, w, t0, score: (
-            (0.0, real_point(c, w, t0, score)[1]) if score == 2
+            (0.0, *real_point(c, w, t0, score)[1:]) if score == 2
             else real_point(c, w, t0, score)
         ),
     )
@@ -343,8 +343,9 @@ def test_point_bundles_keep_error_precedence(
     import tdap.estimators as est
 
     coh = CohortSample([1, 5], [1, 1], [2, 1], [1, 2])
+    # the stubbed kernel totals: one unit of case and of control mass
     monkeypatch.setattr(
-        est, "_point_accuracy", lambda c, w, t0, score: acc1 if score == 1 else acc2
+        est, "_point_accuracy", lambda c, w, t0, score: (*(acc1 if score == 1 else acc2), 1.0, 1.0)
     )
     with pytest.raises(paired_error):
         compare_horizon(coh, 2.0)
@@ -378,8 +379,9 @@ def test_ratio_and_difference_raise_score_by_score(
 
     coh = CohortSample([1, 5], [1, 1], [2, 1], [1, 2])
     w = WeightVector(t0=9.0, weights=np.ones(2))
+    # the stubbed kernel totals: one unit of case and of control mass
     monkeypatch.setattr(
-        est, "_point_accuracy", lambda c, w, t0, score: acc1 if score == 1 else acc2
+        est, "_point_accuracy", lambda c, w, t0, score: (*(acc1 if score == 1 else acc2), 1.0, 1.0)
     )
     for fn, want in ((ap_ratio, ratio), (auc_difference, difference)):
         if isinstance(want, float):
