@@ -25,6 +25,9 @@ __all__ = [
     "TooManyFailedReplicatesError",
 ]
 
+# why a bootstrap replicate failed, in the order the reasons are tested
+_FAILURE_CAUSES = ("no_case", "zero_censor_survival", "nobody_at_t0", "zero_ap2")
+
 
 class TdapError(Exception):
     """Base class for all data and estimation errors in this package."""
@@ -148,7 +151,8 @@ class DivisionByZeroAPError(TdapError):
 class TooManyFailedReplicatesError(TdapError):
     """More than 10% of bootstrap resamples failed to produce an estimate.
 
-    ``failed`` splits by the first cause that applies to a resample:
+    ``failed`` splits by the first cause that applies to a resample, and
+    the message names each cause with a failure, in this order:
     ``no_case`` (no event before t0), ``zero_censor_survival`` (the
     censoring survival reaches 0 before t0, which leaves nobody at t0
     too), ``nobody_at_t0`` (no one followed up to t0) and ``zero_ap2``
@@ -171,7 +175,9 @@ class TooManyFailedReplicatesError(TdapError):
         self.zero_censor_survival = zero_censor_survival
         self.nobody_at_t0 = nobody_at_t0
         self.zero_ap2 = zero_ap2
+        causes = ", ".join(f"{c} {getattr(self, c)}" for c in _FAILURE_CAUSES if getattr(self, c))
+        split = f" ({causes})" if causes else ""
         super().__init__(
-            f"{failed} of {total} bootstrap replicates failed; "
+            f"{failed} of {total} bootstrap replicates failed{split}; "
             f"results would be unreliable"
         )

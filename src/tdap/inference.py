@@ -25,25 +25,26 @@ between two case times, and G and 1/G are formed only at the cases' own
 times and the horizons.
 
 A segment is a score group holding a case of the full cohort, or one run
-of caseless groups between two such groups, so there are 2h + 1 bins
-per score for h distinct case scores rather than one per distinct
-score.  Each score is sorted once, and both edges of each distinct case
-score's tie run are searched in it.  Each subject is keyed once per
-score: its fine segment, anchored at every case before the largest
-horizon, and its horizon slot, the number of horizons at or below its
-time.  A replicate's subject counts fill one slot-by-segment table per
-score, and its one row of case weights fills, per (horizon, score) pair,
-the tie bins of the anchors holding a case before t0.  Per block of
-draws, running sums over the slot axis give every horizon's count at or
-beyond t0, and the point estimators' AP/AUC kernel reads AP, AUC and the
-total case and control masses (score 1's give the event rate) at each
-pair's tie bins.  Every control at t0 weighs 1/G(t0): AP never reads the
+of caseless groups between two such groups, so there are 2h + 1 bins per
+score for h distinct case scores rather than one per distinct score.
+Each score is sorted once, and both edges of each distinct case score's
+tie run are searched in it.  Each subject is keyed once per score: its
+fine segment, anchored at every case before the largest horizon, and its
+horizon slot, the number of horizons at or below its time.  A
+replicate's subject counts fill one slot-by-segment table per score, and
+its case weights one row of the block's case table.  Per block of draws,
+running sums over the slot axis give every horizon's count at or beyond
+t0, one ``bincount`` per horizon and score sums each anchor's case
+weights with the cases at or beyond t0 zeroed, and the point estimators'
+AP/AUC kernel reads AP, AUC and the total case and control masses (score
+1's give the event rate) at the tie bins of the anchors holding a case
+before t0.  Every control at t0 weighs 1/G(t0): AP never reads the
 controls and the weight cancels in AUC, so the kernel reads the
 whole-number counts.  A horizon's own segments are contiguous unions of
 the fine ones, and prefix sums of whole numbers are exact, so AP is bit
 for bit what the horizon's own segments give and AUC moves only by
-rounding.  The columns are fixed at set-up and the kernel sums each row
-on its own, so a draw's values, the event rate included, depend on its
+rounding.  A zeroed case adds an exact 0 and the kernel sums each row on
+its own, so a draw's values, the event rate included, depend on its
 resample alone, not on the block budget or the horizon set.  Each draw
 spawns its own child seed, so memory does not grow with the replicate
 count.
@@ -58,7 +59,7 @@ import numpy as np
 from .censoring import WeightVector, _product_limit
 from .censoring import fit_censoring_km, ipcw_weights  # bench/spans.py wraps both here
 from .cohort import CohortSample, _is_integer, _is_real, validate_horizon
-from .errors import TooManyFailedReplicatesError
+from .errors import _FAILURE_CAUSES, TooManyFailedReplicatesError
 from .estimators import _accuracy, _check_weights, _event_rate, _ratio
 from .estimators import auc, average_precision  # bench/spans.py wraps both here
 
@@ -178,17 +179,16 @@ class _RankedCohort:
     The table crosses the fine segments with the horizon slots: a
     subject's slot is the number of horizons at or below its time, so it
     is followed less than horizon k exactly when its slot is at most k.
-    Horizon k reads the tie bins of the anchors whose first slot holding
-    a case is at most k, the same columns for every replicate, built
-    once per (horizon, score) pair (``columns``, with the pair's offset
-    in the case table); only its cases before t0 are keyed there.  A
-    horizon's own segments are contiguous unions of the fine ones, so the
-    kernel reads the same columns and, the counts being whole numbers,
-    the same prefix sums.  A replicate's ``bincount`` passes run over
-    fixed keys (the reverse KM's cuts, each score's subject and case
-    keys) and read one float row of multiplicities and one of case
-    weights, both allocated here; no array as long as the censoring
-    jumps is built per replicate.
+    Horizon k reads the tie bins whose first slot holding a case is at most
+    k (``first_slot``, with each case's tie bin in ``case_bin``), the same
+    columns for every replicate.  A horizon's own segments are contiguous
+    unions of the fine ones, so the kernel reads the same columns and, the
+    counts being whole numbers, the same prefix sums.  A replicate's
+    ``bincount`` passes run over fixed keys (the reverse KM's cuts and each
+    score's subject keys) and read one float row of multiplicities,
+    allocated here; no array as long as the censoring jumps is built per
+    replicate, and set-up holds O(cases) per score whatever the horizon
+    count.
     """
 
     def __init__(self, cohort: CohortSample, horizons, n_scores: int):
@@ -248,22 +248,14 @@ class _RankedCohort:
         # horizons at or below each time: subject i is followed less than
         # horizon k exactly when its slot is at most k
         slot = np.searchsorted(self.horizons, times, side="right")
-        case_slot = slot[self.case_subjects]
-
-        # each horizon's cases before t0 in turn, in case order: whose
-        # weight each key of every score carries
-        early = [np.flatnonzero(case_slot <= k) for k in range(self.horizons.size)]
-        self.case_index = np.concatenate(early)
-        # per score, its fine segment count, the subject -> (slot, fine
-        # segment) keys, and each anchor's first horizon slot holding a
-        # case: horizon k reads the tie bins 2j + 1 of anchors j with
-        # first[j] <= k, the same columns for every replicate.  Per pair,
-        # its offset and columns; per score, each early case's column and
-        # the score's width in the case table, its pairs in horizon order
-        n_slots, slot_type = self.horizons.size + 1, np.min_scalar_type(self.horizons.size)
-        self.fine_sizes, self.case_keys, self.case_sizes = [], [], []
+        slot_type = np.min_scalar_type(self.horizons.size)
+        self.case_slot = slot[self.case_subjects].astype(slot_type)
+        # per score, the subject -> (slot, fine segment) keys, each case's
+        # tie bin and each fine segment's first horizon slot holding a case
+        # (the horizon count for the gaps): horizon k reads the bins whose
+        # first slot is at most k, the same columns for every replicate
+        self.case_bin, self.first_slot = [], []
         self.mass_keys = np.empty((n_scores, n), dtype=np.intp)
-        self.columns, case_width = [[] for _ in early], 0
         for s in range(n_scores):
             score = cohort.scores(s + 1)
             order = np.argsort(score)
@@ -279,34 +271,22 @@ class _RankedCohort:
             group = np.empty(n, dtype=np.intp)
             group[order[::-1]] = np.repeat(np.arange(sizes.size), sizes)
             self.mass_keys[s] = slot * sizes.size + group
-            self.fine_sizes.append(sizes.size)
-            anchor = group[self.case_subjects] // 2
-            first = np.full(anchors.size, self.horizons.size, dtype=slot_type)
-            np.minimum.at(first, anchor, case_slot.astype(slot_type))
-            at, keys = case_width, []
-            for k, cases in enumerate(early):
-                held = first <= k
-                self.columns[k].append((case_width, 2 * np.flatnonzero(held) + 1))
-                keys.append(case_width - at - 1 + np.cumsum(held)[anchor[cases]])
-                case_width += np.count_nonzero(held)
-            self.case_keys.append(np.concatenate(keys))
-            self.case_sizes.append(case_width - at)
-        self.mass_width = n_slots * sum(self.fine_sizes)
-        self.case_width = case_width
-        # weight buffers: the multiplicities as floats, which every
-        # ``bincount`` of subjects reads, and the drawn cases' weights
-        self.m = np.empty(n)
-        self.case_weights = np.empty(self.case_subjects.size)
+            tie = group[self.case_subjects]
+            first = np.full(sizes.size, self.horizons.size, dtype=slot_type)
+            np.minimum.at(first, tie, self.case_slot)
+            self.case_bin.append(tie)
+            self.first_slot.append(first)
+        self.mass_width = (self.horizons.size + 1) * sum(f.size for f in self.first_slot)
+        self.m = np.empty(n)  # the multiplicities as floats, read by every subject ``bincount``
 
     def replicate(self, m, mass_out, case_out, stats_out) -> None:
         """Write the resample with multiplicities ``m`` into row buffers.
 
         ``mass_out`` receives the slot-by-fine-segment subject counts of
-        each score and ``case_out`` the case weights in each pair's
-        columns, one ``bincount`` per score over the case weights taken
-        at ``case_index``.  Row 2 of ``stats_out`` receives G(t0) per
-        horizon; ``accuracy`` fills rows 0 and 1.  A drawn case is at risk
-        at every censoring jump below its time, so its weight is >= 1.
+        each score and ``case_out`` the weight of every case, in case
+        order.  Row 2 of ``stats_out`` receives G(t0) per horizon;
+        ``accuracy`` fills rows 0 and 1.  A drawn case is at risk at
+        every censoring jump below its time, so its weight is >= 1.
 
         The reverse KM is one weighted ``bincount`` over every subject's
         cut key, a running sum over the cuts, two gathers of O(cases) and
@@ -328,15 +308,11 @@ class _RankedCohort:
         # only to horizons where the resample fails, so its weight is moot
         inv_g = g[self.case_g]
         np.divide(1.0, inv_g, out=inv_g, where=inv_g > 0.0)
-        np.multiply(m[self.case_subjects], inv_g, out=self.case_weights)
+        np.multiply(m[self.case_subjects], inv_g, out=case_out)
         k, at = self.horizons.size, 0
-        for keys, size in zip(self.mass_keys, self.fine_sizes):
-            width = (k + 1) * size
+        for keys, first in zip(self.mass_keys, self.first_slot):
+            width = (k + 1) * first.size
             mass_out[at : at + width] = np.bincount(keys, weights=m, minlength=width)
-            at += width
-        weights, at = self.case_weights.take(self.case_index), 0
-        for keys, width in zip(self.case_keys, self.case_sizes):
-            case_out[at : at + width] = np.bincount(keys, weights=weights, minlength=width)
             at += width
         stats_out[2] = g[self.horizon_g]
 
@@ -352,35 +328,45 @@ class _RankedCohort:
         count at or beyond t0 is a running sum over the slot axis of its
         table, exact in whole numbers.  The kernel reads the latter as
         the control masses: every control's weight is 1/G(t0), which AP
-        never reads and which cancels in AUC up to rounding.
+        never reads and which cancels in AUC up to rounding.  A pair's
+        case columns are one ``bincount`` of the block's case rows keyed
+        ``row * fine segments + tie bin``, the cases at or beyond t0 set
+        to +0.0, taken at the tie bins whose first slot is at most k: a
+        zero adds nothing, so each is its cases' in-order sum.
         """
         rows, k_count = mass.shape[0], self.horizons.size
         # per score: its (rows, slots, fine segments) table, the doubled
-        # screened count, and the count at or beyond t0, every subject at first
-        tables, mass_at = [], 0
-        for size in self.fine_sizes:
+        # screened count, the count at or beyond t0 (every subject at
+        # first), each case weight's key and each bin's first slot
+        scores, mass_at = [], 0
+        for tie, first in zip(self.case_bin, self.first_slot):
+            size = first.size
             width = (k_count + 1) * size
             table = mass[:, mass_at : mass_at + width].reshape(rows, k_count + 1, size)
             beyond = table.sum(axis=1)
-            tables.append((table, 2.0 * np.cumsum(beyond, axis=1) - beyond, beyond))
+            keys = (size * np.arange(rows)[:, None] + tie).ravel()
+            scores.append((table, 2.0 * np.cumsum(beyond, axis=1) - beyond, beyond, keys, first))
             mass_at += width
         out = []
-        for k, pairs in enumerate(self.columns):
-            acc = []
-            for (table, screened, beyond), (at, hit) in zip(tables, pairs):
+        for k in range(k_count):
+            # every case is before the largest horizon
+            weights = case if k == k_count - 1 else np.where(self.case_slot <= k, case, 0.0)
+            weights, acc = weights.ravel(), []
+            for table, screened, beyond, keys, first in scores:
                 np.subtract(beyond, table[:, k], out=beyond)
-                acc.append(_accuracy(screened, case[:, at : at + hit.size], beyond, hit))
+                hit = (first <= k).nonzero()[0]
+                sums = np.bincount(keys, weights, minlength=rows * first.size)
+                # row-major; ``[:, hit]`` copies column-major, and row sums change
+                columns = sums.reshape(rows, first.size).take(hit, axis=1)
+                acc.append(_accuracy(screened, columns, beyond, hit))
             stats_out[:, 0, k], stats_out[:, 1, k] = acc[0][2:]  # score 1's totals
             out.append(acc)
         return out
 
 
-# bytes of segment-mass tables per block, the AP/AUC kernel's unit: a block
-# holds max(1, budget // row bytes) rows, so a row over it runs alone
+# bytes of segment-mass tables and case rows per block, the AP/AUC kernel's
+# unit: a block holds max(1, budget // row bytes) rows, so a row over it runs alone
 _BLOCK_BYTES = 1 << 20
-
-# why a replicate failed, in the order the reasons are tested
-_FAILURE_CAUSES = ("no_case", "zero_censor_survival", "nobody_at_t0", "zero_ap2")
 
 
 def _replicate_matrices(
@@ -410,9 +396,10 @@ def _replicate_matrices(
     ``default_rng(SeedSequence(spec.seed).spawn(B)[b - 1]).integers(0,
     n, size=n)``, the resample of a plain loop over ``CohortSample.take``.
     Draws fill blocks ``[0, rows)``, ``[rows, 2 rows)`` and so on,
-    ``rows = max(1, _BLOCK_BYTES // row bytes)``, so a row over the
-    budget runs alone (one of a paired 2M cohort at t0 = 36 is
-    14.3 MB); the AP/AUC kernel runs once per block, horizon and score.
+    ``rows = max(1, _BLOCK_BYTES // row bytes)`` (the mass table and one
+    weight per case), so a row over the budget runs alone (one of a
+    paired 2M cohort at t0 = 36 is 10.7 MB); the case ``bincount`` and
+    the AP/AUC kernel run once per block, horizon and score.
     """
     if len(horizons) == 0:
         return []
@@ -420,9 +407,9 @@ def _replicate_matrices(
     n_scores = 2 if _NEEDS_SCORE2.intersection(estimands) else 1
     ranked = _RankedCohort(cohort, horizons, n_scores)
     n, n_reps, n_horizons = cohort.n, spec.replicates, ranked.horizons.size
-    rows = max(1, _BLOCK_BYTES // (8 * (ranked.mass_width + ranked.case_width)))
+    rows = max(1, _BLOCK_BYTES // (8 * (ranked.mass_width + ranked.case_subjects.size)))
     mass = np.empty((rows, ranked.mass_width))
-    case = np.empty((rows, ranked.case_width))
+    case = np.empty((rows, ranked.case_subjects.size))
     values = np.empty((n_horizons, 1 + n_reps, len(table)))
     stats = np.empty((1 + n_reps, 3, n_horizons))
     seeds = np.random.SeedSequence(spec.seed)

@@ -95,7 +95,11 @@ _STREAM_BOOT = 2
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Study layout: cohort size, replication count, horizons, bootstrap."""
+    """Study layout: cohort size, replication count, horizons, bootstrap.
+
+    ``seed`` drives every draw; ``bootstrap.seed`` is never read, since each
+    cell's bootstrap seed is drawn from ``(seed, replication, horizon)``.
+    """
 
     n: int = 2000
     replications: int = 200

@@ -7,11 +7,14 @@ that the package's column writers must match byte for byte.  The
 generator draw and the study oracle are the earlier forms that the
 package's draw and oracle must match bit for bit.  ``group_accuracy``
 is the one door to the package's AP/AUC kernel: every test that runs
-the kernel on whole groups goes through it.
+the kernel on whole groups goes through it.  ``exact_accuracy`` evaluates
+AP and AUC over the same groups in ``Fraction`` arithmetic, with the
+[0, 1] clip optional, so that a path can be held to an exact value.
 """
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -200,6 +203,45 @@ def group_accuracy(counts, case_mass, ctrl_mass):
     estimators do; the kernel's case and control totals are dropped."""
     hit = np.flatnonzero(case_mass > 0.0)
     return _accuracy(2.0 * np.cumsum(counts) - counts, case_mass[hit], ctrl_mass, hit)[:2]
+
+
+def exact_groups(scores, case_weights, ctrl_weights):
+    """(subject count, case mass, control mass) per distinct score, highest
+    first, the masses summed exactly as ``Fraction``s of the given values."""
+    groups = {}
+    for z, case, ctrl in zip(scores, case_weights, ctrl_weights):
+        n, case_sum, ctrl_sum = groups.get(z, (0, Fraction(0), Fraction(0)))
+        groups[z] = (n + 1, case_sum + Fraction(case), ctrl_sum + Fraction(ctrl))
+    return [groups[z] for z in sorted(groups, reverse=True)]
+
+
+def exact_accuracy(groups, clip=True):
+    """AP and AUC as ``Fraction``s over descending groups, none rounded.
+
+    ``groups`` holds (subject count, case mass, control mass) per score
+    group, highest first.  A case group's precision counts half of its
+    own subjects and case mass as screened above it, and a tied
+    case/control pair counts 1/2 toward concordance.  AP is None without
+    case mass, AUC None without case or control mass; with ``clip`` both
+    are clipped into [0, 1].
+    """
+    total_case = sum((Fraction(c) for _, c, _ in groups), Fraction(0))
+    total_ctrl = sum((Fraction(k) for _, _, k in groups), Fraction(0))
+    ap_num = auc_num = case_above = Fraction(0)
+    ctrl_below, n_above = total_ctrl, 0
+    for n, case, ctrl in groups:
+        case, ctrl = Fraction(case), Fraction(ctrl)
+        ctrl_below -= ctrl
+        if case:
+            ap_num += case * (case_above + case / 2) / (n_above + Fraction(n, 2))
+            auc_num += case * (ctrl_below + ctrl / 2)
+        case_above += case
+        n_above += n
+    ap = ap_num / total_case if total_case else None
+    auc = auc_num / (total_case * total_ctrl) if total_case and total_ctrl else None
+    if clip:
+        ap, auc = (None if v is None else min(max(v, Fraction(0)), Fraction(1)) for v in (ap, auc))
+    return ap, auc
 
 
 def unique_oracle(t, u1, u2, horizons):

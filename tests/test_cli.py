@@ -487,8 +487,8 @@ def test_too_many_failures_at_a_later_horizon_exit_after_earlier_ones(
     assert code == 2
     assert out == LATE_HEADER + ESTIMATE_AT_4_5 + ESTIMATE_AT_8_5
     assert err == (
-        "error: TooManyFailedReplicatesError: 8 of 20 bootstrap replicates failed; "
-        "results would be unreliable\n"
+        "error: TooManyFailedReplicatesError: 8 of 20 bootstrap replicates failed "
+        "(nobody_at_t0 8); results would be unreliable\n"
     )
     assert not out_json.exists()
     code, out, err = run_captured(

@@ -17,12 +17,13 @@ and one censoring fit per replicate, and the AP/AUC kernel over blocks of
 replicates.  At every horizon, repeated or out of order, it must agree
 with a one-horizon pass and with the loop within 1e-12, with the same
 failures for the same causes, whatever the block size.  The kernel reads
-columns fixed at set-up and sums each row on its own, so a replicate's
-values and the points hold the same bits for any block budget and any
-horizon set, rows past ``einsum``'s 8,192-element buffer included; the
-two passes agree bit for bit, as they must on a cohort with no censoring
-below the largest horizon and on one whose censoring survival reaches 0
-between two horizons.
+columns that follow from set-up alone (each tie bin's first horizon slot
+holding a case), over case sums in case order, and sums each row on its
+own, so a replicate's values and the points hold the same bits for any
+block budget and any horizon set, rows past ``einsum``'s 8,192-element
+buffer included; the two passes agree bit for bit, as they must on a
+cohort with no censoring below the largest horizon and on one whose
+censoring survival reaches 0 between two horizons.
 
 The engine bins scores into case-anchored segments
 (``inference._RankedCohort``): each subject's segment must follow from
@@ -39,13 +40,16 @@ must give the bits it gives on that horizon's own segments, and a common
 control weight may move AUC only by rounding.  Seeds are spawned one
 per draw, so the engine's memory per replicate holds no seed, and each
 draw is held once: after set-up the engine holds one float row of
-multiplicities, not one per score, and one row of case weights, not one
-per (horizon, score) pair.  The point row's event rate is the point
-estimators' bit for bit.
+multiplicities, not one per score, and O(cases) per score whatever the
+horizon count; a draw's case weights are one row of the block's case
+table.  The point row's event rate is the point estimators' bit for bit,
+and the point row and the library's AP and AUC are within 1e-14 of an
+exact evaluation (``reference.exact_accuracy``) on the same weights.
 """
 
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -251,6 +255,38 @@ def test_kernel_point_estimates_match_loop_reference(case):
         assert auc(cohort, w, t0, score=s) == pytest.approx(ref_auc, abs=1e-12)
 
 
+def assert_exact(got, want):
+    """``got`` within 1e-14 of the exact ``want``, relative; None is NaN."""
+    if want is None:
+        assert np.isnan(got)
+    else:
+        assert abs(Fraction(float(got)) - want) <= Fraction(1e-14) * abs(want), (got, float(want))
+
+
+@SETTINGS
+@given(adversarial_cohorts())
+def test_point_paths_match_the_exact_evaluator(case):
+    # the library's AP and AUC and the engine's point row against AP and
+    # AUC in exact arithmetic on the same float IPCW weights: ties across
+    # cases and controls, censorings at a case's time and at t0, G
+    # reaching 0 at the tail
+    cohort, t0 = case
+    weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
+    w, early = weights.weights, cohort.times < t0
+    ((point, _, _, _),) = _replicate_matrices(
+        cohort, [t0], BootstrapSpec(replicates=2, seed=0), _PAIRED_ESTIMANDS
+    )
+    row = dict(zip(_PAIRED_ESTIMANDS, point))
+    for s, ap_key, auc_key in ((1, "ap", "auc"), (2, "ap2", "auc2")):
+        groups = reference.exact_groups(cohort.scores(s), w * early, w * ~early)
+        ap, value = reference.exact_accuracy(groups)
+        assert_exact(average_precision(cohort, weights, t0, score=s), ap)
+        assert_exact(row[ap_key], ap)
+        assert_exact(row[auc_key], value)
+        if value is not None:
+            assert_exact(auc(cohort, weights, t0, score=s), value)
+
+
 @SETTINGS
 @given(adversarial_cohorts())
 def test_censoring_fit_matches_the_factor_by_factor_product(case):
@@ -268,21 +304,21 @@ def test_censoring_fit_matches_the_factor_by_factor_product(case):
     assert ((fit.values >= 0.0) & (fit.values <= 1.0)).all()
     assert (np.diff(fit.values) <= 0.0).all()
     ranked = _RankedCohort(cohort, (t0,), 1)
-    stats = np.empty((3, 1))
-    ranked.replicate(np.ones(cohort.n), np.empty(ranked.mass_width), np.empty(ranked.case_width), stats)
+    stats, case = draw_stats(ranked, np.ones(cohort.n))
     weights = ipcw_weights(cohort, fit, t0).weights[ranked.case_subjects]
-    assert ranked.case_weights.tobytes() == weights.tobytes()
+    assert case.tobytes() == weights.tobytes()
     assert stats[2, 0] == fit(t0)
 
 
 def draw_stats(ranked, m):
     """Stats rows of one draw: G(t0) from ``replicate``, then score 1's case
-    mass before t0 and the count followed up to t0 from the kernel."""
-    mass, case = np.empty((1, ranked.mass_width)), np.empty((1, ranked.case_width))
+    mass before t0 and the count followed up to t0 from the kernel; and the
+    draw's row of the block's case table, one weight per case."""
+    mass, case = np.empty((1, ranked.mass_width)), np.empty((1, ranked.case_subjects.size))
     stats = np.empty((1, 3, ranked.horizons.size))
     ranked.replicate(m, mass[0], case[0], stats[0])
     ranked.accuracy(mass, case, stats)
-    return stats[0]
+    return stats[0], case[0]
 
 
 def assert_replicates_refit(cohort, t0, seed, count=5):
@@ -297,14 +333,14 @@ def assert_replicates_refit(cohort, t0, seed, count=5):
     for _ in range(count):
         idx = rng.integers(0, cohort.n, size=cohort.n)
         m = np.bincount(idx, minlength=cohort.n).astype(float)
-        stats = draw_stats(ranked, m)
+        stats, case = draw_stats(ranked, m)
         fit = fit_censoring_km(cohort.take(idx))
         assert stats[2, 0] == fit(t0)
         drawn = m[ranked.case_subjects] > 0.0
         cases = ranked.case_subjects[drawn]
         g = fit(cohort.times[cases])
         weights = m[cases] * np.divide(1.0, g, out=g.copy(), where=g > 0.0)
-        assert ranked.case_weights[drawn].tobytes() == weights.tobytes()
+        assert case[drawn].tobytes() == weights.tobytes()
         # the weights summed by column in case order, then across the columns
         column = np.searchsorted(anchors, -cohort.score1[cases])
         mass = np.bincount(column, weights=weights, minlength=anchors.size).sum()
@@ -350,7 +386,7 @@ def test_a_run_with_nobody_at_risk_keeps_the_nobody_at_t0_cause():
     status = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
     cohort = CohortSample(times, status, [4, 1, 3, 2, 5], [1, 2, 3, 4, 5])
     ranked = _RankedCohort(cohort, (5.0,), 2)
-    stats = draw_stats(ranked, np.array([2.0, 1.0, 2.0, 0.0, 0.0]))
+    stats, _ = draw_stats(ranked, np.array([2.0, 1.0, 2.0, 0.0, 0.0]))
     assert stats[0, 0] == 2.0 + 2.0 * 1.5  # case mass drawn before t0: G(3-) = 2/3
     assert stats[1, 0] == 0.0  # nobody followed up to t0
     assert stats[2, 0] == fit_censoring_km(cohort.take([0, 0, 1, 2, 2]))(5.0) == 2.0 / 3.0
@@ -421,16 +457,17 @@ def test_ranked_cohort_segments_follow_the_distinct_scores(case):
     early = is_case | (np.arange(n) % 2 == 0)
     cohort = CohortSample(np.where(early, 1.0, 2.0), is_case | ~early, scores)
     ranked = _RankedCohort(cohort, (1.5,), 1)
-    (fine,) = ranked.fine_sizes
-    (keys,) = ranked.mass_keys
+    (first,), (tie,), (keys,) = ranked.first_slot, ranked.case_bin, ranked.mass_keys
+    fine = first.size
     slot, segment = np.divmod(keys, fine)
     assert np.array_equal(slot, ~early)
-    # one horizon: the pair reads every anchor's tie bin, the odd
-    # segments, and a case's key is its column among them
-    (((at, hit),),) = ranked.columns
-    assert at == 0 and np.array_equal(hit, np.arange(1, fine, 2))
-    assert np.array_equal(ranked.case_index, np.arange(is_case.sum()))
-    assert np.array_equal(2 * ranked.case_keys[0] + 1, segment[is_case])
+    # one horizon: every case is before it, so the pair reads every
+    # anchor's tie bin, the odd segments, and a case's bin is its segment
+    assert np.array_equal(np.flatnonzero(first == 0), np.arange(1, fine, 2))
+    assert (first[::2] == 1).all()  # no gap holds a case
+    assert np.array_equal(ranked.case_subjects, np.flatnonzero(is_case))
+    assert (ranked.case_slot == 0).all()
+    assert np.array_equal(tie, segment[is_case])
     # a subject's segment counts the case-holding groups above its own
     # twice, plus one when its own group holds a case: [gap, tie, ..., tail]
     _, cases, group = reference.unique_grouping(scores, is_case)
@@ -496,7 +533,7 @@ def test_ranked_cohort_bins_are_case_anchored(decimals, t0):
     assert ranked.mass_keys.shape == (2, n)  # one key per subject and score
     n_slots = ranked.horizons.size + 1
     fine_groups, mass_at = [], 0
-    for s, fine in zip((1, 2), ranked.fine_sizes):
+    for s, fine in zip((1, 2), (first.size for first in ranked.first_slot)):
         # fine segments are anchored at every case before the largest horizon
         assert fine == 2 * np.unique(cohort.scores(s)[cases]).size + 1
         keys = ranked.mass_keys[s - 1]
@@ -508,50 +545,36 @@ def test_ranked_cohort_bins_are_case_anchored(decimals, t0):
         fine_groups.append(group)
         mass_at += n_slots * fine
     assert mass_at == ranked.mass_width
-    pairs = [(k, h, s) for s in (1, 2) for k, h in enumerate(ranked.horizons)]
-    # every pair's case keys span the tie bins it reads (its columns); set-up
-    # holds each pair's offset in the case table and its columns, and the
-    # table holds each score's pairs in horizon order
-    columns = [ranked.columns[k][s - 1] for k, _, s in pairs]
-    assert [len(horizon) for horizon in ranked.columns] == [2] * ranked.horizons.size
-    # the keys of each score run over the horizons' cases before t0, in
-    # case order, and the cases whose weights they carry are the same for
-    # both scores
-    early = [np.flatnonzero(cohort.times[cases] < h) for h in ranked.horizons]
-    assert np.array_equal(ranked.case_index, np.concatenate(early))
-    assert [keys.size for keys in ranked.case_keys] == [ranked.case_index.size] * 2
-    assert ranked.case_width == sum(hit.size for _, hit in columns) == sum(ranked.case_sizes)
-    case_at = 0
-    for (k, h, s), (at, hit) in zip(pairs, columns):
-        fine, group = ranked.fine_sizes[s - 1], fine_groups[s - 1]
-        assert at == case_at
+    # set-up holds each case's slot, and per score each case's tie bin and
+    # each bin's first slot holding a case: no array per (horizon, score)
+    # pair; a case is zeroed at the horizons at or below its time
+    assert ranked.case_slot.shape == cases.shape
+    for k, h in enumerate(ranked.horizons):
+        assert np.array_equal(ranked.case_slot <= k, cohort.times[cases] < h)
+    assert len(ranked.case_bin) == len(ranked.first_slot) == 2
+    for s in (1, 2):
+        group, tie, first = fine_groups[s - 1], ranked.case_bin[s - 1], ranked.first_slot[s - 1]
+        fine = first.size
         # a higher score never sits in a later segment
         order = np.argsort(-cohort.scores(s), kind="stable")
         assert (np.diff(group[order]) >= 0).all()
-        score_at = sum(ranked.case_sizes[: s - 1])
-        key_at = sum(e.size for e in early[:k])
-        case_keys = ranked.case_keys[s - 1][key_at : key_at + early[k].size] - (case_at - score_at)
-        in_horizon = cohort.times[cases] < h
-        # the cases at or beyond t0 carry no key
-        keyed = ranked.case_index[key_at : key_at + case_keys.size]
-        assert np.array_equal(keyed, np.flatnonzero(in_horizon))
-        assert np.array_equal(hit[case_keys], group[cases[in_horizon]])
-        assert (hit[case_keys] % 2 == 1).all()  # every case sits in a tie bin
-        # the tie bins hit are the horizon's own anchors, every column
-        # holds one of them, and its own segments are the runs of fine
-        # ones between them
-        is_case = (cohort.times < h) & (cohort.status == 1.0)
-        own_sizes, _ = reference.case_segments_two_sided(
-            np.sort(cohort.scores(s)), cohort.scores(s)[is_case]
-        )
-        ties = np.unique(hit[case_keys])
-        assert np.array_equal(ties, hit)
-        assert 2 * ties.size + 1 == own_sizes.size
-        edges = np.concatenate(([0], np.column_stack([ties, ties + 1]).ravel(), [fine]))
-        below = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=fine))))
-        assert np.array_equal(np.diff(below[edges]), own_sizes)
-        case_at += hit.size
-    assert case_at == ranked.case_width
+        assert np.array_equal(tie, group[cases])
+        assert (tie % 2 == 1).all()  # every case sits in a tie bin
+        for k, h in enumerate(ranked.horizons):
+            # the pair's columns, the tie bins whose first slot is at most
+            # k, are the horizon's own anchors, every column holds one of
+            # them, and its own segments are the runs of fine ones between
+            hit = np.flatnonzero(first <= k)
+            is_case = (cohort.times < h) & (cohort.status == 1.0)
+            own_sizes, _ = reference.case_segments_two_sided(
+                np.sort(cohort.scores(s)), cohort.scores(s)[is_case]
+            )
+            ties = np.unique(tie[cohort.times[cases] < h])
+            assert np.array_equal(ties, hit)
+            assert 2 * ties.size + 1 == own_sizes.size
+            edges = np.concatenate(([0], np.column_stack([ties, ties + 1]).ravel(), [fine]))
+            below = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=fine))))
+            assert np.array_equal(np.diff(below[edges]), own_sizes)
 
 
 @pytest.mark.parametrize("n_horizons", [1, 3, 20])
@@ -562,22 +585,16 @@ def test_subject_keys_do_not_grow_with_the_horizons(n_horizons):
     for n_scores in (1, 2):
         ranked = _RankedCohort(cohort, horizons, n_scores)
         assert ranked.mass_keys.shape == (n_scores, cohort.n)
-        assert len(ranked.fine_sizes) == n_scores
-        assert [len(pairs) for pairs in ranked.columns] == [n_scores] * n_horizons
-        # each pair reads tie bins only, and the largest horizon every one
-        for pairs in ranked.columns:
-            for (_, hit), fine in zip(pairs, ranked.fine_sizes):
-                assert (hit % 2 == 1).all() and (hit < fine).all()
-        for (_, hit), fine in zip(ranked.columns[-1], ranked.fine_sizes):
-            assert np.array_equal(hit, np.arange(1, fine, 2))
-        # case keys: per score, one per horizon and case before it,
-        # spanning the pairs' columns; the cases at or beyond t0 carry no key
-        case_times = cohort.times[ranked.case_subjects]
-        early = sum(np.count_nonzero(case_times < h) for h in ranked.horizons)
-        assert ranked.case_index.size == early <= n_horizons * ranked.case_subjects.size
-        assert [keys.size for keys in ranked.case_keys] == [early] * n_scores
-        widths = [hit.size for pairs in ranked.columns for _, hit in pairs]
-        assert ranked.case_width == sum(widths)
+        # per score, one tie bin per case and one first slot per fine
+        # segment, whatever the horizon count; each pair reads tie bins
+        # only, and the largest horizon every one
+        assert len(ranked.case_bin) == len(ranked.first_slot) == n_scores
+        assert ranked.case_slot.shape == ranked.case_subjects.shape
+        for tie, first in zip(ranked.case_bin, ranked.first_slot):
+            assert tie.shape == ranked.case_subjects.shape and first.size % 2 == 1
+            for k in range(n_horizons):
+                assert (np.flatnonzero(first <= k) % 2 == 1).all()
+            assert np.array_equal(np.flatnonzero(first < n_horizons), np.arange(1, first.size, 2))
 
 
 def segment_masses(score, case_scores, case_mass, ctrl_mass):
@@ -801,16 +818,11 @@ def test_sweep_shaped_cohort_across_horizons():
     assert ranked.horizons.size == 7
     # score 1's cases hit a strict subset of the fine anchors' tie bins at
     # the earliest horizon, and every one at the largest
-    n_cases, fine = ranked.case_subjects.size, ranked.fine_sizes[0]
-    widths = [ranked.columns[k][0][1].size for k in (0, -1)]
-    last_at = ranked.columns[-1][0][0]
-    # score 1's keys: the earliest horizon's cases come first, the largest
-    # horizon's (every case) last
-    n_first = np.count_nonzero(cohort.times[ranked.case_subjects] < ranked.horizons[0])
-    first = ranked.case_keys[0][:n_first]
-    last = ranked.case_keys[0][-n_cases:] - last_at
-    hit_first, hit_last = (np.unique(k[k < w]).size for k, w in zip((first, last), widths))
-    assert 0 < hit_first < hit_last == (fine - 1) // 2
+    tie, first = ranked.case_bin[0], ranked.first_slot[0]
+    widths = [np.count_nonzero(first <= k) for k in (0, ranked.horizons.size - 1)]
+    early = cohort.times[ranked.case_subjects] < ranked.horizons[0]
+    hit_first, hit_last = np.unique(tie[early]).size, np.unique(tie).size
+    assert 0 < hit_first < hit_last == (first.size - 1) // 2
     assert [hit_first, hit_last] == widths  # each pair's columns are the tie bins it hits
     spec = BootstrapSpec(replicates=20, seed=2024)
     assert_horizons_match(cohort, horizons, spec)
@@ -851,7 +863,7 @@ def test_replicates_depend_on_their_own_resample_alone(
     runs = []
     for horizons in horizon_sets:
         ranked = _RankedCohort(cohort, horizons, 2)
-        row_bytes = 8 * (ranked.mass_width + ranked.case_width)
+        row_bytes = 8 * (ranked.mass_width + ranked.case_subjects.size)
         for budget in (1, 3 * row_bytes + row_bytes // 2, 1 << 20):
             monkeypatch.setattr(inference, "_BLOCK_BYTES", budget)
             results = _replicate_matrices(cohort, horizons, spec, _PAIRED_ESTIMANDS)
@@ -867,7 +879,7 @@ def test_block_edges(monkeypatch, rows):
     horizons = [20.0, 8.0]
     if rows is not None:
         ranked = _RankedCohort(cohort, horizons, 2)
-        row_bytes = 8 * (ranked.mass_width + ranked.case_width)
+        row_bytes = 8 * (ranked.mass_width + ranked.case_subjects.size)
         # a budget of 1 byte still gives 1-row blocks
         budget = 1 if rows == 1 else rows * row_bytes + row_bytes // 2
         monkeypatch.setattr(inference, "_BLOCK_BYTES", budget)
@@ -881,7 +893,7 @@ def test_engine_memory_per_replicate_holds_no_seed(monkeypatch):
     # output rows are what grows
     cohort = generate_cohort(30, 3)
     ranked = _RankedCohort(cohort, (8.0,), 1)
-    row_bytes = 8 * (ranked.mass_width + ranked.case_width)
+    row_bytes = 8 * (ranked.mass_width + ranked.case_subjects.size)
     monkeypatch.setattr(inference, "_BLOCK_BYTES", 64 * row_bytes)
 
     def peak(replicates):
@@ -897,9 +909,9 @@ def test_engine_memory_per_replicate_holds_no_seed(monkeypatch):
 
 def test_engine_set_up_holds_one_row_of_multiplicities():
     # after set-up the engine holds each score's subject keys, the reverse
-    # KM's cut keys, one float row of multiplicities and O(cases) case keys,
-    # weights and first slots: 5.48 x 8n for a paired 200k cohort at
-    # t0 = 36; a copy of the multiplicities per score would add 1.0 x 8n more
+    # KM's cut keys, one float row of multiplicities and O(cases) case
+    # slots, tie bins and first slots: 4.59 x 8n for a paired 200k cohort
+    # at t0 = 36; a copy of the multiplicities per score would add 1.0 x 8n
     cohort = generate_cohort(200_000, 5)
     tracemalloc.start()
     try:
@@ -907,24 +919,31 @@ def test_engine_set_up_holds_one_row_of_multiplicities():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert ranked.m.size == cohort.n and held / (8 * cohort.n) <= 5.75
+    assert ranked.m.size == cohort.n and held / (8 * cohort.n) <= 5.0
 
 
-def test_engine_set_up_holds_one_row_of_case_weights():
-    # after set-up the engine holds one row of case weights and, per score,
-    # one case key per horizon and case before it: 35.2 x 8n for a paired
-    # 20k cohort at 100 horizons; a row of weights and of keys over every
-    # case per (horizon, score) pair held 47.4 x 8n
+@pytest.mark.parametrize("step", [0.35, 0.1])
+def test_engine_set_up_holds_no_array_per_horizon(step):
+    # after set-up the engine holds, per score, one tie bin per case and
+    # one first slot per fine segment, whatever the horizon count: 4.64
+    # and 4.75 x 8n for a paired 20k cohort at 100 and 350 horizons.  One
+    # case key per horizon and case before it, with stored columns per
+    # (horizon, score) pair, held 35.2 and 112.2 x 8n
     cohort = generate_cohort(20_000, 5)
     _RankedCohort(cohort, (8.0,), 2)  # numpy's lazy imports, outside the trace
     tracemalloc.start()
     try:
-        ranked = _RankedCohort(cohort, np.arange(1.0, 36.0, 0.35), 2)
+        ranked = _RankedCohort(cohort, np.arange(1.0, 36.0, step), 2)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert ranked.case_weights.shape == ranked.case_subjects.shape
-    assert held / (8 * cohort.n) <= 40.0
+    assert ranked.case_slot.shape == ranked.case_subjects.shape
+    for tie, first in zip(ranked.case_bin, ranked.first_slot):
+        assert tie.shape == ranked.case_subjects.shape and first.size % 2 == 1
+    assert held / (8 * cohort.n) <= 6.0
+    # each draw's case weights are one row of the block's case table
+    _, case = draw_stats(ranked, np.ones(cohort.n))
+    assert case.shape == ranked.case_subjects.shape
 
 
 def test_rap_fails_where_the_score2_ap_is_zero(monkeypatch):
@@ -969,8 +988,8 @@ def test_failure_causes_split_the_failure_count(tmp_path, capsys):
     )
     assert main(["estimate", "--input", str(path), "--t0", "11", "--boot", "20"]) == 2
     assert capsys.readouterr().err == (
-        "error: TooManyFailedReplicatesError: 5 of 20 bootstrap replicates failed; "
-        "results would be unreliable\n"
+        "error: TooManyFailedReplicatesError: 5 of 20 bootstrap replicates failed "
+        "(no_case 3, zero_censor_survival 2); results would be unreliable\n"
     )
     cohort = CohortSample([2, 4, 6, 9, 12, 14], [1, 0, 1, 0, 1, 0], [0.9, 0.3, 0.7, 0.5, 0.4, 0.1])
     spec = BootstrapSpec(replicates=20)
@@ -993,6 +1012,15 @@ def test_ap_is_clipped_where_a_case_weighs_above_1(tmp_path):
     unclipped = reference.ap_loop(times, scores, t0, reference.ipw_weights(times, status, t0))
     assert unclipped == pytest.approx(11.0 / 3.0, rel=1e-15)
     weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
+    # the exact evaluator reads 11/3 unclipped: within 1e-14 on the float
+    # weights, and exactly on the exact ones (G(4-) = 3/11), and 1 clipped
+    early = cohort.times < t0
+    groups = reference.exact_groups(scores, weights.weights * early, weights.weights * ~early)
+    assert_exact(reference.exact_accuracy(groups, clip=False)[0], Fraction(11, 3))
+    assert reference.exact_accuracy(groups)[0] == 1
+    exact = [Fraction(11, 3) if t == 4.0 else 0 for t in times]
+    groups = reference.exact_groups(scores, exact, [0] * 9 + [Fraction(11, 3)] * 2)
+    assert reference.exact_accuracy(groups, clip=False)[0] == Fraction(11, 3)
     assert average_precision(cohort, weights, t0) == 1.0
     estimates = estimate_horizon(cohort, t0)
     assert (estimates.ap, estimates.event_rate) == (1.0, rate)

@@ -242,7 +242,7 @@ def test_weights_refit_inside_each_resample(monkeypatch):
         assert values[b] == pytest.approx(average_precision(sub, w, 8.0), rel=0.0, abs=1e-12)
     # the bits do not depend on the block: one block holds all ten above
     ranked = inference._RankedCohort(coh, (8.0,), 1)
-    assert 11 * 8 * (ranked.mass_width + ranked.case_width) <= inference._BLOCK_BYTES
+    assert 11 * 8 * (ranked.mass_width + ranked.case_subjects.size) <= inference._BLOCK_BYTES
     monkeypatch.setattr(inference, "_BLOCK_BYTES", 1)
     alone, _ = bootstrap_values(coh, 8.0, spec)
     assert alone.tobytes() == values.tobytes()
