@@ -94,28 +94,26 @@ class WeightVector:
         return self.weights.size
 
 
-def _product_limit(after, start, run, out):
-    """Reverse-KM values from whole-number at-risk counts, in ``out``.
+def _product_limit(after, start, out):
+    """Reverse-KM values just after each run of censoring jumps, in ``out``.
 
     The censoring jumps come in runs, each a stretch of consecutive
-    jumps; a run may not hold a case between two of its jumps.
-    ``start`` holds, per run, S: the count at risk at its first jump.
-    ``after`` holds, per queried jump i, E_i: the count at risk at t_i
-    less those censored there, with the runs' last jumps first, in run
-    order; ``run`` is each query's run.
+    jumps; a run may not hold a case between two of its jumps.  Per run,
+    in order, ``start`` holds S, the count at risk at its first jump, and
+    ``after`` holds E, the count at risk at its last jump less those
+    censored there.
 
     Within a run only censored subjects leave the risk set, so
     Y_{j+1} = Y_j - d_j and the factors (1 - d_j / Y_j) telescope: G
-    just after jump i is fl(P_{r-1} * fl(E_i / S_r)), with P the
-    ``cumprod`` of the run-end ratios.  The counts are whole numbers, so
-    E and S are exact and each value depends only on the counts and the
-    runs; E falls within a run and each ratio is at most 1, so the values
-    never rise.
+    just after run r is fl(P_{r-1} * fl(E_r / S_r)), with P the
+    ``cumprod`` of those ratios.  The counts are whole numbers, so E and
+    S are exact and each value depends only on the counts and the runs;
+    each ratio is at most 1, so the values never rise.
 
-    Two runs join where no case lies between them: E at the first one's
-    end then equals S of the next (with ``fit_censoring_km``'s runs of
-    one jump each, and in a resample that drew none of the cases between
-    two runs).  The joined run takes its first part's S (the smallest S
+    Two runs join where no case lies between them: E of the first then
+    equals S of the next (with ``fit_censoring_km``'s runs of one jump
+    each, and in a resample that drew none of the cases between two
+    runs).  The joined run divides by its first part's S (the smallest S
     among the runs that start one, as S falls from run to run), and each
     inner end adds an exact factor of 1 to P.  So the runs always break
     exactly where a case lies between two jumps, and a resample's values
@@ -129,13 +127,12 @@ def _product_limit(after, start, run, out):
     np.not_equal(after[: n_runs - 1], start[1:], out=split[1:])
     head = np.where(split, start, np.inf)
     np.minimum.accumulate(head, out=head)
-    den = head[run]
     out.fill(1.0)
-    np.divide(after, den, out=out, where=den > 0.0)
+    np.divide(after, head, out=out, where=head > 0.0)
     prev = np.empty(n_runs)
     prev[:1] = 1.0
     np.multiply.accumulate(np.where(split[1:], out[: n_runs - 1], 1.0), out=prev[1:])
-    return np.multiply(prev[run], out, out=out)
+    return np.multiply(prev, out, out=out)
 
 
 def fit_censoring_km(cohort: CohortSample) -> CensorSurvival:
@@ -161,7 +158,7 @@ def fit_censoring_km(cohort: CohortSample) -> CensorSurvival:
     sorted_all = np.sort(cohort.times)
     # at risk at c: everyone with observed time >= c
     at_risk = (cohort.n - np.searchsorted(sorted_all, jumps, side="left")).astype(float)
-    surv = _product_limit(at_risk - d, at_risk, np.arange(jumps.size), np.empty(jumps.size))
+    surv = _product_limit(at_risk - d, at_risk, np.empty(jumps.size))
     return CensorSurvival(jumps, surv)
 
 

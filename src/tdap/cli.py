@@ -180,7 +180,8 @@ def _parse_sweep(text: str) -> Iterable[float]:
     """The horizons START, START + STEP, ... up to STOP, made one at a time.
 
     The grid is lazy, so a command stops at its first invalid horizon
-    however many the grid holds.
+    however many the grid holds.  A point that rounding carries past
+    STOP (only the last can be) is STOP.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -194,7 +195,7 @@ def _parse_sweep(text: str) -> Iterable[float]:
     if not np.isfinite(steps):
         raise ValueError(f"--sweep needs a finite (STOP - START) / STEP, got {text!r}")
     count = int(np.floor(steps + 1e-9)) + 1
-    return (float(start + step * k) for k in range(count))
+    return (float(min(start + step * k, stop)) for k in range(count))
 
 
 def _cmd_horizons(args) -> int:

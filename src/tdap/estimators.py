@@ -278,10 +278,15 @@ def _ratio(num, den, defined):
 def _point_accuracy(
     cohort: CohortSample, weights: WeightVector, t0: float, score: int
 ) -> tuple[float, float, float, float]:
+    """``_accuracy`` over the distinct scores.  Controls sharing one
+    positive weight, as ``ipcw_weights`` gives them, pass their counts,
+    as the bootstrap engine's do."""
+    case_w = _case_mass(cohort, weights, t0)  # checks the weights first
+    at_t0 = cohort.times >= t0
+    ctrl_w = weights.weights[at_t0]
+    shared = ctrl_w.size > 0 and 0.0 < ctrl_w.min() == ctrl_w.max()
     _, counts, (case_mass, ctrl_mass) = _grouped_desc(
-        cohort.scores(score),
-        _case_mass(cohort, weights, t0),
-        _control_mass(cohort, weights, t0),
+        cohort.scores(score), case_w, at_t0 if shared else _control_mass(cohort, weights, t0)
     )
     hit = np.flatnonzero(case_mass > 0.0)
     return _accuracy(2.0 * np.cumsum(counts) - counts, case_mass[hit], ctrl_mass, hit)

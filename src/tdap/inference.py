@@ -19,10 +19,10 @@ draw is held once, as one float row, and its reverse Kaplan-Meier curve
 fitted once, for all horizons; resample validity, G(t0) and the
 segmented case, control and count masses are ``bincount``/``cumsum``
 passes over fixed ranks.  The reverse Kaplan-Meier fit takes the
-telescoped form of ``fit_censoring_km``: one ``bincount`` over O(cases)
-cut points gives the at-risk counts at each run of censoring jumps
-between two case times, and G and 1/G are formed only at the cases' own
-times and the horizons.
+telescoped form of ``fit_censoring_km`` over runs of censoring jumps,
+each ended where G is read or a case splits them: one ``bincount`` and
+one running sum give every run's at-risk counts, and G and 1/G are
+formed only at the cases' own times and the horizons.
 
 A segment is a score group holding a case of the full cohort, or one run
 of caseless groups between two such groups, so there are 2h + 1 bins per
@@ -157,14 +157,18 @@ class _RankedCohort:
     no case of the cohort between them, inside which only censored
     subjects leave the risk set, so a run's factors multiply out to
     E / S, the counts at risk just after its last jump and at its first.
-    Each subject is keyed once by its place among O(cases) cut points
-    (each run's first jump, and the jumps G is read after), so that one
-    ``bincount`` and a running sum give every S and E of a replicate,
-    whole numbers and so exact.  A run whose splitting cases the
-    replicate never drew joins the next, so the runs are those of the
-    resample's own cases and G is ``fit_censoring_km`` on the
-    materialised resample bit for bit; on the full cohort it is the
-    cohort's own fit, so the point row's AP is ``estimate_horizon``'s.
+    Every jump G is read after ends a run, so G is read only at run ends
+    (``case_g`` and ``horizon_g`` count the run ends below each time).
+    The runs' counts S_0, E_0, S_1, E_1, ... fall, and every subject is
+    at risk for a prefix of them, so each is keyed once by how many it
+    misses (``km_keys``), and one ``bincount`` and a running sum give
+    every S and E of a replicate, whole numbers and so exact.  A run
+    whose splitting cases the replicate never drew joins the next, by an
+    exact factor of 1, as a run ended only for a read always does; so the
+    runs are those of the resample's own cases and G is
+    ``fit_censoring_km`` on the materialised resample bit for bit; on
+    the full cohort it is the cohort's own fit, so the point row's AP is
+    ``estimate_horizon``'s.
 
     Each score is keyed once per subject.  Its fine segments are anchored
     at every case before the largest horizon (a resample's cases are
@@ -184,8 +188,8 @@ class _RankedCohort:
     columns for every replicate.  A horizon's own segments are contiguous
     unions of the fine ones, so the kernel reads the same columns and, the
     counts being whole numbers, the same prefix sums.  A replicate's
-    ``bincount`` passes run over fixed keys (the reverse KM's cuts and each
-    score's subject keys) and read one float row of multiplicities,
+    ``bincount`` passes run over fixed keys (the reverse KM's run keys and
+    each score's subject keys) and read one float row of multiplicities,
     allocated here; no array as long as the censoring jumps is built per
     replicate, and set-up holds O(cases) per score whatever the horizon
     count.
@@ -201,50 +205,36 @@ class _RankedCohort:
         case_times = times[self.case_subjects]
         censored = np.flatnonzero(early & ~is_case)
         jumps, jump_of = np.unique(times[censored], return_inverse=True)
-        # runs of jumps with no case of the cohort between two of them: a
-        # run ends at the last jump at or below each case time, and at the
-        # last jump; a resample's cases are among these, so its own runs
-        # are unions of them
-        is_end = np.zeros(jumps.size, dtype=bool)
-        last = np.searchsorted(jumps, case_times, side="right") - 1
-        is_end[last[last >= 0]] = True
-        is_end[-1:] = True
-        run = np.cumsum(is_end) - is_end  # the runs ended before each jump
-        first = np.flatnonzero(np.roll(is_end, 1))  # jump 0, and after each end
-        # the jumps G is read just after: every run's last one, and the
-        # last one strictly below each case time and each horizon
-        case_q = np.searchsorted(jumps, case_times, side="left") - 1
-        horizon_q = np.searchsorted(jumps, self.horizons, side="left") - 1
-        read = np.zeros(jumps.size, dtype=bool)
-        read[case_q[case_q >= 0]] = True
-        read[horizon_q[horizon_q >= 0]] = True
-        read[is_end] = False
-        queries = np.concatenate((np.flatnonzero(is_end), np.flatnonzero(read)))  # ends first
-        self.km_run = run[queries]
-        # each jump's index in the replicate's values, which hold G before
-        # the first jump at 0; jump -1 (none below) reads the spare last 0
-        value_at = np.zeros(jumps.size + 1, dtype=np.intp)
-        value_at[queries] = np.arange(1, queries.size + 1)
-        self.case_g, self.horizon_g = value_at[case_q], value_at[horizon_q]
-        # cut c counts the subjects at grid position u > c, where jump j's
-        # censorings sit at 2j + 1, and the cases from jump j up to the
-        # next at 2j + 2: S at a run's first jump j is cut 2j, E after a
-        # queried jump j is cut 2j + 1
-        cuts = np.concatenate((2 * first, 2 * queries + 1))
-        # the cuts at or above each grid position: every subject is keyed
-        # by them, so a running sum over the keys counts the subjects
-        # beyond each cut, highest first; a subject followed to the
-        # largest horizon is beyond every cut
-        above = np.zeros(2 * jumps.size + 1, dtype=np.intp)
-        above[cuts] = 1
-        above = np.cumsum(above[::-1])[::-1]
-        self.km_width = cuts.size + 1
+        # a run ends at the last jump at or below each case time (jump
+        # ``at_or_below - 1``), at the last jump strictly below each case
+        # time and each horizon, where G is read, and at the last jump; a
+        # resample's cases are among the cohort's, so its own runs are
+        # unions of these.  ``ends[k]`` counts the run ends among the first
+        # k jumps
+        below = np.searchsorted(jumps, case_times, side="left")
+        at_or_below = np.searchsorted(jumps, case_times, side="right")
+        horizon_below = np.searchsorted(jumps, self.horizons, side="left")
+        ends = np.zeros(jumps.size + 1, dtype=np.intp)
+        for k in (at_or_below, below, horizon_below, jumps.size):
+            ends[k] = 1
+        ends[0] = 0  # no jump below
+        np.cumsum(ends, out=ends)
+        n_runs = ends[-1]
+        # run r's counts are entries 2r (S, at its first jump) and 2r + 1
+        # (E, after its end) of one falling sequence of 2R (R = ``n_runs``),
+        # and every subject is in a prefix of it: a key counts the entries
+        # a subject misses, so one running sum over the keys gives every
+        # entry, last first.  A subject censored in run r misses
+        # 2(R - r) - 1, a case 2(R - r - 1) where run r is the last to end
+        # at or below its time (2R where none does), and a subject followed
+        # to the largest horizon none
+        self.km_width = 2 * n_runs + 1
         self.km_keys = np.zeros(n, dtype=np.intp)
-        self.km_keys[censored] = above[2 * jump_of + 1]
-        self.km_keys[self.case_subjects] = above[2 * last + 2]
-        self.km_start = above[2 * first] - 1
-        self.km_after = above[2 * queries + 1] - 1
-        self.g = np.ones(queries.size + 1)
+        self.km_keys[censored] = 2 * (n_runs - ends[jump_of]) - 1
+        self.km_keys[self.case_subjects] = 2 * (n_runs - ends[at_or_below])
+        # G just after the last run end below a time, 1 before the first
+        self.case_g, self.horizon_g = ends[below], ends[horizon_below]
+        self.g = np.ones(n_runs + 1)
         # horizons at or below each time: subject i is followed less than
         # horizon k exactly when its slot is at most k
         slot = np.searchsorted(self.horizons, times, side="right")
@@ -289,12 +279,13 @@ class _RankedCohort:
         every censoring jump below its time, so its weight is >= 1.
 
         The reverse KM is one weighted ``bincount`` over every subject's
-        cut key, a running sum over the cuts, two gathers of O(cases) and
-        ``censoring._product_limit``: one divide per value read and a
-        ``cumprod`` over the runs.  The counts are whole numbers, so E and
-        S are exact and G is bit for bit a fit on the materialised
-        resample; a run with nobody at risk has factor 1, so a resample
-        with nobody left there keeps G > 0 and fails for nobody at t0.
+        run key and a running sum, whose every other entry from the end
+        gives each run's E and S, then ``censoring._product_limit``: one
+        divide per run and a ``cumprod`` over the runs.  The counts are
+        whole numbers, so E and S are exact and G is bit for bit a fit on
+        the materialised resample; a run with nobody at risk has factor
+        1, so a resample with nobody left there keeps G > 0 and fails for
+        nobody at t0.
         Each case weight is ``m * (1 / G)``, with 0 where G is 0.
         """
         self.m[:] = m
@@ -303,7 +294,7 @@ class _RankedCohort:
             np.bincount(self.km_keys, weights=m, minlength=self.km_width)
         )
         g = self.g
-        _product_limit(beyond[self.km_after], beyond[self.km_start], self.km_run, g[1:])
+        _product_limit(beyond[-3::-2], beyond[-2::-2], g[1:])
         # G may reach 0 beyond a horizon; a case past that point belongs
         # only to horizons where the resample fails, so its weight is moot
         inv_g = g[self.case_g]

@@ -234,6 +234,22 @@ def test_huge_sweep_stops_at_the_first_horizon_beyond_support(tmp_path, capsys):
     assert err == "error: T0BeyondSupportError: t0=5.0 exceeds the largest observed time 4.0\n"
 
 
+def test_sweep_stop_is_inclusive_where_rounding_overshoots(tmp_path, capsys):
+    # 0.1 + 0.1 * 2 is 0.30000000000000004, beyond the largest time 0.3
+    # (held by the subjects followed past 30); the grid's last point is
+    # STOP itself
+    c = generate_cohort(3000, 11)
+    cohort = CohortSample(np.minimum(c.times, 30.0) / 100.0, c.status, c.score1, c.score2)
+    path = tmp_path / "short.csv"
+    write_cohort_csv(cohort, str(path))
+    code = run(["compare", "--input", str(path), "--sweep", "0.1:0.3:0.1", "--boot", "20"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert [line.split()[0] for line in out.splitlines() if line.startswith("t0=")] == [
+        "t0=0.1", "t0=0.2", "t0=0.3"
+    ]
+
+
 def test_curves_csv_equals_separate_curve_calls(tmp_path):
     # rounded scores: many subjects share each threshold
     c = generate_cohort(1500, 5)

@@ -45,6 +45,8 @@ horizon count; a draw's case weights are one row of the block's case
 table.  The point row's event rate is the point estimators' bit for bit,
 and the point row and the library's AP and AUC are within 1e-14 of an
 exact evaluation (``reference.exact_accuracy``) on the same weights.
+Where a lone top-scored case weighs above 1, the exact AP exceeds 1 and
+every point path clips it to 1 exactly.
 """
 
 import json
@@ -265,6 +267,17 @@ def assert_exact(got, want):
 
 @SETTINGS
 @given(adversarial_cohorts())
+@example(  # every case scores below every control: AUC2 is exactly 0
+    (
+        CohortSample(
+            [3.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0, 4.0, 4.0, 4.0, 1.0, 1.0, 2.0],
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 7.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 7.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0, 0.0, 1.0],
+        ),
+        4.0,
+    )
+)
 def test_point_paths_match_the_exact_evaluator(case):
     # the library's AP and AUC and the engine's point row against AP and
     # AUC in exact arithmetic on the same float IPCW weights: ties across
@@ -679,11 +692,10 @@ def test_point_row_matches_the_point_estimators(case, extra, at_top):
         want = compare_horizon(cohort, h)
         got = dict(zip(_PAIRED_ESTIMANDS, point.tolist()))
         assert (got["ap"], got["ap2"], got["rap"]) == (want.ap1, want.ap2, want.rap)
-        for key, value in (("auc", want.auc1), ("auc2", want.auc2), ("dauc", want.dauc)):
-            assert got[key] == pytest.approx(value, rel=0.0, abs=1e-12)
+        # the controls share 1/G(t0), so both paths read their counts
+        assert (got["auc"], got["auc2"], got["dauc"]) == (want.auc1, want.auc2, want.dauc)
         one = estimate_horizon(cohort, h)
-        assert point1[0] == one.ap
-        assert point1[1] == pytest.approx(one.auc, rel=0.0, abs=1e-12)
+        assert (point1[0], point1[1]) == (one.ap, one.auc)
         for r in (rate, rate1):
             assert r == one.event_rate
             assert r == want.event_rate
@@ -778,14 +790,14 @@ def assert_single_horizon_bits(cohort, horizons, spec, estimands=_PAIRED_ESTIMAN
 
 def test_no_censoring_below_the_largest_horizon():
     # every subject leaving before 10 is a case: the reverse KM has no
-    # jump there, so no cut, one bin and no value read but the 1 before it
+    # jump there, so no run, one bin and no value read but the 1 before it
     rng = np.random.default_rng(41)
     times = np.concatenate([rng.uniform(0.5, 10.0, 30), rng.uniform(10.0, 20.0, 30)])
     status = np.concatenate([np.ones(30), rng.integers(0, 2, 30).astype(float)])
     cohort = CohortSample(times, status, np.round(rng.normal(size=60), 1), rng.normal(size=60))
     horizons = [10.0, 4.0, 10.0]
     ranked = _RankedCohort(cohort, horizons, 2)
-    assert ranked.km_width == 1 and ranked.km_run.size == 0 and ranked.g.tolist() == [1.0]
+    assert ranked.km_width == 1 and ranked.g.tolist() == [1.0]
     spec = BootstrapSpec(replicates=40, seed=17)
     causes = assert_horizons_match(cohort, horizons, spec)
     assert all(c["zero_censor_survival"] == 0 for c in causes)
@@ -909,7 +921,7 @@ def test_engine_memory_per_replicate_holds_no_seed(monkeypatch):
 
 def test_engine_set_up_holds_one_row_of_multiplicities():
     # after set-up the engine holds each score's subject keys, the reverse
-    # KM's cut keys, one float row of multiplicities and O(cases) case
+    # KM's run keys, one float row of multiplicities and O(cases) case
     # slots, tie bins and first slots: 4.59 x 8n for a paired 200k cohort
     # at t0 = 36; a copy of the multiplicities per score would add 1.0 x 8n
     cohort = generate_cohort(200_000, 5)
@@ -1035,3 +1047,41 @@ def test_ap_is_clipped_where_a_case_weighs_above_1(tmp_path):
     assert main(argv + ["--json", str(out_json)]) == 0
     (row,) = json.loads(out_json.read_text())["results"]
     assert (row["ap"], row["event_rate"]) == (1.0, rate)
+
+
+@st.composite
+def clip_cohorts(draw):
+    """The 11-subject clip example, drawn: k censorings, a case with the
+    top score after them, and m subjects followed to t0.  The censorings
+    leave the case weighing 1/G(X) > 1, and as the lone case, alone at the
+    top score, its precision, and so the unclipped AP, is that weight."""
+    k, m = draw(st.integers(1, 10)), draw(st.integers(1, 6))
+    censored = draw(st.lists(st.sampled_from([1.0, 1.25, 1.5, 1.75]), min_size=k, max_size=k))
+    case_time, t0 = draw(st.sampled_from([2.0, 2.5, 3.0])), draw(st.sampled_from([3.5, 4.0, 5.5]))
+    followed = draw(st.lists(st.sampled_from([t0, t0 + 0.5, 7.0]), min_size=m, max_size=m))
+    status = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=m, max_size=m))
+    scores = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=k + m, max_size=k + m))
+    return (
+        CohortSample(
+            censored + [case_time] + followed,
+            [0.0] * k + [1.0] + status,
+            scores[:k] + [10.0] + scores[k:],
+        ),
+        t0,
+    )
+
+
+@SETTINGS
+@given(clip_cohorts())
+def test_the_clip_binds_on_a_lone_top_case_weighed_above_1(case):
+    # the exact evaluator reads AP > 1 unclipped on the float weights, and
+    # the library, estimate_horizon and the engine's point row read 1
+    cohort, t0 = case
+    weights = ipcw_weights(cohort, fit_censoring_km(cohort), t0)
+    w, early = weights.weights, cohort.times < t0
+    groups = reference.exact_groups(cohort.score1, w * early, w * ~early)
+    assert reference.exact_accuracy(groups, clip=False)[0] > 1
+    assert average_precision(cohort, weights, t0) == 1.0
+    assert estimate_horizon(cohort, t0).ap == 1.0
+    ((point, _, _, _),) = _replicate_matrices(cohort, [t0], BootstrapSpec(2), ("ap",))
+    assert point[0] == 1.0
