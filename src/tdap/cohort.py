@@ -74,7 +74,8 @@ class SubjectRecord:
         if self.time <= 0:
             raise NonPositiveTimeError(None, self.time)
         if not (_is_real(self.status) and self.status in (0, 1)):
-            raise InvalidStatusError(None, self.status)
+            # a numpy scalar as the Python value it holds
+            raise InvalidStatusError(None, np.asarray(self.status).tolist())
         object.__setattr__(self, "status", int(self.status))
         self._store_real("score1")
         if self.score2 is not None:
@@ -83,7 +84,7 @@ class SubjectRecord:
     def _store_real(self, name: str) -> None:
         value = getattr(self, name)
         if not (_is_real(value) and math.isfinite(value)):
-            raise NonNumericCellError(None, name, repr(value))
+            raise NonNumericCellError(None, name, repr(float(value) if _is_real(value) else value))
         object.__setattr__(self, name, float(value))
 
 
@@ -111,8 +112,8 @@ class CohortSample:
     score2 : array-like or None
         Second score for paired cohorts.
 
-    All arrays are validated (finite, times > 0, status in {0, 1}) and
-    stored as read-only float64 copies.
+    All arrays are validated (bool, integer or float columns; finite,
+    times > 0, status in {0, 1}) and stored as read-only float64 copies.
     """
 
     __slots__ = ("times", "status", "score1", "score2")
@@ -121,48 +122,42 @@ class CohortSample:
         # copy so freezing the arrays never mutates caller-owned buffers;
         # tdap's own readers and generator hand over float64 arrays that
         # nobody else holds (_owned), and those are frozen as they are
-        column = np.asarray if _owned else np.array
-        times = column(times, dtype=float)
-        status_arr = column(status, dtype=float)
-        score1 = column(score1, dtype=float)
-        score2 = None if score2 is None else column(score2, dtype=float)
-        if times.size == 0:
+        fields = ("time", "status", "score1") + (() if score2 is None else ("score2",))
+        columns = [
+            _real_column(arr, name, _owned)
+            for name, arr in zip(fields, (times, status, score1, score2))
+        ]
+        n = columns[0].size
+        if n == 0:
             raise EmptyCohortError()
-        n = times.size
-        for name, arr in (("time", times), ("status", status_arr), ("score1", score1)):
+        for name, arr in zip(fields, columns):
             if arr.shape != (n,):
                 raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
-        if score2 is not None and score2.shape != (n,):
-            raise ValueError(f"score2 has shape {score2.shape}, expected ({n},)")
 
+        times, status = columns[:2]
         bad = ~np.isfinite(times)
         if bad.any():
             i = int(np.argmax(bad))
-            raise NonNumericCellError(None, "time", repr(times[i]))
+            raise NonNumericCellError(None, "time", repr(times[i].item()))
         bad = times <= 0
         if bad.any():
             i = int(np.argmax(bad))
             raise NonPositiveTimeError(None, float(times[i]))
         with np.errstate(invalid="ignore"):
-            bad = ~((status_arr == 0.0) | (status_arr == 1.0))
+            bad = ~((status == 0.0) | (status == 1.0))
         if bad.any():
             i = int(np.argmax(bad))
-            raise InvalidStatusError(None, status_arr[i])
-        for name, arr in (("score1", score1),) + (
-            () if score2 is None else (("score2", score2),)
-        ):
+            raise InvalidStatusError(None, status[i].item())
+        for name, arr in zip(fields[2:], columns[2:]):
             bad = ~np.isfinite(arr)
             if bad.any():
                 i = int(np.argmax(bad))
-                raise NonNumericCellError(None, name, repr(arr[i]))
+                raise NonNumericCellError(None, name, repr(arr[i].item()))
 
-        for arr in (times, status_arr, score1, score2):
+        for name, arr in itertools.zip_longest(self.__slots__, columns):
             if arr is not None:
                 arr.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "status", status_arr)
-        object.__setattr__(self, "score1", score1)
-        object.__setattr__(self, "score2", score2)
+            object.__setattr__(self, name, arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("CohortSample is immutable")
@@ -186,14 +181,13 @@ class CohortSample:
         return self.score2
 
     def take(self, indices) -> "CohortSample":
-        """Row subset/resample; keeps score pairs attached to their subject."""
-        idx = np.asarray(indices, dtype=np.intp)
-        return CohortSample(
-            self.times[idx],
-            self.status[idx],
-            self.score1[idx],
-            None if self.score2 is None else self.score2[idx],
-        )
+        """Row subset/resample at integer ``indices``; keeps score pairs attached."""
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.intp, copy=False)
+        columns = (self.times, self.status, self.score1, self.score2)
+        return CohortSample(*(None if c is None else c[idx] for c in columns))
 
     def records(self) -> Iterator[SubjectRecord]:
         for i in range(self.n):
@@ -495,6 +489,15 @@ def write_cohort_csv(cohort: CohortSample, destination) -> None:
         header.append("score2")
         columns.append(cohort.score2)
     _write_csv(destination, header, columns)
+
+
+def _real_column(values, name: str, owned: bool) -> np.ndarray:
+    """``values`` as float64, copied unless ``owned``; a column of anything
+    but bools, integers or floats raises ``NonNumericCellError``."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise NonNumericCellError(None, name, str(arr.dtype))
+    return arr.astype(float, copy=not owned)
 
 
 def _is_real(value) -> bool:

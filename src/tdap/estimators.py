@@ -206,32 +206,30 @@ def ppv_tie_corrected(
 
 
 def _accuracy(screened, case, ctrl_mass, hit):
-    """AP, AUC and their case and control totals, groups by descending score.
+    """AP, AUC and their case and control totals, one of each per row.
 
     This is the one place the formulas and totals live: the point
     estimators, event rates and every bootstrap replicate read from it
     (the replicates on the case-anchored segments of
     ``inference._RankedCohort``), and the study oracle reads its AP
-    formula (``_ap``) from its own tie runs.  Groups
-    may be empty (count and masses 0).  ``hit`` indexes the groups that
-    may hold case mass, ascending, and ``case`` holds the case mass at
-    them; a column of ``hit`` without case mass adds an exact 0.  AP is
-    NaN without case mass; AUC is NaN without case or control mass.
-    Both are clipped into [0, 1]; the clip can bind only in heavily
-    censored corners where single weights exceed 1.  ``screened`` is the
-    doubled screened count ``2 * cumsum(counts) - counts`` of every group,
-    exact for whole-number counts.  AP never reads the control masses,
-    and a weight common to every control cancels in AUC up to rounding,
-    so a caller whose controls share one weight may pass their counts.
-
-    One set of groups (1-d arrays) gives four floats.  A table of rows
-    (2-d arrays, one row per bootstrap replicate) gives four arrays.  The
-    columns come from the caller, gathers are row-major (``take``) and
-    sums are row sums, so a row's values depend on its own masses alone
+    formula (``_ap``) from its own tie runs.  Every argument but ``hit``
+    is a table of one row per draw (the point estimators pass one) and
+    one column per group, groups by descending score; groups may be
+    empty (count and masses 0).  ``hit`` indexes the groups that may hold
+    case mass, ascending, and ``case`` is read only there; a column of
+    ``hit`` without case mass adds an exact 0.  AP is NaN without case
+    mass; AUC is NaN without case or control mass.  Both are clipped into
+    [0, 1]; the clip can bind only in heavily censored corners where
+    single weights exceed 1.  ``screened`` is the doubled screened count
+    ``2 * cumsum(counts) - counts`` of every group, exact for whole-number
+    counts.  AP never reads the control masses, and a weight common to
+    every control cancels in AUC up to rounding, so a caller whose
+    controls share one weight may pass their counts.  Gathers are
+    row-major (``take``; ``[:, hit]`` copies column-major) and sums are
+    row sums, so a row's values depend on its own masses alone
     (``einsum``'s do not past 8,192 columns).
     """
-    one_set = np.ndim(case) == 1
-    screened, case, ctrl_mass = (np.atleast_2d(a) for a in (screened, case, ctrl_mass))
+    case = case.take(hit, axis=1)
     ap, total_case = _ap(case, screened.take(hit, axis=1))
     total_ctrl = ctrl_mass.sum(axis=1)
     conc = total_ctrl[:, None] - np.cumsum(ctrl_mass, axis=1).take(hit, axis=1)
@@ -239,8 +237,6 @@ def _accuracy(screened, case, ctrl_mass, hit):
     conc *= case
     defined = (total_case > 0.0) & (total_ctrl > 0.0)
     auc = np.clip(_ratio(conc.sum(axis=1), total_case * total_ctrl, defined), 0.0, 1.0)
-    if one_set:
-        return float(ap[0]), float(auc[0]), float(total_case[0]), float(total_ctrl[0])
     return ap, auc, total_case, total_ctrl
 
 
@@ -289,7 +285,9 @@ def _point_accuracy(
         cohort.scores(score), case_w, at_t0 if shared else _control_mass(cohort, weights, t0)
     )
     hit = np.flatnonzero(case_mass > 0.0)
-    return _accuracy(2.0 * np.cumsum(counts) - counts, case_mass[hit], ctrl_mass, hit)
+    screened = 2.0 * np.cumsum(counts) - counts
+    acc = _accuracy(screened[None], case_mass[None], ctrl_mass[None], hit)
+    return tuple(float(a[0]) for a in acc)
 
 
 def _estimable_accuracy(

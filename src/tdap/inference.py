@@ -34,7 +34,7 @@ horizon slot, the number of horizons at or below its time.  A
 replicate's subject counts fill one slot-by-segment table per score, and
 its case weights one row of the block's case table.  Per block of draws,
 running sums over the slot axis give every horizon's count at or beyond
-t0, one ``bincount`` per horizon and score sums each anchor's case
+t0, one ``bincount`` per score and horizon sums each anchor's case
 weights with the cases at or beyond t0 zeroed, and the point estimators'
 AP/AUC kernel reads AP, AUC and the total case and control masses (score
 1's give the event rate) at the tie bins of the anchors holding a case
@@ -269,14 +269,14 @@ class _RankedCohort:
         self.mass_width = (self.horizons.size + 1) * sum(f.size for f in self.first_slot)
         self.m = np.empty(n)  # the multiplicities as floats, read by every subject ``bincount``
 
-    def replicate(self, m, mass_out, case_out, stats_out) -> None:
-        """Write the resample with multiplicities ``m`` into row buffers.
+    def replicate(self, m, mass_out, case_out) -> np.ndarray:
+        """Write the resample with multiplicities ``m`` into row buffers
+        and return its G(t0) per horizon.
 
         ``mass_out`` receives the slot-by-fine-segment subject counts of
         each score and ``case_out`` the weight of every case, in case
-        order.  Row 2 of ``stats_out`` receives G(t0) per horizon;
-        ``accuracy`` fills rows 0 and 1.  A drawn case is at risk at
-        every censoring jump below its time, so its weight is >= 1.
+        order.  A drawn case is at risk at every censoring jump below its
+        time, so its weight is >= 1.
 
         The reverse KM is one weighted ``bincount`` over every subject's
         run key and a running sum, whose every other entry from the end
@@ -305,14 +305,13 @@ class _RankedCohort:
             width = (k + 1) * first.size
             mass_out[at : at + width] = np.bincount(keys, weights=m, minlength=width)
             at += width
-        stats_out[2] = g[self.horizon_g]
+        return g[self.horizon_g]
 
-    def accuracy(self, mass, case, stats_out):
+    def accuracy(self, mass, case):
         """Per horizon, the kernel's four columns per score for a block of rows.
 
         ``mass`` and ``case`` are block tables written by ``replicate``.
-        Rows 0 and 1 of ``stats_out`` receive, per horizon, the kernel's
-        totals for score 1: the case mass before t0, 0 exactly when no
+        Score 1's totals are the case mass before t0, 0 exactly when no
         case before t0 was drawn, and the count followed up to t0.
 
         Per score, the doubled screened count is formed once, and the
@@ -320,38 +319,28 @@ class _RankedCohort:
         table, exact in whole numbers.  The kernel reads the latter as
         the control masses: every control's weight is 1/G(t0), which AP
         never reads and which cancels in AUC up to rounding.  A pair's
-        case columns are one ``bincount`` of the block's case rows keyed
+        case masses are one ``bincount`` of the block's case rows keyed
         ``row * fine segments + tie bin``, the cases at or beyond t0 set
-        to +0.0, taken at the tie bins whose first slot is at most k: a
-        zero adds nothing, so each is its cases' in-order sum.
+        to +0.0, which the kernel reads at the tie bins whose first slot
+        is at most k: a zero adds nothing, so each is its cases' in-order
+        sum.
         """
         rows, k_count = mass.shape[0], self.horizons.size
-        # per score: its (rows, slots, fine segments) table, the doubled
-        # screened count, the count at or beyond t0 (every subject at
-        # first), each case weight's key and each bin's first slot
-        scores, mass_at = [], 0
+        out, mass_at = [[] for _ in range(k_count)], 0
         for tie, first in zip(self.case_bin, self.first_slot):
             size = first.size
             width = (k_count + 1) * size
             table = mass[:, mass_at : mass_at + width].reshape(rows, k_count + 1, size)
-            beyond = table.sum(axis=1)
-            keys = (size * np.arange(rows)[:, None] + tie).ravel()
-            scores.append((table, 2.0 * np.cumsum(beyond, axis=1) - beyond, beyond, keys, first))
             mass_at += width
-        out = []
-        for k in range(k_count):
-            # every case is before the largest horizon
-            weights = case if k == k_count - 1 else np.where(self.case_slot <= k, case, 0.0)
-            weights, acc = weights.ravel(), []
-            for table, screened, beyond, keys, first in scores:
+            # the count at or beyond t0, every subject before the first horizon
+            beyond = table.sum(axis=1)
+            screened = 2.0 * np.cumsum(beyond, axis=1) - beyond
+            keys = (size * np.arange(rows)[:, None] + tie).ravel()
+            for k in range(k_count):
                 np.subtract(beyond, table[:, k], out=beyond)
-                hit = (first <= k).nonzero()[0]
-                sums = np.bincount(keys, weights, minlength=rows * first.size)
-                # row-major; ``[:, hit]`` copies column-major, and row sums change
-                columns = sums.reshape(rows, first.size).take(hit, axis=1)
-                acc.append(_accuracy(screened, columns, beyond, hit))
-            stats_out[:, 0, k], stats_out[:, 1, k] = acc[0][2:]  # score 1's totals
-            out.append(acc)
+                weights = np.where(self.case_slot <= k, case, 0.0).ravel()
+                sums = np.bincount(keys, weights, minlength=rows * size).reshape(rows, size)
+                out[k].append(_accuracy(screened, sums, beyond, (first <= k).nonzero()[0]))
         return out
 
 
@@ -390,7 +379,10 @@ def _replicate_matrices(
     ``rows = max(1, _BLOCK_BYTES // row bytes)`` (the mass table and one
     weight per case), so a row over the budget runs alone (one of a
     paired 2M cohort at t0 = 36 is 10.7 MB); the case ``bincount`` and
-    the AP/AUC kernel run once per block, horizon and score.
+    the AP/AUC kernel run once per block, score and horizon.  This loop
+    is the one writer of the draws' stats: G(t0) per horizon from
+    ``replicate``, then score 1's case mass before t0 and count followed
+    up to t0 from the kernel, which give each failure cause.
     """
     if len(horizons) == 0:
         return []
@@ -413,10 +405,10 @@ def _replicate_matrices(
                 (child,) = seeds.spawn(1)
                 idx = np.random.default_rng(child).integers(0, n, size=n)
                 m = np.bincount(idx, minlength=n)
-            ranked.replicate(m, mass[b - start], case[b - start], stats[b])
+            stats[b, 2] = ranked.replicate(m, mass[b - start], case[b - start])
         block = stop - start
-        per_horizon = ranked.accuracy(mass[:block], case[:block], stats[start:stop])
-        for k, acc in enumerate(per_horizon):
+        for k, acc in enumerate(ranked.accuracy(mass[:block], case[:block])):
+            stats[start:stop, 0, k], stats[start:stop, 1, k] = acc[0][2:]  # score 1's totals
             for e, stat in enumerate(table):
                 values[k, start:stop, e] = stat(acc)
 

@@ -200,9 +200,12 @@ def case_segments_two_sided(sorted_scores, case_scores):
 def group_accuracy(counts, case_mass, ctrl_mass):
     """The package's kernel (AP, AUC) over whole groups, highest score
     first, reading the groups that hold case mass, as the point
-    estimators do; the kernel's case and control totals are dropped."""
+    estimators do, as a one-row table; the kernel's case and control
+    totals are dropped."""
     hit = np.flatnonzero(case_mass > 0.0)
-    return _accuracy(2.0 * np.cumsum(counts) - counts, case_mass[hit], ctrl_mass, hit)[:2]
+    screened = 2.0 * np.cumsum(counts) - counts
+    ap, auc, _, _ = _accuracy(screened[None], case_mass[None], ctrl_mass[None], hit)
+    return float(ap[0]), float(auc[0])
 
 
 def exact_groups(scores, case_weights, ctrl_weights):

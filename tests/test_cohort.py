@@ -176,6 +176,16 @@ def test_take_resamples_rows_and_keeps_pairs():
     assert sub.score2.tolist() == [0.3, 0.3, 0.1]
 
 
+def test_take_rejects_indices_that_are_not_integers():
+    coh = read_cohort_csv(io.StringIO(PAIRED))
+    for bad in ([0.5, 1.7], [True, False, True], np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            coh.take(bad)
+    assert coh.take(np.array([2, 0], dtype=np.uint8)).times.tolist() == [2, 1]
+    with pytest.raises(EmptyCohortError):
+        coh.take([])
+
+
 def test_records_and_from_records_round_trip():
     coh = read_cohort_csv(io.StringIO(PAIRED))
     rebuilt = CohortSample.from_records(list(coh.records()))
@@ -206,6 +216,48 @@ def test_subject_record_validation():
 def test_subject_record_rejects_odd_types(fields, error):
     with pytest.raises(error):
         SubjectRecord(*fields)
+
+
+@pytest.mark.parametrize(
+    "build, error, message, value",
+    [
+        (lambda: CohortSample([1, 2], [0, 2], [1, 2]), InvalidStatusError,
+         "input: status must be 0 or 1, got 2.0", 2.0),
+        (lambda: CohortSample([1, np.inf], [0, 1], [1, 2]), NonNumericCellError,
+         "input, column 'time': not a finite number: 'inf'", "inf"),
+        (lambda: CohortSample([1, 2], [0, 1], [1, 2], [np.nan, 1]), NonNumericCellError,
+         "input, column 'score2': not a finite number: 'nan'", "nan"),
+        (lambda: SubjectRecord(1.0, np.float64(0.5), 0.5), InvalidStatusError,
+         "input: status must be 0 or 1, got 0.5", 0.5),
+        (lambda: SubjectRecord(1.0, 1, np.float32(np.inf)), NonNumericCellError,
+         "input, column 'score1': not a finite number: 'inf'", "inf"),
+    ],
+)
+def test_input_errors_show_python_numbers(build, error, message, value):
+    # numpy scalars reach the message as the Python numbers they hold,
+    # whatever numpy's own repr of them
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
+    assert err.value.value == value and type(err.value.value) is type(value)
+
+
+@pytest.mark.parametrize(
+    "columns, column, dtype",
+    [
+        ((np.array([1 + 1j, 2 + 0j]), [0, 1], [1, 2]), "time", "complex128"),
+        ((np.array(["1", "2"]), [0, 1], [1, 2]), "time", "<U1"),
+        (([1, 2], [0, "x"], [1, 2]), "status", "<U21"),
+        (([1, 2], [0, 1], [1, 2j]), "score1", "complex128"),
+        (([1, 2], [0, 1], [1, 2], [None, 1]), "score2", "object"),
+    ],
+)
+def test_columns_that_are_not_real_numbers_are_rejected(columns, column, dtype):
+    # text, complex and object columns are never converted to floats
+    with pytest.raises(NonNumericCellError) as err:
+        CohortSample(*columns)
+    assert str(err.value) == f"input, column {column!r}: not a finite number: {dtype!r}"
+    assert (err.value.row, err.value.column, err.value.value) == (None, column, dtype)
 
 
 @pytest.mark.parametrize(

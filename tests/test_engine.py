@@ -44,7 +44,9 @@ multiplicities, not one per score, and O(cases) per score whatever the
 horizon count; a draw's case weights are one row of the block's case
 table.  The point row's event rate is the point estimators' bit for bit,
 and the point row and the library's AP and AUC are within 1e-14 of an
-exact evaluation (``reference.exact_accuracy``) on the same weights.
+exact evaluation (``reference.exact_accuracy``) on the same weights, as
+is each usable replicate on its materialised resample under its own fit,
+and the study oracle's AP with a unit weight per case.
 Where a lone top-scored case weighs above 1, the exact AP exceeds 1 and
 every point path clips it to 1 exactly.
 """
@@ -301,6 +303,33 @@ def test_point_paths_match_the_exact_evaluator(case):
 
 
 @SETTINGS
+@given(adversarial_cohorts(), st.integers(0, 2**32 - 1))
+def test_replicates_match_the_exact_evaluator(case, seed):
+    # each usable replicate's AP and AUC of both scores against exact
+    # arithmetic on its materialised resample, weighted by its own fit
+    cohort, t0 = case
+    spec, estimands = BootstrapSpec(replicates=5, seed=seed), ("ap", "ap2", "auc", "auc2")
+    ((_, _, rows, _),) = _replicate_matrices(cohort, [t0], spec, estimands)
+    usable = []
+    for child in np.random.SeedSequence(seed).spawn(spec.replicates):
+        sub = cohort.take(np.random.default_rng(child).integers(0, cohort.n, size=cohort.n))
+        try:
+            validate_horizon(sub, t0)
+            usable.append((sub, ipcw_weights(sub, fit_censoring_km(sub), t0).weights))
+        except TdapError:
+            continue
+    assert len(rows) == len(usable)
+    for row, (sub, w) in zip(rows, usable):
+        row, early = dict(zip(estimands, row)), sub.times < t0
+        for s, ap_key, auc_key in ((1, "ap", "auc"), (2, "ap2", "auc2")):
+            ap, value = reference.exact_accuracy(
+                reference.exact_groups(sub.scores(s), w * early, w * ~early)
+            )
+            assert_exact(row[ap_key], ap)
+            assert_exact(row[auc_key], value)
+
+
+@SETTINGS
 @given(adversarial_cohorts())
 def test_censoring_fit_matches_the_factor_by_factor_product(case):
     # the telescoped product limit against one factor per censoring time,
@@ -328,10 +357,9 @@ def draw_stats(ranked, m):
     mass before t0 and the count followed up to t0 from the kernel; and the
     draw's row of the block's case table, one weight per case."""
     mass, case = np.empty((1, ranked.mass_width)), np.empty((1, ranked.case_subjects.size))
-    stats = np.empty((1, 3, ranked.horizons.size))
-    ranked.replicate(m, mass[0], case[0], stats[0])
-    ranked.accuracy(mass, case, stats)
-    return stats[0], case[0]
+    g_t0 = ranked.replicate(m, mass[0], case[0])
+    totals = np.array([acc[0][2:] for acc in ranked.accuracy(mass, case)])[:, :, 0]
+    return np.vstack([totals.T, g_t0]), case[0]
 
 
 def assert_replicates_refit(cohort, t0, seed, count=5):
@@ -529,6 +557,26 @@ def test_oracle_aps_equal_kernel_over_case_segments(case):
         sizes, cases = reference.case_segments_two_sided(np.sort(score), score[pos[slot <= k]])
         want = reference.group_accuracy(sizes, cases, sizes - cases)[0]
         assert np.float64(got[t0]).tobytes() == np.float64(want).tobytes()
+
+
+@settings(SETTINGS, max_examples=300)
+@given(slotted_cases())
+@example((np.array([0.0, 1.0, 2.0]), [2, 0], [0, 0], 1))  # anchor at the last position
+@example((np.array([-0.0, 0.0, 0.0]), [1, 0], [0, 0], 1))  # signed zeros tie
+@example((np.array([0.5, 1.5]), [], [], 1))  # no case: NaN
+def test_oracle_aps_match_the_exact_evaluator(case):
+    # the study oracle's AP at every horizon against exact arithmetic with
+    # a unit weight per case
+    score, pos, slot, horizons = case
+    pos = np.array(pos, dtype=np.intp)
+    slot = np.array(slot, dtype=np.intp)
+    slot_of = {float(k): k for k in range(horizons)}
+    got = _oracle_aps([score.copy()], pos, slot, slot_of)
+    for t0, k in slot_of.items():
+        cases = np.zeros(score.size)
+        cases[pos[slot <= k]] = 1.0
+        ap, _ = reference.exact_accuracy(reference.exact_groups(score, cases, 1.0 - cases))
+        assert_exact(got[t0], ap)
 
 
 @pytest.mark.parametrize("decimals", [None, 1])
@@ -970,9 +1018,11 @@ def test_rap_fails_where_the_score2_ap_is_zero(monkeypatch):
 
     def stub(screened, case, ctrl, hit):
         ap, auc, *totals = kernel(screened, case, ctrl, hit)
-        if len(calls) % 2 == 1:  # score 2 of the horizon whose score 1 came last
-            t0 = horizons[len(calls) // 2 % len(horizons)]
-            ap = np.where(calls[-1] > cut[t0], 0.0, ap)
+        # per block, score 1 at each horizon, then score 2 at each
+        j = len(calls) % (2 * len(horizons))
+        if j >= len(horizons):  # score 2, whose score 1 came len(horizons) calls back
+            t0 = horizons[j - len(horizons)]
+            ap = np.where(calls[-len(horizons)] > cut[t0], 0.0, ap)
         calls.append(ap)
         return ap, auc, *totals
 
